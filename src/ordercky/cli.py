@@ -95,6 +95,13 @@ class _Resolver:
         return self.defaults[key]
 
 
+def _thread_count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 TRAIN_DEFAULTS = dict(
     mode="ordered", epochs=200, batch_size=32, learning_rate=1e-2,
     decay_factor=0.5, max_decay=3, decay_patience=5, dim=64, hidden=250,
@@ -137,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="decoder override; default is the checkpoint's mode")
     p_parse.add_argument("--print-score", action="store_true")
     p_parse.add_argument("--fallback-right-branching", action="store_true")
-    p_parse.add_argument("--threads", type=int, default=1)
+    p_parse.add_argument("--threads", type=_thread_count, default=1)
 
     p_eval = sub.add_parser("eval", help="labeled bracket P/R/F1")
     p_eval.add_argument("--pred", required=True)
@@ -158,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--mode", choices=("ordered", "ablation", "baseline", "all"),
                          default="all")
     p_bench.add_argument("--repetitions", type=int, default=20)
-    p_bench.add_argument("--threads", type=int, default=1)
+    p_bench.add_argument("--threads", type=_thread_count, default=1)
 
     return parser
 
@@ -203,7 +210,7 @@ def _read_sentences(stream):
         pairs = []
         for token in line.split():
             word, sep, pos = token.rpartition("_")
-            if not sep:
+            if not (sep and word and pos):
                 raise ValueError(f"line {lineno}: token {token!r} is not word_POS")
             pairs.append((word, pos))
         sentences.append(tuple(pairs))

@@ -15,13 +15,25 @@ treebank sorts lexicographically).
   labeled span absent from the gold tree, so the optimum is
   max_T [score(T) + hamming(T, gold)].
 
-The batched decoder fills all cells of one span width in a single vectorized
-step (within and across sentences) and is bit-identical to the scalar path.
+``decode_ordered`` is the scalar reference; ``decode_charts_batched`` gives
+its values and trees for a batch of charts.  Its chart cells are rows of one
+array grouped by width, then sentence, then start (stripes), holding only the
+cells with i + w <= n of their own sentence, so padding costs nothing.  The
+fill keeps values only, factored over distinct child-label pairs u = (l1, l2):
+M[c, u] = max_k (T[i, k, l1, L] + T[k, j, l2, R]), then the best M[c, u(r)] +
+g[r, o] over each parent's segment of rules.  Since x -> fl(x + g) is
+monotone, max over (k, r) of fl(fl(tl + tr) + g) equals max over r of
+fl(max_k fl(tl + tr) + g): the very float the scalar recursion keeps.  No
+backpointers are stored; at each node of the best tree only, the candidates
+(tl + tr) + g[r, o] are recomputed in k-major order and the first argmax is
+taken, which is the scalar tie-break even where distinct child sums round to
+one candidate once g is added.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -65,7 +77,6 @@ class CompiledRules:
                     (index[rule.parent], index[rule.left], index[rule.right], ridx)
                 )
         triples.sort()
-        n_labels = len(self.labels)
         self.parent = np.array([t[0] for t in triples], dtype=np.intp)
         self.left = np.array([t[1] for t in triples], dtype=np.intp)
         self.right = np.array([t[2] for t in triples], dtype=np.intp)
@@ -73,14 +84,14 @@ class CompiledRules:
             self.scores = rules.scores[np.array([t[3] for t in triples], dtype=np.intp)]
         else:
             self.scores = np.zeros((0, 2))
-        self.parent_slices = []
-        lo = 0
-        for lab in range(n_labels):
-            hi = lo
-            while hi < len(triples) and triples[hi][0] == lab:
-                hi += 1
-            self.parent_slices.append((lo, hi))
-            lo = hi
+        bounds = np.searchsorted(self.parent, np.arange(len(self.labels) + 1))
+        self.parent_slices = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
+        # the batched fill maximizes over splits once per distinct child pair,
+        # then reduces each parent's segment of rules
+        pairs, self.rule_pair = np.unique(self.left * len(self.labels) + self.right, return_inverse=True)
+        self.pair_left, self.pair_right = np.divmod(pairs, len(self.labels))
+        self.seg_parents = np.flatnonzero(np.diff(bounds))
+        self.seg_starts = bounds[self.seg_parents]
 
     def __len__(self) -> int:
         return len(self.parent)
@@ -163,6 +174,54 @@ def _extract(chart, t, back, n, forbid_root=None) -> DecodeResult:
     return DecodeResult(tree=build(0, n, root_lab, LEFT), score=best)
 
 
+# up to this length the span fill runs faster on float lists than on numpy
+# slices, whose per-call cost dominates short rows
+_LIST_FILL_MAX_N = 10
+
+
+def _span_cky(left: np.ndarray, right: np.ndarray) -> tuple[list, list]:
+    """Best-bracketing values, span (i, j) scoring left[i, j] as a left child
+    or the root and right[i, j] as a right child: by_start[i][w] for span
+    (i, i + w) and by_end[j][w] for (j - w, j), so a width-w span's children
+    are by_start[i][1:w] and by_end[j][w-1:0:-1] in split order."""
+    n = left.shape[0] - 1
+    if n > _LIST_FILL_MAX_N:
+        by_start = np.full((n + 1, n + 1), NEG_INF)
+        by_end = np.full((n + 1, n + 1), NEG_INF)
+        by_start[:n, 1], by_end[1:, 1] = left.diagonal(1), right.diagonal(1)
+        for w in range(2, n + 1):
+            cand = by_start[: n - w + 1, 1:w] + by_end[w:, w - 1 : 0 : -1]
+            best = np.maximum.reduce(cand, axis=1)
+            np.add(left.diagonal(w), best, out=by_start[: n - w + 1, w])
+            np.add(right.diagonal(w), best, out=by_end[w:, w])
+        return by_start.tolist(), by_end.tolist()
+    lv, rv = left.tolist(), right.tolist()
+    by_start = [[NEG_INF] * (n + 1) for _ in range(n + 1)]
+    by_end = [[NEG_INF] * (n + 1) for _ in range(n + 1)]
+    for i in range(n):
+        by_start[i][1], by_end[i + 1][1] = lv[i][i + 1], rv[i][i + 1]
+    for w in range(2, n + 1):
+        for i in range(n - w + 1):
+            best = max(map(add, by_start[i][1:w], by_end[i + w][w - 1 : 0 : -1]))
+            by_start[i][w], by_end[i + w][w] = lv[i][i + w] + best, rv[i][i + w] + best
+    return by_start, by_end
+
+
+def _span_tree(label_at, by_start: list, by_end: list, labels, sentence) -> BinaryTree:
+    """The tree of ``_span_cky``'s best bracketing, splitting each span at the
+    smallest best split point; label_at(i, j, order) labels each node."""
+
+    def build(i, j, o) -> BinaryTree:
+        lab = label_at(i, j, o)
+        if j - i == 1:
+            return _leaf(labels, sentence, i, lab)
+        cand = list(map(add, by_start[i][1 : j - i], by_end[j][j - i - 1 : 0 : -1]))
+        k = i + 1 + cand.index(max(cand))
+        return BinaryTree(labels[lab], i, j, sentence, build(i, k, LEFT), build(k, j, RIGHT))
+
+    return build(0, len(sentence), LEFT)
+
+
 def decode_baseline(
     scores: np.ndarray,
     sentence: tuple[tuple[str, str], ...],
@@ -177,27 +236,9 @@ def decode_baseline(
         scores[0, n, forbidden] = NEG_INF
     label_choice = np.argmax(scores, axis=2)
     label_score = np.max(scores, axis=2)
-    t = np.full((n + 1, n + 1), NEG_INF)
-    split = np.full((n + 1, n + 1), -1, dtype=np.intp)
-    for i in range(n):
-        t[i, i + 1] = label_score[i, i + 1]
-    for w in range(2, n + 1):
-        starts = np.arange(0, n - w + 1)
-        mids = starts[:, None] + np.arange(1, w)[None, :]
-        cand = t[starts[:, None], mids] + t[mids, starts[:, None] + w]
-        best_k = np.argmax(cand, axis=1)
-        rows = np.arange(len(starts))
-        t[starts, starts + w] = label_score[starts, starts + w] + cand[rows, best_k]
-        split[starts, starts + w] = starts + best_k + 1
-
-    def build(i, j) -> BinaryTree:
-        lab = int(label_choice[i, j])
-        if j - i == 1:
-            return _leaf(labels, sentence, i, lab)
-        k = int(split[i, j])
-        return BinaryTree(labels[lab], i, j, sentence, build(i, k), build(k, j))
-
-    return DecodeResult(tree=build(0, n), score=float(t[0, n]))
+    by_start, by_end = _span_cky(label_score, label_score)
+    tree = _span_tree(lambda i, j, o: label_choice.item(i, j), by_start, by_end, labels, sentence)
+    return DecodeResult(tree=tree, score=by_start[0][n])
 
 
 def decode_ablation(chart: SpanScoreChart, forbid_root: Optional[str] = None) -> DecodeResult:
@@ -208,31 +249,13 @@ def decode_ablation(chart: SpanScoreChart, forbid_root: Optional[str] = None) ->
     if forbidden is not None:
         s = s.copy()
         s[0, n, forbidden, :] = NEG_INF
-    label_choice = np.argmax(s, axis=2)          # (n+1, n+1, 2)
-    label_score = np.max(s, axis=2)
-    t = np.full((n + 1, n + 1, 2), NEG_INF)
-    split = np.full((n + 1, n + 1), -1, dtype=np.intp)
-    for i in range(n):
-        t[i, i + 1] = label_score[i, i + 1]
-    for w in range(2, n + 1):
-        starts = np.arange(0, n - w + 1)
-        mids = starts[:, None] + np.arange(1, w)[None, :]
-        cand = t[starts[:, None], mids, LEFT] + t[mids, starts[:, None] + w, RIGHT]
-        best_k = np.argmax(cand, axis=1)
-        rows = np.arange(len(starts))
-        t[starts, starts + w] = label_score[starts, starts + w] + cand[rows, best_k][:, None]
-        split[starts, starts + w] = starts + best_k + 1
-
-    labels, sentence = chart.labels, chart.sentence
-
-    def build(i, j, o) -> BinaryTree:
-        lab = int(label_choice[i, j, o])
-        if j - i == 1:
-            return _leaf(labels, sentence, i, lab)
-        k = int(split[i, j])
-        return BinaryTree(labels[lab], i, j, sentence, build(i, k, LEFT), build(k, j, RIGHT))
-
-    return DecodeResult(tree=build(0, n, LEFT), score=float(t[0, n, LEFT]))
+    label_choice = s.argmax(axis=2)          # (n+1, n+1, 2)
+    # the chosen entries; a max over axis 2 ahead of the order axis is slow
+    i, j, o = np.indices(label_choice.shape, sparse=True)
+    label_score = s[i, j, label_choice, o]
+    by_start, by_end = _span_cky(label_score[:, :, LEFT], label_score[:, :, RIGHT])
+    tree = _span_tree(label_choice.item, by_start, by_end, chart.labels, chart.sentence)
+    return DecodeResult(tree=tree, score=by_start[0][n])
 
 
 def hamming_costs(n: int, labels: tuple[str, ...], gold: BinaryTree) -> np.ndarray:
@@ -487,120 +510,90 @@ def _iter_shape_orders(shape):
 # ---------------------------------------------------------------------------
 # width-batched decoding
 
+# elements per block of the split-axis gather; bounds the fill's temporaries
+_SPLIT_BLOCK = 1 << 20
+
 
 def decode_charts_batched(
     charts: Sequence[SpanScoreChart],
     compiled: CompiledRules,
     forbid_root: Optional[str] = None,
 ) -> list[Union[DecodeResult, NoDerivation]]:
-    """Width-synchronous decoding of many charts at once.
-
-    The outer loop runs exactly max-width steps; within one step every cell of
-    that width, across all sentences, is filled by one vectorized computation.
-    Results are bit-identical to the scalar decoder.
-    """
+    """Width-synchronous decoding of many charts at once, bit-identical to
+    ``decode_ordered``: one step fills every cell of one width, across all
+    sentences, with values only; trees come from the lazy backtrace."""
     if not charts:
         return []
-    n_labels = len(compiled.labels)
-    lens = [c.n for c in charts]
-    big_n = max(lens)
-    batch = len(charts)
+    lens = np.array([c.n for c in charts])
+    big_n, batch, n_pairs = int(lens.max()), len(charts), len(compiled.pair_left)
+    # rows of one width are contiguous; within a width, sentence then start
+    cells = [np.nonzero(np.arange(big_n - w + 1) <= (lens - w)[:, None]) for w in range(1, big_n + 1)]
+    sents = np.concatenate([b for b, _ in cells])
+    starts = np.concatenate([i for _, i in cells])
+    widths = np.repeat(np.arange(1, big_n + 1), [len(b) for b, _ in cells])
+    bounds = np.concatenate([[0], np.cumsum([len(b) for b, _ in cells])])
+    row = np.full((big_n + 1, batch, big_n), -1, dtype=np.intp)
+    row[widths, sents, starts] = np.arange(len(widths))
 
-    s = np.zeros((batch, big_n + 1, big_n + 1, n_labels, 2))
+    s = np.empty((len(widths), len(compiled.labels), 2))
     for b, chart in enumerate(charts):
-        s[b, : lens[b] + 1, : lens[b] + 1] = chart.scores
-
-    t = np.full((batch, big_n + 1, big_n + 1, n_labels, 2), NEG_INF)
-    bp_k = np.full((batch, big_n + 1, big_n + 1, n_labels, 2), -1, dtype=np.int32)
-    bp_l1 = np.full_like(bp_k, -1)
-    bp_l2 = np.full_like(bp_k, -1)
-
-    for b, n in enumerate(lens):
-        for i in range(n):
-            t[b, i, i + 1] = s[b, i, i + 1]
-
-    for w in range(2, big_n + 1):
-        starts = np.arange(0, big_n - w + 1)
-        if len(starts) == 0 or len(compiled) == 0:
-            continue
-        k_rel = np.arange(1, w)
-        mids = starts[:, None] + k_rel[None, :]                      # (I, K)
-        tl = t[:, starts[:, None, None], mids[:, :, None], compiled.left[None, None, :], LEFT]
-        tr = t[:, mids[:, :, None], (starts + w)[:, None, None], compiled.right[None, None, :], RIGHT]
-        base = tl + tr                                               # (B, I, K, R)
-        cand = base[..., None] + compiled.scores[None, None, None, :, :]  # (B, I, K, R, 2)
-        for lab in range(n_labels):
-            lo, hi = compiled.parent_slices[lab]
-            if lo == hi:
-                continue
-            # flatten (K, R-slice) with K major so the first maximum realizes
-            # the smallest-split then smallest-rule tie-break
-            sub = cand[:, :, :, lo:hi, :]
-            flat = sub.transpose(0, 1, 4, 2, 3).reshape(batch, len(starts), 2, -1)
-            arg = np.argmax(flat, axis=3)
-            val = np.take_along_axis(flat, arg[..., None], axis=3)[..., 0]   # (B, I, 2)
-            n_rules = hi - lo
-            k_idx = arg // n_rules + 1
-            r_idx = arg % n_rules + lo
-            valid = val > NEG_INF
-            t[:, starts, starts + w, lab, :] = s[:, starts, starts + w, lab, :] + val
-            bp_k[:, starts, starts + w, lab, :] = np.where(valid, starts[None, :, None] + k_idx, -1)
-            bp_l1[:, starts, starts + w, lab, :] = np.where(valid, compiled.left[r_idx], -1)
-            bp_l2[:, starts, starts + w, lab, :] = np.where(valid, compiled.right[r_idx], -1)
+        mine = np.flatnonzero(sents == b)
+        s[mine] = chart.scores[starts[mine], starts[mine] + widths[mine]]
+    t = np.full_like(s, NEG_INF)
+    t[: bounds[1]] = s[: bounds[1]]
+    # each cell's values at the distinct child-label pairs, as a left / right child
+    left_pairs = np.empty((len(widths), n_pairs))
+    right_pairs = np.empty((len(widths), n_pairs))
+    top = big_n if len(compiled) else 1  # no rules: nothing wider than one token
+    for w in range(1, top + 1):
+        lo, hi = bounds[w - 1], bounds[w]
+        if w > 1:
+            b, i = sents[lo:hi], starts[lo:hi]
+            m = np.full((hi - lo, n_pairs), NEG_INF)
+            step = max(1, _SPLIT_BLOCK // ((hi - lo) * n_pairs))
+            for k0 in range(1, w, step):
+                ks = np.arange(k0, min(w, k0 + step))[:, None]
+                cand = left_pairs[row[ks, b, i]]
+                cand += right_pairs[row[w - ks, b, i + ks]]
+                np.maximum(m, cand.max(axis=0), out=m)
+            per_rule = np.take(m, compiled.rule_pair, axis=1)
+            for o in (LEFT, RIGHT):
+                best = np.maximum.reduceat(per_rule + compiled.scores[:, o], compiled.seg_starts, axis=1)
+                t[lo:hi, compiled.seg_parents, o] = s[lo:hi, compiled.seg_parents, o] + best
+        left_pairs[lo:hi] = t[lo:hi, compiled.pair_left, LEFT]
+        right_pairs[lo:hi] = t[lo:hi, compiled.pair_right, RIGHT]
 
     results: list[Union[DecodeResult, NoDerivation]] = []
-    labels = compiled.labels
-    forbidden = _label_id(labels, forbid_root)
+    forbidden = _label_id(compiled.labels, forbid_root)
     for b, chart in enumerate(charts):
-        n = lens[b]
-        root_scores = t[b, 0, n, :, LEFT]
+        n = int(lens[b])
+        root_scores = t[row[n, b, 0], :, LEFT].copy()
         if forbidden is not None:
-            root_scores = root_scores.copy()
             root_scores[forbidden] = NEG_INF
         root_lab = int(np.argmax(root_scores))
         best = float(root_scores[root_lab])
-        if best == NEG_INF or (n > 1 and bp_k[b, 0, n, root_lab, LEFT] < 0):
+        if not np.isfinite(best):
             results.append(NoDerivation(f"no in-grammar derivation covers the sentence (n={n})"))
             continue
-        sentence = chart.sentence
-
-        def build(i, j, lab, o) -> BinaryTree:
-            if j - i == 1:
-                return _leaf(labels, sentence, i, lab)
-            k = int(bp_k[b, i, j, lab, o])
-            l1 = int(bp_l1[b, i, j, lab, o])
-            l2 = int(bp_l2[b, i, j, lab, o])
-            return BinaryTree(
-                labels[lab], i, j, sentence,
-                build(i, k, l1, LEFT), build(k, j, l2, RIGHT),
-            )
-
-        results.append(DecodeResult(tree=build(0, n, root_lab, LEFT), score=best))
+        tree = _backtrace(t, row[:, b], compiled, chart.sentence, n, root_lab)
+        results.append(DecodeResult(tree=tree, score=best))
     return results
 
 
-def decode_batched(
-    sentences: Sequence[tuple[tuple[str, str], ...]],
-    model,
-    grammar: Grammar,
-    rules: RuleScoreChart,
-    forbid_root: Optional[str] = None,
-) -> list[Union[DecodeResult, Exception]]:
-    """Score and decode a batch; per-sentence failures fill their slot instead
-    of aborting the batch."""
-    compiled = CompiledRules(model.labels, grammar, rules)
-    charts: list[Optional[SpanScoreChart]] = []
-    errors: dict[int, Exception] = {}
-    for idx, sentence in enumerate(sentences):
-        try:
-            chart, _ = model.forward(sentence)
-            charts.append(chart)
-        except Exception as err:  # SentenceTooLong etc.
-            charts.append(None)
-            errors[idx] = err
-    good = [c for c in charts if c is not None]
-    decoded = iter(decode_charts_batched(good, compiled, forbid_root=forbid_root))
-    out: list[Union[DecodeResult, Exception]] = []
-    for idx, chart in enumerate(charts):
-        out.append(errors[idx] if chart is None else next(decoded))
-    return out
+def _backtrace(t, row, compiled, sentence, n, root_lab) -> BinaryTree:
+    """Recompute each node's (split, rule) candidates of the best tree in the
+    scalar decoder's K-major order; the first argmax is its tie-break."""
+    labels = compiled.labels
+
+    def build(i, j, lab, o) -> BinaryTree:
+        if j - i == 1:
+            return _leaf(labels, sentence, i, lab)
+        lo, hi = compiled.parent_slices[lab]
+        ks = np.arange(1, j - i)
+        tl = t[row[ks, i][:, None], compiled.left[lo:hi], LEFT]
+        tr = t[row[j - i - ks, i + ks][:, None], compiled.right[lo:hi], RIGHT]
+        k, r = divmod(int(np.argmax((tl + tr) + compiled.scores[lo:hi, o])), hi - lo)
+        k, l1, l2 = i + 1 + k, compiled.left[lo + r], compiled.right[lo + r]
+        return BinaryTree(labels[lab], i, j, sentence, build(i, k, l1, LEFT), build(k, j, l2, RIGHT))
+
+    return build(0, n, root_lab, LEFT)

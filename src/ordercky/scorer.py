@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -26,8 +27,6 @@ UNK = "<UNK>"
 BOUNDARY = "<START>"
 
 FORMAT_VERSION = 1
-
-_HEAD_TENSORS = ("w1", "b1", "ln_g", "ln_b", "w2", "b2")
 
 
 class SentenceTooLong(ValueError):
@@ -54,11 +53,15 @@ class SpanScoreChart:
         return self.scores[:, :, :, 0]
 
 
+@lru_cache(maxsize=128)
 def span_index_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Start/end indices of all spans in the canonical (i-major) order."""
+    """Start/end indices of all spans in the canonical (i-major) order; cached
+    per length, so the arrays are read-only."""
     i_idx = np.repeat(np.arange(n), np.arange(n, 0, -1))
     j_idx = np.concatenate([np.arange(i + 1, n + 1) for i in range(n)]) if n else np.empty(0, int)
-    return i_idx, j_idx.astype(np.intp)
+    j_idx = j_idx.astype(np.intp)
+    i_idx.flags.writeable = j_idx.flags.writeable = False
+    return i_idx, j_idx
 
 
 @dataclass
@@ -167,8 +170,7 @@ class ScorerModel:
         span_vecs = np.concatenate(
             [fwd[j_idx] - fwd[i_idx], bwd[i_idx] - bwd[j_idx]], axis=1
         )
-        scores = np.empty((n + 1, n + 1, len(self.labels), 2))
-        scores.fill(0.0)
+        scores = np.zeros((n + 1, n + 1, len(self.labels), 2))
         head_cache: dict[int, dict[str, np.ndarray]] = {}
         for order, name in ((o, "LR"[o]) for o in orders):
             z1 = span_vecs @ self.params[f"w1_{name}"].T + self.params[f"b1_{name}"]
@@ -252,24 +254,30 @@ class ScorerModel:
 
     @classmethod
     def load(cls, path: str) -> tuple["ScorerModel", dict, dict[str, np.ndarray]]:
+        """Model, metadata and the tensors that are not parameters; a missing,
+        malformed or non-finite entry raises a ValueError naming it."""
         tensors, meta = load_tensors(path)
-        params = {k: tensors.pop(k) for k in list(tensors) if k in _param_names(meta)}
-        model = cls(
-            words=tuple(meta["words"]),
-            labels=tuple(meta["labels"]),
-            dim=int(meta["dim"]),
-            hidden=int(meta["hidden"]),
-            maxlen=int(meta["maxlen"]),
-            params=params,
-        )
-        return model, meta, tensors
+        words = meta_value(path, meta, "words", tuple)
+        for symbol in (UNK, BOUNDARY):
+            if symbol not in words:
+                raise ValueError(f"{path}: checkpoint metadata 'words' lacks {symbol!r}")
+        labels = meta_value(path, meta, "labels", tuple)
+        dim, hidden, maxlen = (meta_value(path, meta, key, int) for key in ("dim", "hidden", "maxlen"))
+        shapes = _param_shapes(len(words), len(labels), dim, hidden, maxlen)
+        params = {name: checked_tensor(path, tensors, name, shape) for name, shape in shapes.items()}
+        for name in shapes:
+            del tensors[name]
+        return cls(words, labels, dim, hidden, maxlen, params), meta, tensors
 
 
-def _param_names(meta: dict) -> set[str]:
-    names = {"tok_emb", "pos_emb", "mix_w", "mix_b"}
+def _param_shapes(vocab: int, n_labels: int, dim: int, hidden: int, maxlen: int) -> dict[str, tuple]:
+    shapes = {"tok_emb": (vocab, dim), "pos_emb": (maxlen, dim), "mix_w": (dim, 2 * dim), "mix_b": (dim,)}
     for order in ("L", "R"):
-        names.update(f"{t}_{order}" for t in _HEAD_TENSORS)
-    return names
+        shapes.update({
+            f"w1_{order}": (hidden, dim), f"b1_{order}": (hidden,), f"ln_g_{order}": (hidden,),
+            f"ln_b_{order}": (hidden,), f"w2_{order}": (n_labels, hidden), f"b2_{order}": (n_labels,),
+        })
+    return shapes
 
 
 def span_vector(fence: np.ndarray, i: int, j: int) -> np.ndarray:
@@ -305,3 +313,26 @@ def load_tensors(path: str) -> tuple[dict[str, np.ndarray], dict]:
             raise ValueError(f"unsupported model format: {meta.get('format_version')}")
         tensors = {k: data[k] for k in data.files if k != "__meta__"}
     return tensors, meta
+
+
+def meta_value(path: str, meta: dict, key: str, cast):
+    """``cast(meta[key])``, or a ValueError naming the file and the key."""
+    if key not in meta:
+        raise ValueError(f"{path}: checkpoint metadata lacks {key!r}")
+    try:
+        return cast(meta[key])
+    except (TypeError, ValueError):
+        raise ValueError(f"{path}: checkpoint metadata {key!r} is malformed") from None
+
+
+def checked_tensor(path: str, tensors: dict[str, np.ndarray], name: str, shape: tuple) -> np.ndarray:
+    """``tensors[name]`` if present, of ``shape`` and finite; else a ValueError
+    naming the file and the tensor."""
+    if name not in tensors:
+        raise ValueError(f"{path}: checkpoint lacks tensor {name!r}")
+    value = tensors[name]
+    if value.shape != shape:
+        raise ValueError(f"{path}: tensor {name!r} has shape {value.shape}, expected {shape}")
+    if not np.isfinite(value).all():
+        raise ValueError(f"{path}: tensor {name!r} has non-finite values")
+    return value

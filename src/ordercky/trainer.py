@@ -31,7 +31,7 @@ from .decoder import (
 )
 from .evaluate import EvalReport, score_trees
 from .grammar import LEFT, Grammar, Rule, RuleScoreChart, extract_grammar
-from .scorer import ScorerModel, SpanScoreChart
+from .scorer import ScorerModel, SpanScoreChart, checked_tensor, meta_value
 from .trees import DUMMY, BinaryTree, Sentence, Treebank, debinarize
 
 logger = logging.getLogger(__name__)
@@ -346,7 +346,13 @@ def save_checkpoint(path: str, state: TrainState) -> None:
 
 
 def load_checkpoint(path: str) -> tuple[ScorerModel, Grammar, RuleScoreChart, str]:
+    """Model, grammar, rule scores and mode; a missing, malformed or non-finite
+    entry raises a ValueError naming the file and the entry."""
     model, meta, extra = ScorerModel.load(path)
-    grammar = Grammar([Rule(*r) for r in meta["rules"]])
-    rules = RuleScoreChart(grammar, extra["rule_scores"], floor=meta["rule_floor"])
-    return model, grammar, rules, meta["mode"]
+    mode = meta_value(path, meta, "mode", str)
+    if mode not in MODES:
+        raise ValueError(f"{path}: checkpoint mode {mode!r} is not one of {MODES}")
+    grammar = Grammar(meta_value(path, meta, "rules", lambda rules: [Rule(*r) for r in rules]))
+    scores = checked_tensor(path, extra, "rule_scores", (len(grammar), 2))
+    rules = RuleScoreChart(grammar, scores, floor=meta_value(path, meta, "rule_floor", float))
+    return model, grammar, rules, mode

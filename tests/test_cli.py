@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from ordercky import cli
@@ -303,3 +304,67 @@ def test_config_unknown_key_rejected(tmp_path, toy_treebank, capsys):
         ["train", "--train", toy_treebank, "--out", out, "--config", str(config)]
     ) == 1
     assert "unknown config keys: epocks" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["parse", "bench"])
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_thread_count_below_one_is_usage_error(tmp_path, toy_treebank, command, threads, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--model", str(tmp_path / "m.npz"), toy_treebank, "--threads", threads])
+    assert exc.value.code == 2
+    assert "must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["_NN a_DT", "the_DT a_"])
+def test_parse_rejects_empty_word_or_pos(tmp_path, toy_model, line, capsys):
+    sents = tmp_path / "sents.txt"
+    sents.write_text(f"the_DT cat_NN\n{line}\n", encoding="utf-8")
+    assert cli.main(["parse", "--model", toy_model, str(sents)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "line 2" in captured.err
+
+
+def _rewrite_checkpoint(src, dst, edit_tensors=None, edit_meta=None):
+    from ordercky.scorer import load_tensors, save_tensors
+
+    tensors, meta = load_tensors(src)
+    if edit_tensors:
+        edit_tensors(tensors)
+    if edit_meta:
+        edit_meta(meta)
+    save_tensors(dst, tensors, meta)
+    return dst
+
+
+def _nan_at_origin(name):
+    def edit(tensors):
+        tensors[name] = tensors[name].copy()
+        tensors[name].flat[0] = np.nan
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit_tensors, edit_meta, named",
+    [
+        (_nan_at_origin("w2_L"), None, "'w2_L' has non-finite values"),
+        (_nan_at_origin("rule_scores"), None, "'rule_scores' has non-finite values"),
+        (lambda t: t.pop("rule_scores"), None, "lacks tensor 'rule_scores'"),
+        (lambda t: t.pop("b1_R"), None, "lacks tensor 'b1_R'"),
+        (lambda t: t.update(mix_b=t["mix_b"][:-1]), None, "'mix_b' has shape"),
+        (None, lambda m: m.pop("rules"), "metadata lacks 'rules'"),
+        (None, lambda m: m.pop("hidden"), "metadata lacks 'hidden'"),
+        (None, lambda m: m.update(rules=[["S", "NP"]]), "metadata 'rules' is malformed"),
+        (None, lambda m: m.update(mode="cubic"), "mode 'cubic'"),
+        (None, lambda m: m.update(words=m["words"][1:]), "'words' lacks '<UNK>'"),
+    ],
+)
+def test_invalid_checkpoint_exits_one_naming_entry(
+    tmp_path, toy_treebank, toy_model, edit_tensors, edit_meta, named, capsys
+):
+    bad = _rewrite_checkpoint(toy_model, str(tmp_path / "bad.npz"), edit_tensors, edit_meta)
+    sents = sentences_file(tmp_path, toy_treebank)
+    assert cli.main(["parse", "--model", bad, sents]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {bad}: ") and named in captured.err

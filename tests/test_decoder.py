@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ordercky.decoder import (
     CompiledRules,
@@ -137,6 +139,30 @@ class TestAblation:
         got = decode_ablation(chart)
         want = brute_force_best(chart, "ablation")
         assert got.score == pytest.approx(want.score, abs=1e-9)
+
+
+@pytest.mark.parametrize("on_grid", [False, True])
+@pytest.mark.parametrize("n", [3, 10, 11, 17, 26])
+def test_span_decoders_match_ordered_under_free_grammar(n, on_grid):
+    """Ablation is the ordered objective under every rule at score 0, and
+    baseline is ablation on a chart whose two orders agree; the lengths span
+    both fills of the span-only core, and the grid makes splits tie."""
+    rng = np.random.default_rng(n)
+    labels = ("A", "B", "C")
+    grammar = full_grammar(labels)
+    compiled = CompiledRules(labels, grammar, zero_rules(grammar))
+    if on_grid:
+        chart = make_chart(n, labels, _grid(rng, (n + 1, n + 1, len(labels), 2)))
+    else:
+        chart = random_chart(rng, n, labels)
+    want = decode_charts_batched([chart], compiled, forbid_root="A")[0]
+    got = decode_ablation(chart, forbid_root="A")
+    assert got.score == want.score and got.tree == want.tree
+    sym = chart.scores[:, :, :, LEFT]
+    degenerate = make_chart(n, labels, np.stack([sym, sym], axis=3))
+    base = decode_baseline(sym, chart.sentence, labels, forbid_root="A")
+    abl = decode_ablation(degenerate, forbid_root="A")
+    assert base.score == abl.score and base.tree == abl.tree
 
 
 class TestLossAugmented:
@@ -388,24 +414,29 @@ def test_brute_force_single_token_all_modes():
     assert aug.score == (s[0, 1, :, LEFT] + (np.arange(3) != 1)).max()
 
 
-def test_decode_batched_with_model_and_error_slots():
+def test_charts_batched_on_model_forward_with_underivable_slot():
     from ordercky.scorer import ScorerModel
-    from ordercky.decoder import decode_batched
 
     rng = np.random.default_rng(77)
-    labels = ("A", "B")
-    model = ScorerModel.build(("x", "y"), labels, rng, dim=8, hidden=8, maxlen=4)
-    grammar = full_grammar(labels)
-    rules = zero_rules(grammar)
-    ok = tuple((w, "T") for w in ("x", "y"))
-    too_long = tuple((w, "T") for w in ("x", "y", "x", "y", "x"))
-    results = decode_batched([ok, too_long, ok], model, grammar, rules)
-    assert len(results) == 3
-    assert isinstance(results[1], Exception) and not isinstance(results[1], NoDerivation)
-    scalar = decode_ordered(model.forward(ok)[0], grammar, rules)
-    for slot in (0, 2):
-        assert results[slot].score == scalar.score
-        assert results[slot].tree == scalar.tree
+    labels = ("A", "B", "C")
+    model = ScorerModel.build(("x", "y"), labels, rng, dim=8, hidden=8, maxlen=8)
+    # C never spans two tokens and B never more than two, so A covers at most four
+    grammar = Grammar([Rule("A", "B", "B"), Rule("B", "C", "C")])
+    rules = RuleScoreChart(grammar, rng.uniform(-1, 1, (len(grammar), 2)))
+    compiled = CompiledRules(labels, grammar, rules)
+    charts = [
+        model.forward(tuple((w, "T") for w in words))[0]
+        for words in (("x", "y"), ("x", "y", "x", "y", "x"), ("y", "x", "y"), ("x", "y", "y", "x"))
+    ]
+    results = decode_charts_batched(charts, compiled)
+    assert isinstance(results[1], NoDerivation)
+    with pytest.raises(NoDerivation):
+        decode_ordered(charts[1], grammar, rules)
+    alone = decode_charts_batched(charts[:1] + charts[2:], compiled)
+    for chart, got, without in zip(charts[:1] + charts[2:], results[:1] + results[2:], alone):
+        want = decode_ordered(chart, grammar, rules)
+        assert got.score == want.score == without.score
+        assert got.tree == want.tree == without.tree
 
 
 def test_batched_tie_breaking_matches_scalar_exactly():
@@ -453,3 +484,70 @@ def test_batched_empty_grammar_yields_no_derivation_slots():
     assert isinstance(results[0], NoDerivation)
     # width-1 sentences never need the grammar
     assert not isinstance(results[1], NoDerivation)
+
+
+# ---------------------------------------------------------------------------
+# the factored batched fill against the scalar recursion
+
+
+def assert_batched_equals_scalar(charts, grammar, rules, forbid_root=None):
+    compiled = CompiledRules(charts[0].labels, grammar, rules)
+    results = decode_charts_batched(charts, compiled, forbid_root=forbid_root)
+    assert len(results) == len(charts)
+    for chart, got in zip(charts, results):
+        try:
+            want = decode_ordered(chart, grammar, rules, compiled=compiled, forbid_root=forbid_root)
+        except NoDerivation:
+            assert isinstance(got, NoDerivation), chart.n
+            continue
+        assert got.score == want.score, chart.n
+        assert got.tree == want.tree, chart.n
+
+
+def _grid(rng, size):
+    """Quarter integers: sums stay exact, so equal candidates tie exactly."""
+    return rng.integers(-4, 5, size=size) / 4.0
+
+
+@given(seed=st.integers(0, 2**32 - 1), on_grid=st.booleans(), forbid=st.sampled_from([None, "A", "D"]))
+@settings(max_examples=12, deadline=None)
+def test_batched_equals_scalar_on_long_mixed_batches(seed, on_grid, forbid):
+    rng = np.random.default_rng(seed)
+    labels = ("A", "B", "C", "D", "E")
+    triples = [Rule(p, l, r) for p in labels for l in labels for r in labels]
+    picked = rng.choice(len(triples), size=int(rng.integers(30, 61)), replace=False)
+    grammar = Grammar([triples[i] for i in picked])
+    lengths = [int(rng.integers(18, 25))] + [int(n) for n in rng.integers(1, 13, size=3)]
+    if on_grid:
+        # an offset of 2**52 makes x + g round to even integers, so distinct
+        # child sums can tie after adding a rule score
+        offsets = rng.choice([0.0, 2.0**52], size=(len(grammar), 1), p=[0.8, 0.2])
+        rules = RuleScoreChart(grammar, _grid(rng, (len(grammar), 2)) + offsets)
+        charts = [make_chart(n, labels, _grid(rng, (n + 1, n + 1, len(labels), 2))) for n in lengths]
+    else:
+        rules = RuleScoreChart(grammar, rng.normal(size=(len(grammar), 2)))
+        charts = [random_chart(rng, n, labels) for n in lengths]
+    assert_batched_equals_scalar(charts, grammar, rules, forbid_root=forbid)
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=10, deadline=None)
+def test_batched_equals_scalar_with_underivable_chart_in_batch(seed):
+    rng = np.random.default_rng(seed)
+    labels = ("A", "B", "C")
+    # A covers at most four tokens, so the length-7 chart has no derivation
+    grammar = Grammar([Rule("A", "B", "B"), Rule("B", "C", "C"), Rule("B", "C", "B")])
+    rules = RuleScoreChart(grammar, _grid(rng, (len(grammar), 2)))
+    lengths = [2, 7, 4, 3, 1]
+    charts = [make_chart(n, labels, _grid(rng, (n + 1, n + 1, len(labels), 2))) for n in lengths]
+    assert_batched_equals_scalar(charts, grammar, rules)
+    assert_batched_equals_scalar(charts, grammar, rules, forbid_root="A")
+
+
+def test_batched_equals_scalar_on_empty_grammar():
+    rng = np.random.default_rng(5)
+    labels = ("A", "B")
+    empty = Grammar([])
+    charts = [make_chart(n, labels, _grid(rng, (n + 1, n + 1, 2, 2))) for n in (1, 4, 1, 2)]
+    for forbid in (None, "A"):
+        assert_batched_equals_scalar(charts, empty, zero_rules(empty), forbid_root=forbid)
