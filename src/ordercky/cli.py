@@ -16,6 +16,7 @@ import argparse
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from typing import Optional
 
 from .decoder import (
     CompiledRules,
@@ -28,10 +29,10 @@ from .decoder import (
 from .evaluate import score_trees
 from .grammar import extract_grammar, grammar_tsv, order_statistics, stats_tsv
 from .selfcheck import oracle_check, write_replay
-from .trainer import TrainConfig, fit, load_checkpoint
+from .trainer import MODES, TrainConfig, fit, load_checkpoint
 from .trees import DUMMY, BracketError, Treebank, debinarize, load_trees
 
-EXIT_OK, EXIT_ERROR, EXIT_USAGE = 0, 1, 2
+EXIT_OK, EXIT_ERROR = 0, 1
 
 CHUNK = 32  # sentences per decode batch; fixed so --threads never changes results
 
@@ -95,11 +96,18 @@ class _Resolver:
         return self.defaults[key]
 
 
-def _thread_count(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_in(low: int, high: Optional[int] = None):
+    """An argparse type: an integer in [low, high], else a usage error."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low or (high is not None and value > high):
+            bound = f">= {low}" if high is None else f"between {low} and {high}"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its "invalid int value" message
+    return parse
 
 
 TRAIN_DEFAULTS = dict(
@@ -124,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--dev", dest="dev_path")
     p_train.add_argument("--out", required=True, help="checkpoint path (.npz)")
     p_train.add_argument("--config")
-    p_train.add_argument("--mode", choices=("ordered", "ablation", "baseline"))
+    p_train.add_argument("--mode", choices=tuple(MODES))
     p_train.add_argument("--epochs", type=int)
     p_train.add_argument("--batch-size", type=int)
     p_train.add_argument("--learning-rate", type=float)
@@ -140,11 +148,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_parse = sub.add_parser("parse", help="parse word_POS lines to bracketed trees")
     p_parse.add_argument("--model", required=True)
     p_parse.add_argument("input", nargs="?", help="file of sentences; stdin when omitted")
-    p_parse.add_argument("--mode", choices=("ordered", "ablation", "baseline"),
+    p_parse.add_argument("--mode", choices=tuple(MODES),
                          help="decoder override; default is the checkpoint's mode")
     p_parse.add_argument("--print-score", action="store_true")
     p_parse.add_argument("--fallback-right-branching", action="store_true")
-    p_parse.add_argument("--threads", type=_thread_count, default=1)
+    p_parse.add_argument("--threads", type=_int_in(1), default=1)
 
     p_eval = sub.add_parser("eval", help="labeled bracket P/R/F1")
     p_eval.add_argument("--pred", required=True)
@@ -153,19 +161,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_oracle = sub.add_parser("oracle-check", help="decoders vs brute-force enumeration")
     p_oracle.add_argument("--seed", type=int, default=0)
-    p_oracle.add_argument("--trials", type=int, default=200)
-    p_oracle.add_argument("--max-n", type=int, default=6)
-    p_oracle.add_argument("--max-labels", type=int, default=4)
+    p_oracle.add_argument("--trials", type=_int_in(0), default=200)
+    # random instances need two tokens and two labels; brute force stays
+    # tractable up to 8 tokens, and instances name at most 6 labels
+    p_oracle.add_argument("--max-n", type=_int_in(2, 8), default=6)
+    p_oracle.add_argument("--max-labels", type=_int_in(2, 6), default=4)
     p_oracle.add_argument("--replay", default="oracle_replay.json",
                           help="where to record the first failing instance")
 
     p_bench = sub.add_parser("bench", help="decoding throughput per mode")
     p_bench.add_argument("--model", required=True)
     p_bench.add_argument("treebank")
-    p_bench.add_argument("--mode", choices=("ordered", "ablation", "baseline", "all"),
-                         default="all")
-    p_bench.add_argument("--repetitions", type=int, default=20)
-    p_bench.add_argument("--threads", type=_thread_count, default=1)
+    p_bench.add_argument("--mode", choices=(*MODES, "all"), default="all")
+    p_bench.add_argument("--repetitions", type=_int_in(1), default=20)
+    p_bench.add_argument("--threads", type=_int_in(1), default=1)
 
     return parser
 
@@ -218,8 +227,8 @@ def _read_sentences(stream):
 
 
 def _decode_chunk(chunk, model, compiled, mode, fallback):
-    orders = (0,) if mode == "baseline" else (0, 1)
-    charts = [model.forward(sentence, orders=orders)[0] for sentence in chunk]
+    charts = [model.forward(sentence, orders=MODES[mode].heads)[0] for sentence in chunk]
+    # not MODES[mode].decode: perfbench's captured_decodes patches these names on cli
     if mode == "ordered":
         results = decode_charts_batched(charts, compiled, forbid_root=DUMMY)
     elif mode == "ablation":
@@ -285,9 +294,6 @@ def run_eval(args) -> int:
 
 
 def run_oracle_check(args) -> int:
-    if args.max_n > 8:
-        print("--max-n must be <= 8 for exhaustive enumeration", file=sys.stderr)
-        return EXIT_ERROR
     if args.trials == 0:
         print("warning: 0 trials requested; vacuous pass", file=sys.stderr)
         print("oracle-check: 0 checks, pass")
@@ -318,11 +324,8 @@ def run_bench(args) -> int:
     if not sentences:
         print("bench: n/a (0 sentences)")
         return EXIT_OK
-    if args.repetitions < 1:
-        print("--repetitions must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
     compiled = CompiledRules(model.labels, grammar, rules)
-    modes = ("baseline", "ablation", "ordered") if args.mode == "all" else (args.mode,)
+    modes = tuple(MODES) if args.mode == "all" else (args.mode,)
     chunks = [sentences[i : i + CHUNK] for i in range(0, len(sentences), CHUNK)]
     note = " (single repetition; noisy)" if args.repetitions == 1 else ""
     for mode in modes:

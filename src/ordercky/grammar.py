@@ -30,25 +30,12 @@ class Grammar:
     def __init__(self, rules: Iterable[Rule]):
         self.rules: tuple[Rule, ...] = tuple(sorted(set(rules)))
         self.rule_index = {rule: i for i, rule in enumerate(self.rules)}
-        by_parent: dict[str, list[tuple[str, str]]] = {}
-        by_children: dict[tuple[str, str], list[str]] = {}
-        for parent, left, right in self.rules:
-            by_parent.setdefault(parent, []).append((left, right))
-            by_children.setdefault((left, right), []).append(parent)
-        self._by_parent = by_parent
-        self._by_children = by_children
 
     def __len__(self) -> int:
         return len(self.rules)
 
     def __contains__(self, rule: Rule) -> bool:
         return rule in self.rule_index
-
-    def children_of(self, parent: str) -> list[tuple[str, str]]:
-        return self._by_parent.get(parent, [])
-
-    def parents_of(self, left: str, right: str) -> list[str]:
-        return self._by_children.get((left, right), [])
 
 
 def _compositions(btree: BinaryTree) -> Iterable[Rule]:
@@ -120,10 +107,6 @@ class RuleScoreChart:
         if idx is None:
             return self.floor
         return float(self.scores[idx, order])
-
-
-def rule_score(chart: RuleScoreChart, rule: Rule, order: int) -> float:
-    return chart.score(rule, order)
 
 
 def grammar_tsv(grammar: Grammar) -> str:

@@ -140,11 +140,13 @@ class ScorerModel:
         ids.extend(self.word_index.get(w, self._unk) for w in words)
         return np.asarray(ids, dtype=np.intp)
 
-    def encode(self, words: tuple[str, ...]) -> np.ndarray:
-        """Fencepost vectors h_0..h_n for an n-token sentence."""
-        return self._encode(words)[2]
-
-    def _encode(self, words: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def forward(
+        self, sentence: tuple[tuple[str, str], ...], orders: tuple[int, ...] = (0, 1)
+    ) -> tuple[SpanScoreChart, ForwardCache]:
+        """Chart and cache; ``orders=(0,)`` skips the right-order head for
+        pipelines (the plain span decoder) that never read it.  The cache
+        holds the fencepost vectors h_0..h_n as ``fence``."""
+        words = tuple(w for w, _ in sentence)
         n = len(words)
         if n >= self.maxlen:
             raise SentenceTooLong(f"sentence length {n} >= maxlen {self.maxlen}")
@@ -154,16 +156,6 @@ class ScorerModel:
         )
         pre = emb @ self.params["mix_w"].T + self.params["mix_b"]
         fence = np.maximum(pre, 0.0)
-        return ids, emb, fence, pre
-
-    def forward(
-        self, sentence: tuple[tuple[str, str], ...], orders: tuple[int, ...] = (0, 1)
-    ) -> tuple[SpanScoreChart, ForwardCache]:
-        """Chart and cache; ``orders=(0,)`` skips the right-order head for
-        pipelines (the plain span decoder) that never read it."""
-        words = tuple(w for w, _ in sentence)
-        n = len(words)
-        ids, emb, fence, pre = self._encode(words)
         half = self.dim // 2
         fwd, bwd = fence[:, :half], fence[:, half:]
         i_idx, j_idx = span_index_arrays(n)
@@ -290,11 +282,6 @@ def span_vector(fence: np.ndarray, i: int, j: int) -> np.ndarray:
     return np.concatenate(
         [fence[j, :half] - fence[i, :half], fence[i, half:] - fence[j, half:]]
     )
-
-
-def score_spans(model: ScorerModel, sentence: tuple[tuple[str, str], ...]) -> SpanScoreChart:
-    chart, _ = model.forward(sentence)
-    return chart
 
 
 def save_tensors(path: str, tensors: dict[str, np.ndarray], meta: dict) -> None:

@@ -2,17 +2,22 @@
 subgradient updates through the span scorer and the rule-score chart, and a
 patience-based learning-rate decay schedule.
 
-The decode mode is a training-time choice so the three decoders can be
-compared on equal footing: "ordered" trains against the grammar-restricted
-order-aware decoder, "ablation" against ordered span scores without rules,
-and "baseline" against the single order-free head.
+The three decoding modes are one family of span CKY decoders, and ``MODES``
+is the one table that says how they differ: which span heads a mode's
+forward pass computes ("baseline" reads one order-free head, the left one;
+"ablation" and "ordered" read the left and right order heads), whether the
+grammar-rule term applies (only in "ordered": rule-restricted decoding, the
+gold-rule check and rule gradients), how a batch of charts is decoded, and
+how the gold tree is scored.  Training, dev evaluation, checkpoint loading
+and the command line all read it.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -30,13 +35,62 @@ from .decoder import (
     ordered_tree_score,
 )
 from .evaluate import EvalReport, score_trees
-from .grammar import LEFT, Grammar, Rule, RuleScoreChart, extract_grammar
+from .grammar import LEFT, RIGHT, Grammar, Rule, RuleScoreChart, extract_grammar
 from .scorer import ScorerModel, SpanScoreChart, checked_tensor, meta_value
 from .trees import DUMMY, BinaryTree, Sentence, Treebank, debinarize
 
 logger = logging.getLogger(__name__)
 
-MODES = ("ordered", "ablation", "baseline")
+
+@dataclass(frozen=True)
+class Mode:
+    """One decoding mode: the span heads its forward computes, whether the
+    rule term applies, ``decode(charts, compiled, forbid_root)`` over a batch
+    of charts, and ``gold_score(gold, chart, rules)``."""
+
+    heads: tuple[int, ...]
+    rules: bool
+    decode: Callable[..., list[Union[DecodeResult, NoDerivation]]]
+    gold_score: Callable[[BinaryTree, SpanScoreChart, RuleScoreChart], float]
+
+
+# The adapters look the decoders up by module-global name at call time, so a
+# patched module attribute (the benchmark's tracer patches them) sees every call.
+def _decode_baseline(charts, compiled, forbid_root=None):
+    return [decode_baseline(c.collapsed(), c.sentence, c.labels, forbid_root=forbid_root)
+            for c in charts]
+
+
+def _decode_ablation(charts, compiled, forbid_root=None):
+    return [decode_ablation(c, forbid_root=forbid_root) for c in charts]
+
+
+def _decode_ordered(charts, compiled, forbid_root=None):
+    return decode_charts_batched(charts, compiled, forbid_root=forbid_root)
+
+
+def _gold_baseline(gold, chart, rules):
+    return baseline_tree_score(gold, chart.collapsed(), chart.labels)
+
+
+def _gold_ablation(gold, chart, rules):
+    return ordered_tree_score(gold, chart)
+
+
+def _gold_ordered(gold, chart, rules):
+    return ordered_tree_score(gold, chart, rules)
+
+
+MODES: dict[str, Mode] = {
+    "baseline": Mode((LEFT,), False, _decode_baseline, _gold_baseline),
+    "ablation": Mode((LEFT, RIGHT), False, _decode_ablation, _gold_ablation),
+    "ordered": Mode((LEFT, RIGHT), True, _decode_ordered, _gold_ordered),
+}
+
+
+def _unknown_mode(name: str) -> str:
+    return f"mode {name!r} is not one of {', '.join(MODES)}"
+
 
 # distinct sub-streams of the one user seed, so initialization and batch
 # shuffling reproduce independently
@@ -66,7 +120,7 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
+            raise ValueError(_unknown_mode(self.mode))
         if not (0.0 < self.decay_factor < 1.0):
             raise ValueError("decay factor must lie in (0, 1)")
         for name in ("batch_size", "learning_rate", "max_decay", "decay_patience", "dim", "hidden"):
@@ -111,45 +165,6 @@ def check_gold_rules(gold: BinaryTree, grammar: Grammar) -> None:
             raise GoldRuleMissing(f"gold composition {rule} not in the extracted grammar")
 
 
-def _augmented_decode(
-    chart: SpanScoreChart, mode: str, gold: BinaryTree, compiled: CompiledRules
-) -> DecodeResult:
-    costs = hamming_costs(chart.n, chart.labels, gold)
-    if mode == "baseline":
-        return decode_baseline(chart.collapsed() + costs, chart.sentence, chart.labels)
-    aug = SpanScoreChart(chart.sentence, chart.labels, chart.scores + costs[:, :, :, None])
-    if mode == "ablation":
-        return decode_ablation(aug)
-    return decode_charts_batched([aug], compiled)[0]
-
-
-def _gold_score(chart: SpanScoreChart, mode: str, gold: BinaryTree, rules: RuleScoreChart) -> float:
-    if mode == "baseline":
-        return baseline_tree_score(gold, chart.collapsed(), chart.labels)
-    return ordered_tree_score(gold, chart, rules if mode == "ordered" else None)
-
-
-def hinge_loss(
-    sentence: tuple[tuple[str, str], ...],
-    gold: BinaryTree,
-    model: ScorerModel,
-    grammar: Grammar,
-    rules: RuleScoreChart,
-    mode: str = "ordered",
-    compiled: Optional[CompiledRules] = None,
-) -> tuple[float, DecodeResult, float]:
-    """max(best augmented score - gold score, 0) plus the augmented decode."""
-    if mode == "ordered":
-        check_gold_rules(gold, grammar)
-    chart, _ = model.forward(sentence)
-    comp = compiled or CompiledRules(model.labels, grammar, rules)
-    augmented = _augmented_decode(chart, mode, gold, comp)
-    if isinstance(augmented, NoDerivation):
-        raise augmented
-    gold_score = _gold_score(chart, mode, gold, rules)
-    return max(augmented.score - gold_score, 0.0), augmented, gold_score
-
-
 def sentence_gradients(
     sent: Sentence,
     model: ScorerModel,
@@ -158,19 +173,23 @@ def sentence_gradients(
     mode: str,
     compiled: CompiledRules,
 ) -> tuple[float, Optional[dict[str, np.ndarray]], Optional[np.ndarray]]:
-    """Subgradient of one sentence's hinge loss; (loss, None, None) at loss 0.
+    """Subgradient of one sentence's hinge loss, max(best augmented score -
+    gold score, 0); (loss, None, None) at loss 0.
 
-    The augmented tree's chart entries (and rule scores, in ordered mode) get
-    +1, the gold tree's get -1; ties inherit the decoder's deterministic pick.
+    The augmented tree's chart entries (and rule scores, where the mode has
+    the rule term) get +1, the gold tree's get -1; ties inherit the decoder's
+    deterministic pick.  A mode that reads one head scores every node with it.
     """
-    if mode == "ordered":
+    spec = MODES[mode]
+    if spec.rules:
         check_gold_rules(sent.btree, grammar)
-    chart, cache = model.forward(tuple(zip(sent.words, sent.pos)))
-    augmented = _augmented_decode(chart, mode, sent.btree, compiled)
+    chart, cache = model.forward(tuple(zip(sent.words, sent.pos)), orders=spec.heads)
+    costs = hamming_costs(chart.n, chart.labels, sent.btree)
+    aug = SpanScoreChart(chart.sentence, chart.labels, chart.scores + costs[:, :, :, None])
+    augmented = spec.decode([aug], compiled)[0]
     if isinstance(augmented, NoDerivation):
         raise augmented
-    gold_score = _gold_score(chart, mode, sent.btree, rules)
-    loss = max(augmented.score - gold_score, 0.0)
+    loss = max(augmented.score - spec.gold_score(sent.btree, chart, rules), 0.0)
     if loss <= 0.0:
         return loss, None, None
 
@@ -179,23 +198,26 @@ def sentence_gradients(
     rule_grad = np.zeros_like(rules.scores)
     for tree, sign in ((augmented.tree, 1.0), (sent.btree, -1.0)):
         for node, order in nodes_with_orders(tree):
-            slot = LEFT if mode == "baseline" else order
+            slot = order if order in spec.heads else LEFT
             out_grad[node.start, node.end, label_index[node.label], slot] += sign
-            if mode == "ordered" and not node.is_leaf:
+            if spec.rules and not node.is_leaf:
                 rule = Rule(node.label, node.left.label, node.right.label)
                 rule_grad[grammar.rule_index[rule], order] += sign
     return loss, model.backward(cache, out_grad), rule_grad
 
 
 def step(batch: list[Sentence], state: TrainState, config: TrainConfig,
-         compiled: Optional[CompiledRules] = None) -> float:
-    """One mini-batch subgradient step; returns the mean batch loss."""
+         compiled: Optional[CompiledRules] = None) -> tuple[float, int]:
+    """One mini-batch subgradient step; returns the mean loss over the
+    sentences it scored (NaN when it scored none) and the number it skipped.
+    The update is scaled by the whole batch's size."""
     if not batch:
         raise ValueError("empty batch")
     comp = compiled or CompiledRules(state.model.labels, state.grammar, state.rules)
     grad_sum: Optional[dict[str, np.ndarray]] = None
     rule_sum = np.zeros_like(state.rules.scores)
     total_loss = 0.0
+    skipped = 0
     for sent in batch:
         try:
             loss, grads, rule_grad = sentence_gradients(
@@ -203,6 +225,7 @@ def step(batch: list[Sentence], state: TrainState, config: TrainConfig,
             )
         except (GoldRuleMissing, NoDerivation) as err:
             logger.warning("skipping sentence %r: %s", " ".join(sent.words[:8]), err)
+            skipped += 1
             continue
         total_loss += loss
         if grads is None:
@@ -219,27 +242,21 @@ def step(batch: list[Sentence], state: TrainState, config: TrainConfig,
         for name, grad in grad_sum.items():
             state.model.params[name] -= scale * grad
         state.rules.scores -= scale * rule_sum
-    return total_loss / len(batch)
+    scored = len(batch) - skipped
+    return (total_loss / scored if scored else float("nan")), skipped
 
 
 def evaluate_dev(state: TrainState, dev: Treebank,
                  compiled: Optional[CompiledRules] = None) -> EvalReport:
     """Decode the dev set with the state's mode and score phrasal brackets."""
+    spec = MODES[state.mode]
     comp = compiled or CompiledRules(state.model.labels, state.grammar, state.rules)
+    sentences = [tuple(zip(s.words, s.pos)) for s in dev.sentences]
+    charts = [state.model.forward(s, orders=spec.heads)[0] for s in sentences]
     pred_trees = []
-    charts = [state.model.forward(tuple(zip(s.words, s.pos)))[0] for s in dev.sentences]
-    if state.mode == "ordered":
-        results = decode_charts_batched(charts, comp, forbid_root=DUMMY)
-    elif state.mode == "ablation":
-        results = [decode_ablation(c, forbid_root=DUMMY) for c in charts]
-    else:
-        results = [
-            decode_baseline(c.collapsed(), c.sentence, c.labels, forbid_root=DUMMY)
-            for c in charts
-        ]
-    for sent, res in zip(dev.sentences, results):
+    for sentence, res in zip(sentences, spec.decode(charts, comp, forbid_root=DUMMY)):
         if isinstance(res, NoDerivation):
-            btree = fallback_tree(tuple(zip(sent.words, sent.pos)), state.model.labels)
+            btree = fallback_tree(sentence, state.model.labels)
         else:
             btree = res.tree
         pred_trees.append(debinarize(btree))
@@ -291,14 +308,20 @@ def fit(
     stale = 0
     for epoch in range(1, config.epochs + 1):
         order = shuffle_rng.permutation(len(sentences))
-        epoch_loss = 0.0
-        n_batches = 0
+        losses = []
         for lo in range(0, len(order), config.batch_size):
             batch = [sentences[i] for i in order[lo : lo + config.batch_size]]
             compiled = CompiledRules(state.model.labels, state.grammar, state.rules)
-            epoch_loss += step(batch, state, config, compiled=compiled)
-            n_batches += 1
-        mean_loss = epoch_loss / max(n_batches, 1)
+            loss, skipped = step(batch, state, config, compiled=compiled)
+            if skipped < len(batch):
+                losses.append(loss)
+        if not losses:
+            raise ValueError(f"epoch {epoch}: scored none of the {len(sentences)} training sentences")
+        mean_loss = sum(losses) / len(losses)
+        params = [*state.model.params.values(), state.rules.scores]
+        if not (math.isfinite(mean_loss) and all(np.isfinite(p).all() for p in params)):
+            raise ValueError(f"epoch {epoch}: the loss or a parameter is not finite; "
+                             "try a lower learning rate")
         state.epoch = epoch
         state.loss_history.append(mean_loss)
         report = evaluate_dev(state, dev)
@@ -317,7 +340,7 @@ def fit(
             stale += 1
 
         if mean_loss == 0.0:
-            # every margin satisfied: subgradients are zero and nothing can change
+            # every scored margin satisfied: subgradients are zero and nothing can change
             break
         if stale >= config.decay_patience:
             if state.decays_used >= config.max_decay:
@@ -351,7 +374,7 @@ def load_checkpoint(path: str) -> tuple[ScorerModel, Grammar, RuleScoreChart, st
     model, meta, extra = ScorerModel.load(path)
     mode = meta_value(path, meta, "mode", str)
     if mode not in MODES:
-        raise ValueError(f"{path}: checkpoint mode {mode!r} is not one of {MODES}")
+        raise ValueError(f"{path}: checkpoint {_unknown_mode(mode)}")
     grammar = Grammar(meta_value(path, meta, "rules", lambda rules: [Rule(*r) for r in rules]))
     scores = checked_tensor(path, extra, "rule_scores", (len(grammar), 2))
     rules = RuleScoreChart(grammar, scores, floor=meta_value(path, meta, "rule_floor", float))

@@ -431,13 +431,6 @@ def load_trees(path: str, strip_decorations: bool = True) -> list[Node]:
         return read_trees(fh.read(), strip_decorations=strip_decorations)
 
 
-def write_trees(trees: list[Node], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for tree in trees:
-            fh.write(tree.linearize())
-            fh.write("\n")
-
-
 @dataclass(frozen=True)
 class Sentence:
     words: tuple[str, ...]

@@ -11,7 +11,7 @@ import pytest
 from ordercky import cli
 from ordercky.decoder import CompiledRules, decode_charts_batched, decode_ordered
 from ordercky.evaluate import score_trees
-from ordercky.scorer import ScorerModel, score_spans, span_index_arrays
+from ordercky.scorer import ScorerModel, span_index_arrays
 from ordercky.selfcheck import oracle_check
 from ordercky.trainer import TrainConfig, fit, init_state, save_checkpoint
 from ordercky.trees import Treebank, load_trees, sentence_of

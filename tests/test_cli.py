@@ -315,6 +315,45 @@ def test_thread_count_below_one_is_usage_error(tmp_path, toy_treebank, command, 
     assert "must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["oracle-check", "--trials", "-3"], "--trials: must be >= 0, got -3"),
+        (["oracle-check", "--max-n", "1"], "--max-n: must be between 2 and 8, got 1"),
+        (["oracle-check", "--max-n", "9"], "--max-n: must be between 2 and 8, got 9"),
+        (["oracle-check", "--max-labels", "1"], "--max-labels: must be between 2 and 6, got 1"),
+        (["oracle-check", "--max-labels", "9"], "--max-labels: must be between 2 and 6, got 9"),
+        (["oracle-check", "--trials", "many"], "--trials: invalid int value: 'many'"),
+        (["bench", "--model", "missing.npz", "missing.txt", "--repetitions", "0"],
+         "--repetitions: must be >= 1, got 0"),
+    ],
+)
+def test_out_of_range_count_is_usage_error(argv, message, capsys):
+    # checked while parsing, before any file is read
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_oracle_check_accepts_its_bounds(capsys):
+    argv = ["oracle-check", "--trials", "2", "--max-n", "8", "--max-labels", "6", "--seed", "3"]
+    assert cli.main(argv) == 0
+    assert "8 checks over 2 trials, pass" in capsys.readouterr().out
+
+
+def test_mode_choices_come_from_the_mode_table():
+    from ordercky.trainer import MODES
+
+    commands = cli.build_parser()._subparsers._group_actions[0].choices
+    choices = {
+        name: next(a.choices for a in commands[name]._actions if a.dest == "mode")
+        for name in ("train", "parse", "bench")
+    }
+    assert list(choices["train"]) == list(choices["parse"]) == list(MODES)
+    assert list(choices["bench"]) == [*MODES, "all"]
+
+
 @pytest.mark.parametrize("line", ["_NN a_DT", "the_DT a_"])
 def test_parse_rejects_empty_word_or_pos(tmp_path, toy_model, line, capsys):
     sents = tmp_path / "sents.txt"

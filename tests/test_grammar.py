@@ -11,7 +11,6 @@ from ordercky.grammar import (
     extract_grammar,
     grammar_tsv,
     order_statistics,
-    rule_score,
     stats_tsv,
 )
 from ordercky.trees import DUMMY, Treebank, read_trees
@@ -51,8 +50,8 @@ def test_grammar_indices_consistent():
     tb = bank("(S (A (X x) (Y y)) (B (Z z) (W w)))")
     g = extract_grammar(tb)
     for rule in g.rules:
-        assert (rule.left, rule.right) in g.children_of(rule.parent)
-        assert rule.parent in g.parents_of(rule.left, rule.right)
+        assert rule in g
+        assert g.rules[g.rule_index[rule]] == rule
     assert list(g.rules) == sorted(g.rules)
 
 
@@ -104,15 +103,15 @@ def test_rule_score_lookup_and_floor():
     chart = RuleScoreChart.init_random(g, np.random.default_rng(0))
     rule = Rule("S", "NP", "VP")
     idx = g.rule_index[rule]
-    assert rule_score(chart, rule, 0) == chart.scores[idx, 0]
-    assert rule_score(chart, Rule("S", "VP", "NP"), 0) == RULE_FLOOR
-    assert rule_score(chart, Rule("S", "VP", "NP"), 1) == -1e6
+    assert chart.score(rule, 0) == chart.scores[idx, 0]
+    assert chart.score(Rule("S", "VP", "NP"), 0) == RULE_FLOOR
+    assert chart.score(Rule("S", "VP", "NP"), 1) == -1e6
 
 
 def test_rule_score_floor_override():
     g = Grammar([Rule("S", "A", "B")])
     chart = RuleScoreChart(g, np.zeros((1, 2)), floor=-50.0)
-    assert rule_score(chart, Rule("Q", "A", "B"), 0) == -50.0
+    assert chart.score(Rule("Q", "A", "B"), 0) == -50.0
 
 
 def test_rule_scores_finite_and_above_floor():

@@ -7,7 +7,6 @@ from ordercky.scorer import (
     ScorerModel,
     SentenceTooLong,
     load_tensors,
-    score_spans,
     span_index_arrays,
     span_vector,
 )
@@ -25,39 +24,44 @@ def sent(*words):
     return tuple((w, "T") for w in words)
 
 
+def fence_of(model, *words):
+    """Fencepost vectors h_0..h_n, from the forward cache."""
+    return model.forward(sent(*words))[1].fence
+
+
 class TestEncode:
     def test_fencepost_count_and_dim(self):
         model = tiny_model()
-        fence = model.encode(("alpha",))
+        fence = fence_of(model, "alpha")
         assert fence.shape == (2, model.dim)
 
     def test_position_matters(self):
         model = tiny_model()
-        fence = model.encode(("alpha", "alpha"))
+        fence = fence_of(model, "alpha", "alpha")
         # fenceposts 1 and 2 both read "alpha" but different positions
         assert not np.allclose(fence[1], fence[2])
 
     def test_unknown_word_finite(self):
         model = tiny_model()
-        fence = model.encode(("never-seen",))
+        fence = fence_of(model, "never-seen")
         assert np.all(np.isfinite(fence))
         assert np.array_equal(model.word_ids(("never-seen",)), [1, 0])  # boundary, unk
 
     def test_too_long(self):
         model = tiny_model(maxlen=4)
         with pytest.raises(SentenceTooLong):
-            model.encode(("a",) * 4)
+            model.forward(sent(*("a",) * 4))
 
 
 class TestSpanVector:
     def test_minimal_span_shape(self):
         model = tiny_model()
-        fence = model.encode(("alpha", "beta"))
+        fence = fence_of(model, "alpha", "beta")
         assert span_vector(fence, 0, 1).shape == (model.dim,)
 
     def test_full_sentence_span_uses_boundaries(self):
         model = tiny_model()
-        fence = model.encode(("alpha", "beta", "gamma"))
+        fence = fence_of(model, "alpha", "beta", "gamma")
         half = model.dim // 2
         v = span_vector(fence, 0, 3)
         assert np.allclose(v[:half], fence[3, :half] - fence[0, :half])
@@ -78,7 +82,7 @@ class TestSpanVector:
 class TestScoreSpans:
     def test_chart_shape_and_count(self):
         model = tiny_model()
-        chart = score_spans(model, sent("alpha", "beta"))
+        chart = model.forward(sent("alpha", "beta"))[0]
         assert chart.scores.shape == (3, 3, 4, 2)
         i_idx, _ = span_index_arrays(2)
         assert len(i_idx) == 3  # n(n+1)/2 spans
@@ -89,7 +93,7 @@ class TestScoreSpans:
         for name in ("L", "R"):
             model.params[f"w2_{name}"][:] = 0.0
             model.params[f"b2_{name}"][:] = np.arange(4.0)
-        chart = score_spans(model, sent("alpha", "beta", "gamma"))
+        chart = model.forward(sent("alpha", "beta", "gamma"))[0]
         i_idx, j_idx = span_index_arrays(3)
         for i, j in zip(i_idx, j_idx):
             for o in (0, 1):
@@ -97,17 +101,17 @@ class TestScoreSpans:
 
     def test_orders_differ_for_random_heads(self):
         model = tiny_model(seed=3)
-        chart = score_spans(model, sent("alpha", "beta"))
+        chart = model.forward(sent("alpha", "beta"))[0]
         assert not np.allclose(chart.scores[0, 2, :, 0], chart.scores[0, 2, :, 1])
 
     def test_determinism(self):
-        a = score_spans(tiny_model(seed=5), sent("alpha", "beta", "gamma"))
-        b = score_spans(tiny_model(seed=5), sent("alpha", "beta", "gamma"))
+        a = tiny_model(seed=5).forward(sent("alpha", "beta", "gamma"))[0]
+        b = tiny_model(seed=5).forward(sent("alpha", "beta", "gamma"))[0]
         assert np.array_equal(a.scores, b.scores)
 
     def test_collapsed_is_left_head(self):
         model = tiny_model()
-        chart = score_spans(model, sent("alpha", "beta"))
+        chart = model.forward(sent("alpha", "beta"))[0]
         assert np.array_equal(chart.collapsed(), chart.scores[:, :, :, 0])
 
 
@@ -210,8 +214,8 @@ def test_save_load_round_trip(tmp_path):
     assert loaded.words == model.words and loaded.labels == model.labels
     for name, p in model.params.items():
         assert np.array_equal(loaded.params[name], p)
-    a = score_spans(model, sent("alpha", "beta"))
-    b = score_spans(loaded, sent("alpha", "beta"))
+    a = model.forward(sent("alpha", "beta"))[0]
+    b = loaded.forward(sent("alpha", "beta"))[0]
     assert np.array_equal(a.scores, b.scores)
 
 

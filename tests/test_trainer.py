@@ -1,16 +1,23 @@
 import numpy as np
 import pytest
 
-from ordercky.decoder import CompiledRules, decode_loss_augmented, ordered_tree_score
+from ordercky import trainer
+from ordercky.decoder import (
+    CompiledRules,
+    NoDerivation,
+    decode_loss_augmented,
+    hamming_costs,
+    ordered_tree_score,
+)
 from ordercky.grammar import Rule, RuleScoreChart, extract_grammar
-from ordercky.scorer import ScorerModel
+from ordercky.scorer import ScorerModel, SpanScoreChart
 from ordercky.trainer import (
+    MODES,
     GoldRuleMissing,
     TrainConfig,
     check_gold_rules,
     evaluate_dev,
     fit,
-    hinge_loss,
     init_state,
     load_checkpoint,
     save_checkpoint,
@@ -44,15 +51,28 @@ def make_state(text, mode="ordered", seed=0, dim=8, hidden=8):
     return tb, config, init_state(tb, config)
 
 
+def hinge_loss(state, sent):
+    """The sentence's hinge loss from ``sentence_gradients``."""
+    compiled = CompiledRules(state.model.labels, state.grammar, state.rules)
+    return sentence_gradients(sent, state.model, state.grammar, state.rules, state.mode, compiled)[0]
+
+
+def augmented_and_gold(state, sent):
+    """The Hamming-augmented decode and the gold score, through the mode table."""
+    spec = MODES[state.mode]
+    chart, _ = state.model.forward(tuple(zip(sent.words, sent.pos)), orders=spec.heads)
+    costs = hamming_costs(chart.n, chart.labels, sent.btree)
+    aug = SpanScoreChart(chart.sentence, chart.labels, chart.scores + costs[:, :, :, None])
+    compiled = CompiledRules(state.model.labels, state.grammar, state.rules)
+    return spec.decode([aug], compiled)[0], spec.gold_score(sent.btree, chart, state.rules)
+
+
 class TestHingeLoss:
     def test_unique_derivation_has_zero_loss(self):
         tb, _, state = make_state(UNIQUE_DERIVATION)
         sent = tb.sentences[0]
-        loss, augmented, gold_score = hinge_loss(
-            tuple(zip(sent.words, sent.pos)), sent.btree,
-            state.model, state.grammar, state.rules,
-        )
-        assert loss == 0.0
+        augmented, gold_score = augmented_and_gold(state, sent)
+        assert hinge_loss(state, sent) == 0.0
         assert augmented.tree == sent.btree
         assert augmented.score == pytest.approx(gold_score, abs=1e-12)
 
@@ -60,10 +80,7 @@ class TestHingeLoss:
         tb, _, state = make_state(MINI_CORPUS, seed=5)
         sent = tb.sentences[0]
         chart, _ = state.model.forward(tuple(zip(sent.words, sent.pos)))
-        loss, augmented, gold_score = hinge_loss(
-            tuple(zip(sent.words, sent.pos)), sent.btree,
-            state.model, state.grammar, state.rules,
-        )
+        loss = hinge_loss(state, sent)
         from ordercky.decoder import brute_force_best
 
         want = brute_force_best(
@@ -78,10 +95,9 @@ class TestHingeLoss:
     def test_loss_nonnegative_and_zero_iff_gold_optimal(self):
         tb, _, state = make_state(MINI_CORPUS, seed=3)
         for sent in tb.sentences:
-            loss, augmented, gold_score = hinge_loss(
-                tuple(zip(sent.words, sent.pos)), sent.btree,
-                state.model, state.grammar, state.rules,
-            )
+            loss = hinge_loss(state, sent)
+            augmented, gold_score = augmented_and_gold(state, sent)
+            assert loss == max(augmented.score - gold_score, 0.0)
             assert loss >= 0.0
             assert augmented.score >= gold_score - 1e-12
             assert (loss == 0.0) == (augmented.score <= gold_score + 1e-12)
@@ -99,8 +115,7 @@ class TestStep:
         tb, config, state = make_state(UNIQUE_DERIVATION)
         before = {k: v.copy() for k, v in state.model.params.items()}
         rules_before = state.rules.scores.copy()
-        loss = step(tb.sentences, state, config)
-        assert loss == 0.0
+        assert step(tb.sentences, state, config) == (0.0, 0)
         for name, value in state.model.params.items():
             assert np.array_equal(value, before[name])
         assert np.array_equal(state.rules.scores, rules_before)
@@ -109,10 +124,8 @@ class TestStep:
         tb, config, state = make_state(MINI_CORPUS, seed=11)
         sent = tb.sentences[0]
         pair = tuple(zip(sent.words, sent.pos))
-        loss, augmented, gold_before = hinge_loss(
-            pair, sent.btree, state.model, state.grammar, state.rules
-        )
-        assert loss > 0.0 and augmented.tree != sent.btree
+        augmented, gold_before = augmented_and_gold(state, sent)
+        assert hinge_loss(state, sent) > 0.0 and augmented.tree != sent.btree
         step([sent], state, config)
         chart, _ = state.model.forward(pair)
         gold_after = ordered_tree_score(sent.btree, chart, state.rules)
@@ -151,11 +164,10 @@ class TestStep:
                              maxlen=16, learning_rate=1e-4)
         state.learning_rate = 1e-4
         sent = tb.sentences[2]
-        pair = tuple(zip(sent.words, sent.pos))
-        before, _, _ = hinge_loss(pair, sent.btree, state.model, state.grammar, state.rules)
+        before = hinge_loss(state, sent)
         assert before > 0.0
         step([sent], state, config)
-        after, _, _ = hinge_loss(pair, sent.btree, state.model, state.grammar, state.rules)
+        after = hinge_loss(state, sent)
         assert after <= before + 1e-9
 
     def test_empty_batch_rejected(self):
@@ -306,8 +318,9 @@ def test_step_skips_bad_sentences_and_logs(caplog):
     alien = bank("(S (QP (CD one) (CD two)) (VP (VB runs)))").sentences[0]
     batch = [tb.sentences[0], alien, tb.sentences[1]]
     with caplog.at_level(logging.WARNING, logger="ordercky.trainer"):
-        loss = step(batch, state, config)
+        loss, skipped = step(batch, state, config)
     assert any("skipping sentence" in r.message for r in caplog.records)
+    assert skipped == 1
     assert loss >= 0.0
 
 
@@ -333,3 +346,63 @@ def test_evaluate_dev_falls_back_on_underivable_sentences():
     report = evaluate_dev(state, dev)
     assert report.gold > 0
     assert 0.0 <= report.f1 < 100.0
+
+
+def test_unknown_mode_same_message_from_config_and_checkpoint(tmp_path):
+    with pytest.raises(ValueError) as from_config:
+        TrainConfig(mode="cubic")
+    _, _, state = make_state(UNIQUE_DERIVATION)
+    state.mode = "cubic"
+    path = str(tmp_path / "cubic.npz")
+    save_checkpoint(path, state)
+    with pytest.raises(ValueError) as from_checkpoint:
+        load_checkpoint(path)
+    message = str(from_config.value)
+    assert "'cubic'" in message and all(mode in message for mode in MODES)
+    assert str(from_checkpoint.value) == f"{path}: checkpoint {message}"
+
+
+@pytest.mark.parametrize("mode", list(MODES))
+def test_training_computes_only_the_modes_heads(tmp_path, monkeypatch, mode):
+    # a run forced to compute both heads writes the same checkpoint bytes
+    tb = bank(MINI_CORPUS)
+    config = TrainConfig(mode=mode, epochs=3, seed=4, dim=8, hidden=8, maxlen=16)
+    real = ScorerModel.forward
+    seen = set()
+
+    def recording(self, sentence, orders=(0, 1)):
+        seen.add(tuple(orders))
+        return real(self, sentence, orders)
+
+    monkeypatch.setattr(ScorerModel, "forward", recording)
+    fit(tb, tb, config, checkpoint_path=str(tmp_path / "heads.npz"))
+    assert seen == {MODES[mode].heads}
+    assert MODES["baseline"].heads == (0,)
+
+    monkeypatch.setattr(ScorerModel, "forward", lambda self, sentence, orders=(0, 1): real(self, sentence))
+    fit(tb, tb, config, checkpoint_path=str(tmp_path / "both.npz"))
+    assert (tmp_path / "heads.npz").read_bytes() == (tmp_path / "both.npz").read_bytes()
+
+
+def test_fit_stops_when_an_epoch_scores_no_sentence(monkeypatch):
+    tb, config, state = make_state(MINI_CORPUS)
+
+    def underivable(*args):
+        raise NoDerivation("forced")
+
+    monkeypatch.setattr(trainer, "sentence_gradients", underivable)
+    loss, skipped = step(tb.sentences[:3], state, config)
+    assert np.isnan(loss) and skipped == 3
+    logged = []
+    with pytest.raises(ValueError, match=r"^epoch 1: scored none of the 9 training sentences"):
+        fit(tb, tb, config, log_fn=logged.append)
+    assert [line.split("\t")[0] for line in logged] == ["0"]
+
+
+def test_fit_stops_when_a_parameter_overflows():
+    tb = bank(MINI_CORPUS)
+    config = TrainConfig(mode="ordered", epochs=3, seed=0, dim=8, hidden=8, maxlen=16,
+                         batch_size=4, learning_rate=1e308)
+    with np.errstate(all="ignore"), \
+            pytest.raises(ValueError, match="^epoch 1: the loss or a parameter is not finite"):
+        fit(tb, tb, config)

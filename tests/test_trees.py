@@ -273,13 +273,9 @@ def test_token_bracket_escaping():
     assert reparsed.children[0].children[0].word == "-LRB-"
 
 
-def test_write_trees_round_trip(tmp_path):
-    from ordercky.trees import load_trees, write_trees
-
+def test_linearize_read_trees_round_trip():
     trees = read_trees("(S (NP (DT the) (NN cat)) (VP (VBD sat)))\n(X (A a))")
-    path = str(tmp_path / "out.txt")
-    write_trees(trees, path)
-    assert load_trees(path) == trees
+    assert read_trees("".join(tree.linearize() + "\n" for tree in trees)) == trees
 
 
 def test_trailing_input_offset_points_past_tree():
