@@ -3,16 +3,19 @@
 Subcommands: stats, extract-grammar, train, parse, eval, oracle-check, bench.
 Exit codes: 0 success, 1 runtime or data error, 2 usage error.
 
-Option precedence is flags > config file > built-in defaults.  A config file
-(`--config path`) holds one `key = value` pair per line, keys named like the
-long flags ("learning-rate" or "learning_rate"); blank lines and lines
-starting with '#' are ignored.  All randomness derives from --seed through
-named per-purpose generators, so individual stages reproduce independently.
+Training settings are the fields of `trainer.TrainConfig`: they name the
+`train` flags and the config keys and give the defaults, and precedence is
+flags > config file > those defaults.  A config file (`--config path`) holds
+one `key = value` pair per line, keys named like the long flags
+("learning-rate" or "learning_rate"); blank lines and lines starting with '#'
+are ignored.  All randomness derives from --seed through named per-purpose
+generators, so individual stages reproduce independently.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -26,35 +29,24 @@ from .decoder import (
     decode_charts_batched,
     fallback_tree,
 )
-from .evaluate import score_trees
+from .evaluate import per_sentence_rows, score_trees
 from .grammar import extract_grammar, grammar_tsv, order_statistics, stats_tsv
 from .selfcheck import oracle_check, write_replay
 from .trainer import MODES, TrainConfig, fit, load_checkpoint
-from .trees import DUMMY, BracketError, Treebank, debinarize, load_trees
+from .trees import DUMMY, BracketError, Treebank, debinarize, load_trees, sentence_of
 
 EXIT_OK, EXIT_ERROR = 0, 1
 
 CHUNK = 32  # sentences per decode batch; fixed so --threads never changes results
 
 
-def _line_of_offset(path: str, offset: int) -> int:
-    with open(path, "rb") as fh:
-        return fh.read()[:offset].count(b"\n") + 1
-
-
-def _load_treebank(path: str) -> Treebank:
+def _load(load, path: str):
+    """``load(path)``, with a bracket error re-raised naming ``path:line``."""
     try:
-        return Treebank.load(path)
+        return load(path)
     except BracketError as err:
-        line = _line_of_offset(path, err.offset)
-        raise ValueError(f"{path}:{line}: {err}") from None
-
-
-def _load_trees(path: str, **kwargs):
-    try:
-        return load_trees(path, **kwargs)
-    except BracketError as err:
-        line = _line_of_offset(path, err.offset)
+        with open(path, "rb") as fh:
+            line = fh.read()[: err.offset].count(b"\n") + 1
         raise ValueError(f"{path}:{line}: {err}") from None
 
 
@@ -72,28 +64,17 @@ def _read_config(path: str) -> dict[str, str]:
     return values
 
 
-class _Resolver:
-    """flags > config file > defaults, with argparse holding None sentinels."""
-
-    def __init__(self, args: argparse.Namespace, defaults: dict):
-        self.args = args
-        self.defaults = defaults
-        self.config = _read_config(args.config) if getattr(args, "config", None) else {}
-        unknown = set(self.config) - set(defaults)
-        if unknown:
-            raise ValueError(
-                f"{args.config}: unknown config keys: {', '.join(sorted(unknown))}"
-            )
-
-    def __call__(self, key: str):
-        flag_value = getattr(self.args, key, None)
-        if flag_value is not None:
-            return flag_value
-        if key in self.config:
-            default = self.defaults[key]
-            caster = type(default) if default is not None else str
-            return caster(self.config[key])
-        return self.defaults[key]
+def _train_config(args: argparse.Namespace) -> TrainConfig:
+    """flags > config file > ``TrainConfig``'s defaults; argparse leaves an
+    unset flag at None."""
+    fields = {f.name: f for f in dataclasses.fields(TrainConfig)}
+    config = _read_config(args.config) if args.config else {}
+    unknown = set(config) - set(fields)
+    if unknown:
+        raise ValueError(f"{args.config}: unknown config keys: {', '.join(sorted(unknown))}")
+    values = {key: type(fields[key].default)(text) for key, text in config.items()}
+    values.update((name, getattr(args, name)) for name in fields if getattr(args, name) is not None)
+    return TrainConfig(**values)
 
 
 def _int_in(low: int, high: Optional[int] = None):
@@ -108,13 +89,6 @@ def _int_in(low: int, high: Optional[int] = None):
 
     parse.__name__ = "int"  # argparse names the type in its "invalid int value" message
     return parse
-
-
-TRAIN_DEFAULTS = dict(
-    mode="ordered", epochs=200, batch_size=32, learning_rate=1e-2,
-    decay_factor=0.5, max_decay=3, decay_patience=5, dim=64, hidden=250,
-    maxlen=64, seed=0,
-)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -132,17 +106,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--dev", dest="dev_path")
     p_train.add_argument("--out", required=True, help="checkpoint path (.npz)")
     p_train.add_argument("--config")
-    p_train.add_argument("--mode", choices=tuple(MODES))
-    p_train.add_argument("--epochs", type=int)
-    p_train.add_argument("--batch-size", type=int)
-    p_train.add_argument("--learning-rate", type=float)
-    p_train.add_argument("--decay-factor", type=float)
-    p_train.add_argument("--max-decay", type=int)
-    p_train.add_argument("--decay-patience", type=int)
-    p_train.add_argument("--dim", type=int)
-    p_train.add_argument("--hidden", type=int)
-    p_train.add_argument("--maxlen", type=int)
-    p_train.add_argument("--seed", type=int)
+    for f in dataclasses.fields(TrainConfig):
+        kind = {"choices": tuple(MODES)} if f.name == "mode" else {"type": type(f.default)}
+        p_train.add_argument("--" + f.name.replace("_", "-"), help=f"default {f.default}", **kind)
     p_train.add_argument("--quiet", action="store_true", help="suppress the epoch log")
 
     p_parse = sub.add_parser("parse", help="parse word_POS lines to bracketed trees")
@@ -180,27 +146,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run_stats(args) -> int:
-    tb = _load_treebank(args.treebank)
+    tb = _load(Treebank.load, args.treebank)
     sys.stdout.write(stats_tsv(order_statistics(tb)))
     return EXIT_OK
 
 
 def run_extract_grammar(args) -> int:
-    tb = _load_treebank(args.treebank)
+    tb = _load(Treebank.load, args.treebank)
     sys.stdout.write(grammar_tsv(extract_grammar(tb)))
     return EXIT_OK
 
 
 def run_train(args) -> int:
-    get = _Resolver(args, TRAIN_DEFAULTS)
-    config = TrainConfig(
-        mode=get("mode"), epochs=get("epochs"), batch_size=get("batch_size"),
-        learning_rate=get("learning_rate"), decay_factor=get("decay_factor"),
-        max_decay=get("max_decay"), decay_patience=get("decay_patience"),
-        seed=get("seed"), dim=get("dim"), hidden=get("hidden"), maxlen=get("maxlen"),
-    )
-    train = _load_treebank(args.train_path)
-    dev = _load_treebank(args.dev_path) if args.dev_path else train
+    config = _train_config(args)
+    train = _load(Treebank.load, args.train_path)
+    dev = _load(Treebank.load, args.dev_path) if args.dev_path else train
     log_fn = None if args.quiet else lambda line: print(line, flush=True)
     if log_fn:
         log_fn("epoch\tloss\tP\tR\tF1\tlr")
@@ -250,6 +210,19 @@ def _decode_chunk(chunk, model, compiled, mode, fallback):
     return out
 
 
+def _decode_all(sentences, model, compiled, mode, fallback, threads):
+    """(tree, score) per sentence in input order, decoded CHUNK sentences at
+    a time over ``threads`` workers."""
+    chunks = [sentences[i : i + CHUNK] for i in range(0, len(sentences), CHUNK)]
+    worker = lambda chunk: _decode_chunk(chunk, model, compiled, mode, fallback)
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            chunk_results = list(pool.map(worker, chunks))
+    else:
+        chunk_results = [worker(c) for c in chunks]
+    return [pair for chunk_out in chunk_results for pair in chunk_out]
+
+
 def run_parse(args) -> int:
     model, grammar, rules, ckpt_mode = load_checkpoint(args.model)
     mode = args.mode or ckpt_mode
@@ -260,32 +233,22 @@ def run_parse(args) -> int:
     finally:
         if args.input:
             stream.close()
-    chunks = [sentences[i : i + CHUNK] for i in range(0, len(sentences), CHUNK)]
-    worker = lambda chunk: _decode_chunk(
-        chunk, model, compiled, mode, args.fallback_right_branching
-    )
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            chunk_results = list(pool.map(worker, chunks))
-    else:
-        chunk_results = [worker(c) for c in chunks]
-    for chunk_out in chunk_results:
-        for btree, score in chunk_out:
-            line = debinarize(btree).linearize()
-            if args.print_score:
-                line += f"\t{score:.4f}"
-            print(line)
+    results = _decode_all(sentences, model, compiled, mode, args.fallback_right_branching,
+                          args.threads)
+    for btree, score in results:
+        line = debinarize(btree).linearize()
+        if args.print_score:
+            line += f"\t{score:.4f}"
+        print(line)
     return EXIT_OK
 
 
 def run_eval(args) -> int:
-    pred = _load_trees(args.pred)
-    gold = _load_trees(args.gold)
+    pred = _load(load_trees, args.pred)
+    gold = _load(load_trees, args.gold)
     report = score_trees(pred, gold)
     print(report.summary())
     if args.per_sentence:
-        from .evaluate import per_sentence_rows
-
         with open(args.per_sentence, "w", encoding="utf-8") as fh:
             fh.write("index\tmatched\tpredicted\tgold\n")
             for row in per_sentence_rows(pred, gold):
@@ -317,27 +280,18 @@ def run_oracle_check(args) -> int:
 
 def run_bench(args) -> int:
     model, grammar, rules, _ = load_checkpoint(args.model)
-    trees = _load_trees(args.treebank)
-    from .trees import sentence_of
-
+    trees = _load(load_trees, args.treebank)
     sentences = [sentence_of(t) for t in trees]
     if not sentences:
         print("bench: n/a (0 sentences)")
         return EXIT_OK
     compiled = CompiledRules(model.labels, grammar, rules)
     modes = tuple(MODES) if args.mode == "all" else (args.mode,)
-    chunks = [sentences[i : i + CHUNK] for i in range(0, len(sentences), CHUNK)]
     note = " (single repetition; noisy)" if args.repetitions == 1 else ""
     for mode in modes:
-        worker = lambda chunk: _decode_chunk(chunk, model, compiled, mode, True)
         start = time.perf_counter()
         for _ in range(args.repetitions):
-            if args.threads > 1:
-                with ThreadPoolExecutor(max_workers=args.threads) as pool:
-                    list(pool.map(worker, chunks))
-            else:
-                for chunk in chunks:
-                    worker(chunk)
+            _decode_all(sentences, model, compiled, mode, True, args.threads)
         elapsed = time.perf_counter() - start
         rate = len(sentences) * args.repetitions / elapsed
         print(f"{mode}\t{rate:.1f} sents/sec{note}")

@@ -49,6 +49,10 @@ class NoDerivation(Exception):
     """No in-grammar composition covers the sentence."""
 
 
+class NonFiniteChart(NoDerivation):
+    """The best root score is NaN or +inf: the chart, not the grammar, is at fault."""
+
+
 class InstanceTooLarge(ValueError):
     pass
 
@@ -572,8 +576,11 @@ def decode_charts_batched(
             root_scores[forbidden] = NEG_INF
         root_lab = int(np.argmax(root_scores))
         best = float(root_scores[root_lab])
-        if not np.isfinite(best):
+        if best == NEG_INF:
             results.append(NoDerivation(f"no in-grammar derivation covers the sentence (n={n})"))
+            continue
+        if not np.isfinite(best):
+            results.append(NonFiniteChart(f"the chart scores are not finite (n={n})"))
             continue
         tree = _backtrace(t, row[:, b], compiled, chart.sentence, n, root_lab)
         results.append(DecodeResult(tree=tree, score=best))

@@ -13,7 +13,6 @@ from .trees import BinaryTree, Treebank
 
 LEFT = 0
 RIGHT = 1
-ORDER_NAMES = ("L", "R")
 
 RULE_FLOOR = -1e6
 
@@ -95,12 +94,9 @@ class RuleScoreChart:
         self.floor = float(floor)
 
     @classmethod
-    def init_random(
-        cls, grammar: Grammar, rng: np.random.Generator, scale: float = 0.01,
-        floor: float = RULE_FLOOR,
-    ) -> "RuleScoreChart":
-        scores = rng.uniform(-scale, scale, size=(len(grammar), 2))
-        return cls(grammar, scores, floor=floor)
+    def init_random(cls, grammar: Grammar, rng: np.random.Generator,
+                    scale: float = 0.01) -> "RuleScoreChart":
+        return cls(grammar, rng.uniform(-scale, scale, size=(len(grammar), 2)))
 
     def score(self, rule: Rule, order: int) -> float:
         idx = self.grammar.rule_index.get(rule)

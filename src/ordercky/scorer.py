@@ -45,9 +45,6 @@ class SpanScoreChart:
     def n(self) -> int:
         return len(self.sentence)
 
-    def score(self, i: int, j: int, label: str, order: int) -> float:
-        return float(self.scores[i, j, self.labels.index(label), order])
-
     def collapsed(self) -> np.ndarray:
         """Order-free scores for the plain span decoder: the left-order head."""
         return self.scores[:, :, :, 0]
@@ -105,31 +102,23 @@ class ScorerModel:
         words: tuple[str, ...],
         labels: tuple[str, ...],
         rng: np.random.Generator,
-        dim: int = 64,
-        hidden: int = 250,
-        maxlen: int = 64,
+        dim: int,
+        hidden: int,
+        maxlen: int,
     ) -> "ScorerModel":
-        """Vocabulary rows for UNK and the boundary symbol are added here."""
+        """Vocabulary rows for UNK and the boundary symbol are added here.
+        Embeddings draw from uniform(+-0.5) and matrices from Glorot-uniform,
+        in ``_param_shapes`` order; ``ln_g`` starts at ones, other vectors at zeros."""
         vocab = (UNK, BOUNDARY) + tuple(w for w in words if w not in (UNK, BOUNDARY))
-        n_labels = len(labels)
-
-        def glorot(shape):
-            bound = np.sqrt(6.0 / (shape[0] + shape[1]))
-            return rng.uniform(-bound, bound, size=shape)
-
-        params: dict[str, np.ndarray] = {
-            "tok_emb": rng.uniform(-0.5, 0.5, size=(len(vocab), dim)),
-            "pos_emb": rng.uniform(-0.5, 0.5, size=(maxlen, dim)),
-            "mix_w": glorot((dim, 2 * dim)),
-            "mix_b": np.zeros(dim),
-        }
-        for order in ("L", "R"):
-            params[f"w1_{order}"] = glorot((hidden, dim))
-            params[f"b1_{order}"] = np.zeros(hidden)
-            params[f"ln_g_{order}"] = np.ones(hidden)
-            params[f"ln_b_{order}"] = np.zeros(hidden)
-            params[f"w2_{order}"] = glorot((n_labels, hidden))
-            params[f"b2_{order}"] = np.zeros(n_labels)
+        params: dict[str, np.ndarray] = {}
+        for name, shape in _param_shapes(len(vocab), len(labels), dim, hidden, maxlen).items():
+            if name.endswith("_emb"):
+                params[name] = rng.uniform(-0.5, 0.5, size=shape)
+            elif len(shape) == 2:
+                bound = np.sqrt(6.0 / (shape[0] + shape[1]))
+                params[name] = rng.uniform(-bound, bound, size=shape)
+            else:
+                params[name] = np.ones(shape) if name.startswith("ln_g") else np.zeros(shape)
         return cls(vocab, tuple(labels), dim, hidden, maxlen, params)
 
     def num_params(self) -> int:

@@ -23,12 +23,16 @@ Two corpora ship with the package:
 from __future__ import annotations
 
 import random
-from collections import Counter
 
+from .grammar import extract_grammar, order_statistics
 from .trees import DUMMY, Treebank, read_trees
 
 MEMORIZE_SEED = 20240611
 SKEW_SEED = 20240612
+
+
+def _treebank(lines):
+    return Treebank.from_trees(read_trees("\n".join(lines)))
 
 
 def _span_keys(btree):
@@ -50,7 +54,7 @@ def _span_keys(btree):
 def check_consistency(lines, allow_conflicts=()):
     """Map (key, order) -> label over all gold spans; returns conflicts whose
     label pair is not in ``allow_conflicts``."""
-    tb = Treebank.from_trees(read_trees("\n".join(lines)))
+    tb = _treebank(lines)
     seen: dict = {}
     conflicts = []
     for sent in tb.sentences:
@@ -151,7 +155,7 @@ def memorization_lines(count=50, seed=MEMORIZE_SEED):
         if check_consistency(lines + [line]):
             continue
         lines.append(line)
-    tb = Treebank.from_trees(read_trees("\n".join(lines)))
+    tb = _treebank(lines)
     assert len(tb.labels) <= 12, f"label vocabulary too large: {tb.labels}"
     assert not check_consistency(lines)
     return lines
@@ -255,35 +259,17 @@ def skewed_lines(train_count=120, dev_count=40, seed=SKEW_SEED):
     dev = build(dev_count, train)
 
     # dev must be derivable under the train grammar
-    train_tb = Treebank.from_trees(read_trees("\n".join(train)))
-    from .grammar import extract_grammar
-    grammar = extract_grammar(train_tb)
-    dev_tb = Treebank.from_trees(read_trees("\n".join(dev)))
-    from .grammar import Rule
-    for sent in dev_tb.sentences:
-        for node in sent.btree.nodes():
-            if not node.is_leaf:
-                rule = Rule(node.label, node.left.label, node.right.label)
-                assert rule in grammar, f"dev rule {rule} unseen in train"
+    grammar = extract_grammar(_treebank(train))
+    unseen = [rule for rule in extract_grammar(_treebank(dev)).rules if rule not in grammar]
+    assert not unseen, f"dev rules unseen in train: {unseen}"
     return train, dev
 
 
 def order_skew_summary(lines):
     """Labels that occur on only one side of binary compositions."""
-    tb = Treebank.from_trees(read_trees("\n".join(lines)))
-    left: Counter = Counter()
-    right: Counter = Counter()
-    for sent in tb.sentences:
-        for node in sent.btree.nodes():
-            if not node.is_leaf:
-                left[node.left.label] += 1
-                right[node.right.label] += 1
-    labels = set(left) | set(right)
-    one_sided = {
-        lab for lab in labels
-        if lab != DUMMY and (left[lab] == 0 or right[lab] == 0)
-    }
-    return one_sided
+    stats = order_statistics(_treebank(lines))
+    return {lab for lab in stats.labels()
+            if lab != DUMMY and (stats.left[lab] == 0 or stats.right[lab] == 0)}
 
 
 def main():

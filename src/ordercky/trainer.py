@@ -25,6 +25,7 @@ from .decoder import (
     CompiledRules,
     DecodeResult,
     NoDerivation,
+    NonFiniteChart,
     baseline_tree_score,
     decode_ablation,
     decode_baseline,
@@ -105,8 +106,11 @@ class GoldRuleMissing(ValueError):
 
 @dataclass
 class TrainConfig:
+    """Every training setting, with its default; the ``train`` command derives
+    its flags and config keys from these fields."""
+
     mode: str = "ordered"
-    epochs: int = 100
+    epochs: int = 200
     batch_size: int = 32
     learning_rate: float = 1e-2
     decay_factor: float = 0.5
@@ -116,7 +120,6 @@ class TrainConfig:
     dim: int = 64
     hidden: int = 250
     maxlen: int = 64
-    rule_floor: float = -1e6
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -179,6 +182,7 @@ def sentence_gradients(
     The augmented tree's chart entries (and rule scores, where the mode has
     the rule term) get +1, the gold tree's get -1; ties inherit the decoder's
     deterministic pick.  A mode that reads one head scores every node with it.
+    A mode without the rule term returns None for the rule gradient.
     """
     spec = MODES[mode]
     if spec.rules:
@@ -195,7 +199,7 @@ def sentence_gradients(
 
     label_index = {lab: i for i, lab in enumerate(chart.labels)}
     out_grad = np.zeros_like(chart.scores)
-    rule_grad = np.zeros_like(rules.scores)
+    rule_grad = np.zeros_like(rules.scores) if spec.rules else None
     for tree, sign in ((augmented.tree, 1.0), (sent.btree, -1.0)):
         for node, order in nodes_with_orders(tree):
             slot = order if order in spec.heads else LEFT
@@ -206,16 +210,18 @@ def sentence_gradients(
     return loss, model.backward(cache, out_grad), rule_grad
 
 
-def step(batch: list[Sentence], state: TrainState, config: TrainConfig,
+def step(batch: list[Sentence], state: TrainState,
          compiled: Optional[CompiledRules] = None) -> tuple[float, int]:
     """One mini-batch subgradient step; returns the mean loss over the
-    sentences it scored (NaN when it scored none) and the number it skipped.
-    The update is scaled by the whole batch's size."""
+    sentences it scored (NaN when it scored none) and the number it skipped,
+    or (NaN, 0) without an update when a chart is not finite.  The update is
+    scaled by the whole batch's size; the rule scores change only in a mode
+    with the rule term."""
     if not batch:
         raise ValueError("empty batch")
     comp = compiled or CompiledRules(state.model.labels, state.grammar, state.rules)
     grad_sum: Optional[dict[str, np.ndarray]] = None
-    rule_sum = np.zeros_like(state.rules.scores)
+    rule_sum: Optional[np.ndarray] = None
     total_loss = 0.0
     skipped = 0
     for sent in batch:
@@ -223,6 +229,8 @@ def step(batch: list[Sentence], state: TrainState, config: TrainConfig,
             loss, grads, rule_grad = sentence_gradients(
                 sent, state.model, state.grammar, state.rules, state.mode, comp
             )
+        except NonFiniteChart:
+            return math.nan, 0  # the model, not the sentence, is at fault: no update
         except (GoldRuleMissing, NoDerivation) as err:
             logger.warning("skipping sentence %r: %s", " ".join(sent.words[:8]), err)
             skipped += 1
@@ -235,22 +243,23 @@ def step(batch: list[Sentence], state: TrainState, config: TrainConfig,
         else:
             for name in grad_sum:
                 grad_sum[name] += grads[name]
-        rule_sum += rule_grad
+        if rule_grad is not None:
+            rule_sum = rule_grad if rule_sum is None else rule_sum + rule_grad
 
     scale = state.learning_rate / len(batch)
     if grad_sum is not None:
         for name, grad in grad_sum.items():
             state.model.params[name] -= scale * grad
+    if rule_sum is not None:
         state.rules.scores -= scale * rule_sum
     scored = len(batch) - skipped
     return (total_loss / scored if scored else float("nan")), skipped
 
 
-def evaluate_dev(state: TrainState, dev: Treebank,
-                 compiled: Optional[CompiledRules] = None) -> EvalReport:
+def evaluate_dev(state: TrainState, dev: Treebank) -> EvalReport:
     """Decode the dev set with the state's mode and score phrasal brackets."""
     spec = MODES[state.mode]
-    comp = compiled or CompiledRules(state.model.labels, state.grammar, state.rules)
+    comp = CompiledRules(state.model.labels, state.grammar, state.rules)
     sentences = [tuple(zip(s.words, s.pos)) for s in dev.sentences]
     charts = [state.model.forward(s, orders=spec.heads)[0] for s in sentences]
     pred_trees = []
@@ -270,13 +279,17 @@ def init_state(train: Treebank, config: TrainConfig) -> TrainState:
         train.words, train.labels, init_rng,
         dim=config.dim, hidden=config.hidden, maxlen=config.maxlen,
     )
-    rules = RuleScoreChart.init_random(grammar, init_rng, floor=config.rule_floor)
+    rules = RuleScoreChart.init_random(grammar, init_rng)
     return TrainState(
         model=model, rules=rules, grammar=grammar,
         mode=config.mode, learning_rate=config.learning_rate,
     )
 
 
+# a learning rate too high overflows the parameters; numpy stays quiet about
+# it because the finiteness check at the end of each epoch stops the run with
+# one error instead
+@np.errstate(over="ignore", invalid="ignore")
 def fit(
     train: Treebank,
     dev: Treebank,
@@ -312,7 +325,7 @@ def fit(
         for lo in range(0, len(order), config.batch_size):
             batch = [sentences[i] for i in order[lo : lo + config.batch_size]]
             compiled = CompiledRules(state.model.labels, state.grammar, state.rules)
-            loss, skipped = step(batch, state, config, compiled=compiled)
+            loss, skipped = step(batch, state, compiled=compiled)
             if skipped < len(batch):
                 losses.append(loss)
         if not losses:

@@ -452,7 +452,6 @@ class Treebank:
                 labels.add(node.label)
         self.labels: tuple[str, ...] = tuple(sorted(labels))
         self.words: tuple[str, ...] = (UNK,) + tuple(sorted(words))
-        self.label_index = {lab: i for i, lab in enumerate(self.labels)}
 
     def __len__(self) -> int:
         return len(self.sentences)

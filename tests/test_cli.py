@@ -1,12 +1,18 @@
+import dataclasses
 import json
 import subprocess
 import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from ordercky import cli
-from ordercky.trees import load_trees, sentence_of
+from ordercky.trainer import MODES, TrainConfig
+from ordercky.trees import load_trees, read_trees, sentence_of
+
+DATA = Path(cli.__file__).parent / "data"
 
 TOY = """\
 (S (NP (DT the) (NN cat)) (VP (VB sees) (NP (DT a) (NN dog))))
@@ -126,6 +132,20 @@ class TestTrainParseEval:
         eight = capsys.readouterr().out
         assert one == eight
 
+    @pytest.mark.parametrize("threads", ["1", "3"])
+    def test_parse_keeps_input_order_across_chunks(self, tmp_path, toy_treebank, toy_model,
+                                                   threads, capsys):
+        toy = [sentence_of(t) for t in load_trees(toy_treebank)]
+        # more lines than one decode chunk, each with its own (unknown) first word
+        sentences = [((f"w{i}", toy[i % 4][0][1]),) + toy[i % 4][1:]
+                     for i in range(2 * cli.CHUNK + 5)]
+        sents = tmp_path / "many.txt"
+        sents.write_text("".join(" ".join(f"{w}_{p}" for w, p in s) + "\n" for s in sentences),
+                         encoding="utf-8")
+        assert cli.main(["parse", "--model", toy_model, str(sents), "--threads", threads]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [sentence_of(tree) for tree in read_trees("\n".join(lines))] == sentences
+
     def test_parse_malformed_token_exits_one(self, tmp_path, toy_model, capsys):
         bad = tmp_path / "bad_sents.txt"
         bad.write_text("word-without-tag\n", encoding="utf-8")
@@ -244,6 +264,13 @@ class TestBench:
         ) == 0
         assert "noisy" in capsys.readouterr().out
 
+    def test_threads_two_reports_each_mode_once(self, toy_treebank, toy_model, capsys):
+        assert cli.main(
+            ["bench", "--model", toy_model, toy_treebank, "--repetitions", "2", "--threads", "2"]
+        ) == 0
+        out = capsys.readouterr().out.strip().split("\n")
+        assert [line.split("\t")[0] for line in out] == list(MODES)
+
     def test_empty_input_na(self, tmp_path, toy_model, capsys):
         empty = tmp_path / "empty.txt"
         empty.write_text("", encoding="utf-8")
@@ -343,8 +370,6 @@ def test_oracle_check_accepts_its_bounds(capsys):
 
 
 def test_mode_choices_come_from_the_mode_table():
-    from ordercky.trainer import MODES
-
     commands = cli.build_parser()._subparsers._group_actions[0].choices
     choices = {
         name: next(a.choices for a in commands[name]._actions if a.dest == "mode")
@@ -407,3 +432,84 @@ def test_invalid_checkpoint_exits_one_naming_entry(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {bad}: ") and named in captured.err
+
+
+TRAIN_OWN_OPTIONS = {"help", "train_path", "dev_path", "out", "config", "quiet"}
+
+
+@pytest.fixture
+def fit_configs(monkeypatch):
+    """The TrainConfig each ``train`` run passes to ``fit``, which is skipped."""
+    seen = []
+
+    def record(train, dev, config, **kwargs):
+        seen.append(config)
+        return SimpleNamespace(best_f1=0.0)
+
+    monkeypatch.setattr(cli, "fit", record)
+    return seen
+
+
+def changed_settings():
+    """A valid value other than the default for every TrainConfig field."""
+    out = {}
+    for f in dataclasses.fields(TrainConfig):
+        if f.name == "mode":
+            out[f.name] = next(mode for mode in MODES if mode != f.default)
+        else:
+            out[f.name] = f.default / 2 if isinstance(f.default, float) else f.default + 1
+    return out
+
+
+def test_train_options_are_the_train_config_fields():
+    commands = cli.build_parser()._subparsers._group_actions[0].choices
+    options = {action.dest for action in commands["train"]._actions}
+    assert options - TRAIN_OWN_OPTIONS == {f.name for f in dataclasses.fields(TrainConfig)}
+
+
+def test_train_without_flags_builds_the_default_config(tmp_path, toy_treebank, fit_configs):
+    assert cli.main(["train", "--train", toy_treebank, "--out", str(tmp_path / "m.npz")]) == 0
+    assert fit_configs == [TrainConfig()]
+    assert fit_configs[0].epochs == 200
+
+
+@pytest.mark.parametrize("source", ["flags", "config"])
+def test_every_train_config_field_is_a_flag_and_a_config_key(tmp_path, toy_treebank, fit_configs,
+                                                             source):
+    settings = changed_settings()
+    argv = ["train", "--train", toy_treebank, "--out", str(tmp_path / "m.npz")]
+    if source == "flags":
+        for name, value in settings.items():
+            argv += ["--" + name.replace("_", "-"), str(value)]
+    else:
+        config = tmp_path / "train.cfg"
+        config.write_text("".join(f"{name} = {value}\n" for name, value in settings.items()),
+                          encoding="utf-8")
+        argv += ["--config", str(config)]
+    assert cli.main(argv) == 0
+    assert fit_configs == [TrainConfig(**settings)]
+
+
+@pytest.mark.parametrize("key", sorted(TRAIN_OWN_OPTIONS - {"help"}))
+def test_config_keys_are_only_train_config_fields(tmp_path, toy_treebank, fit_configs, key, capsys):
+    config = tmp_path / "train.cfg"
+    config.write_text(f"{key} = 1\n", encoding="utf-8")
+    argv = ["train", "--train", toy_treebank, "--out", str(tmp_path / "m.npz"), "--config", str(config)]
+    assert cli.main(argv) == 1
+    assert f"unknown config keys: {key}" in capsys.readouterr().err
+    assert not fit_configs
+
+
+@pytest.mark.parametrize("mode", list(MODES))
+def test_train_blowup_prints_one_error_line(tmp_path, mode):
+    proc = subprocess.run(
+        [sys.executable, "-m", "ordercky.cli", "train", "--train", str(DATA / "skew_train.txt"),
+         "--dev", str(DATA / "skew_dev.txt"), "--out", str(tmp_path / "m.npz"), "--mode", mode,
+         "--learning-rate", "1e300", "--epochs", "5", "--dim", "8", "--hidden", "16"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert "RuntimeWarning" not in proc.stderr
+    assert proc.stderr.splitlines() == [
+        "error: epoch 1: the loss or a parameter is not finite; try a lower learning rate"
+    ]

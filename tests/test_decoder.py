@@ -7,6 +7,7 @@ from ordercky.decoder import (
     CompiledRules,
     InstanceTooLarge,
     NoDerivation,
+    NonFiniteChart,
     baseline_tree_score,
     brute_force_best,
     decode_ablation,
@@ -484,6 +485,27 @@ def test_batched_empty_grammar_yields_no_derivation_slots():
     assert isinstance(results[0], NoDerivation)
     # width-1 sentences never need the grammar
     assert not isinstance(results[1], NoDerivation)
+
+
+@pytest.mark.parametrize("value, cells, message", [
+    (np.nan, (0, 1), "the chart scores are not finite (n=3)"),
+    (np.inf, (0, 1), "the chart scores are not finite (n=3)"),
+    (-np.inf, (slice(None), slice(None)), "no in-grammar derivation covers the sentence (n=3)"),
+])
+def test_batched_names_a_root_that_is_not_finite(value, cells, message):
+    # a NaN or +inf root is the chart's fault; a -inf root the grammar's
+    rng = np.random.default_rng(13)
+    labels = ("A", "B")
+    grammar = full_grammar(labels)
+    rules = zero_rules(grammar)
+    ok = random_chart(rng, 3, labels)
+    broken = random_chart(rng, 3, labels)
+    broken.scores[cells] = value
+    results = decode_charts_batched([ok, broken, ok], CompiledRules(labels, grammar, rules))
+    assert results[0].score == results[2].score == decode_ordered(ok, grammar, rules).score
+    assert isinstance(results[1], NoDerivation)
+    assert isinstance(results[1], NonFiniteChart) == (value != -np.inf)
+    assert str(results[1]) == message
 
 
 # ---------------------------------------------------------------------------

@@ -112,27 +112,27 @@ class TestHingeLoss:
 
 class TestStep:
     def test_zero_loss_batch_leaves_parameters_unchanged(self):
-        tb, config, state = make_state(UNIQUE_DERIVATION)
+        tb, _, state = make_state(UNIQUE_DERIVATION)
         before = {k: v.copy() for k, v in state.model.params.items()}
         rules_before = state.rules.scores.copy()
-        assert step(tb.sentences, state, config) == (0.0, 0)
+        assert step(tb.sentences, state) == (0.0, 0)
         for name, value in state.model.params.items():
             assert np.array_equal(value, before[name])
         assert np.array_equal(state.rules.scores, rules_before)
 
     def test_gold_score_rises_after_step(self):
-        tb, config, state = make_state(MINI_CORPUS, seed=11)
+        tb, _, state = make_state(MINI_CORPUS, seed=11)
         sent = tb.sentences[0]
         pair = tuple(zip(sent.words, sent.pos))
         augmented, gold_before = augmented_and_gold(state, sent)
         assert hinge_loss(state, sent) > 0.0 and augmented.tree != sent.btree
-        step([sent], state, config)
+        step([sent], state)
         chart, _ = state.model.forward(pair)
         gold_after = ordered_tree_score(sent.btree, chart, state.rules)
         assert gold_after > gold_before
 
     def test_duplicated_sentence_doubles_gradient(self):
-        tb, config, state = make_state(MINI_CORPUS, seed=2)
+        tb, _, state = make_state(MINI_CORPUS, seed=2)
         sent = tb.sentences[0]
         compiled = CompiledRules(state.model.labels, state.grammar, state.rules)
         loss, grads, rule_grads = sentence_gradients(
@@ -147,12 +147,12 @@ class TestStep:
         assert np.array_equal(rule_grads, rule_grads2)
 
     def test_mean_aggregation_is_batch_size_invariant(self):
-        tb, config, _ = make_state(MINI_CORPUS, seed=4)
+        tb, _, _ = make_state(MINI_CORPUS, seed=4)
         sent = tb.sentences[1]
         _, _, single = make_state(MINI_CORPUS, seed=4)
-        step([sent], single, config)
+        step([sent], single)
         _, _, double = make_state(MINI_CORPUS, seed=4)
-        step([sent, sent], double, config)
+        step([sent, sent], double)
         for name in single.model.params:
             assert np.allclose(
                 single.model.params[name], double.model.params[name], atol=1e-15
@@ -160,20 +160,18 @@ class TestStep:
 
     def test_descent_sanity_small_lr(self):
         tb, _, state = make_state(MINI_CORPUS, seed=6)
-        config = TrainConfig(mode="ordered", seed=6, dim=8, hidden=8,
-                             maxlen=16, learning_rate=1e-4)
         state.learning_rate = 1e-4
         sent = tb.sentences[2]
         before = hinge_loss(state, sent)
         assert before > 0.0
-        step([sent], state, config)
+        step([sent], state)
         after = hinge_loss(state, sent)
         assert after <= before + 1e-9
 
     def test_empty_batch_rejected(self):
-        tb, config, state = make_state(MINI_CORPUS)
+        tb, _, state = make_state(MINI_CORPUS)
         with pytest.raises(ValueError):
-            step([], state, config)
+            step([], state)
 
 
 class TestFit:
@@ -314,11 +312,11 @@ def test_hinge_subgradient_matches_finite_differences():
 def test_step_skips_bad_sentences_and_logs(caplog):
     import logging
 
-    tb, config, state = make_state(MINI_CORPUS, seed=1)
+    tb, _, state = make_state(MINI_CORPUS, seed=1)
     alien = bank("(S (QP (CD one) (CD two)) (VP (VB runs)))").sentences[0]
     batch = [tb.sentences[0], alien, tb.sentences[1]]
     with caplog.at_level(logging.WARNING, logger="ordercky.trainer"):
-        loss, skipped = step(batch, state, config)
+        loss, skipped = step(batch, state)
     assert any("skipping sentence" in r.message for r in caplog.records)
     assert skipped == 1
     assert loss >= 0.0
@@ -391,7 +389,7 @@ def test_fit_stops_when_an_epoch_scores_no_sentence(monkeypatch):
         raise NoDerivation("forced")
 
     monkeypatch.setattr(trainer, "sentence_gradients", underivable)
-    loss, skipped = step(tb.sentences[:3], state, config)
+    loss, skipped = step(tb.sentences[:3], state)
     assert np.isnan(loss) and skipped == 3
     logged = []
     with pytest.raises(ValueError, match=r"^epoch 1: scored none of the 9 training sentences"):
@@ -406,3 +404,35 @@ def test_fit_stops_when_a_parameter_overflows():
     with np.errstate(all="ignore"), \
             pytest.raises(ValueError, match="^epoch 1: the loss or a parameter is not finite"):
         fit(tb, tb, config)
+
+
+@pytest.mark.parametrize("mode", ["baseline", "ablation"])
+def test_span_only_step_leaves_rule_scores_untouched(mode):
+    tb, _, state = make_state(MINI_CORPUS, mode=mode, seed=3)
+    compiled = CompiledRules(state.model.labels, state.grammar, state.rules)
+    loss, grads, rule_grad = sentence_gradients(
+        tb.sentences[0], state.model, state.grammar, state.rules, mode, compiled
+    )
+    assert loss > 0.0 and grads is not None and rule_grad is None
+    params_before = {k: v.copy() for k, v in state.model.params.items()}
+    rules_before = state.rules.scores.tobytes()
+    step(tb.sentences, state)
+    assert state.rules.scores.tobytes() == rules_before
+    assert any(not np.array_equal(v, params_before[k]) for k, v in state.model.params.items())
+
+
+@pytest.mark.parametrize("mode", list(MODES))
+def test_fit_blowup_stops_quietly_with_one_error(mode, caplog):
+    # non-finite charts stop the run instead of skipping every sentence, and
+    # numpy's overflow warnings stay silent
+    import logging
+    import warnings
+
+    tb = bank(MINI_CORPUS)
+    config = TrainConfig(mode=mode, epochs=3, seed=0, dim=8, hidden=8, maxlen=16,
+                         batch_size=2, learning_rate=1e300)
+    with caplog.at_level(logging.WARNING, logger="ordercky.trainer"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^epoch 1: the loss or a parameter is not finite"):
+            fit(tb, tb, config)
+    assert not caplog.records
