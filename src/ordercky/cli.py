@@ -27,6 +27,7 @@ from .decoder import (
     decode_ablation,
     decode_baseline,
     decode_charts_batched,
+    decode_each,
     fallback_tree,
 )
 from .evaluate import per_sentence_rows, score_trees
@@ -192,16 +193,17 @@ def _decode_chunk(chunk, model, compiled, mode, fallback):
     if mode == "ordered":
         results = decode_charts_batched(charts, compiled, forbid_root=DUMMY)
     elif mode == "ablation":
-        results = [decode_ablation(c, forbid_root=DUMMY) for c in charts]
+        results = decode_each(lambda c: decode_ablation(c, forbid_root=DUMMY), charts)
     else:
-        results = [decode_baseline(c.collapsed(), c.sentence, c.labels, forbid_root=DUMMY)
-                   for c in charts]
+        results = decode_each(
+            lambda c: decode_baseline(c.collapsed(), c.sentence, c.labels, forbid_root=DUMMY),
+            charts)
     out = []
     for sentence, res in zip(chunk, results):
         if isinstance(res, NoDerivation):
             if not fallback:
                 raise NoDerivation(
-                    f"no derivation for sentence {' '.join(w for w, _ in sentence)!r}; "
+                    f"sentence {' '.join(w for w, _ in sentence)!r}: {res}; "
                     "use --fallback-right-branching to emit a flat tree"
                 )
             out.append((fallback_tree(sentence, model.labels), float("nan")))
@@ -288,12 +290,17 @@ def run_bench(args) -> int:
     compiled = CompiledRules(model.labels, grammar, rules)
     modes = tuple(MODES) if args.mode == "all" else (args.mode,)
     note = " (single repetition; noisy)" if args.repetitions == 1 else ""
-    for mode in modes:
-        start = time.perf_counter()
-        for _ in range(args.repetitions):
+    # each repetition runs every mode once, starting one mode later than the
+    # last, so a slow stretch of the machine does not land on one mode alone
+    elapsed = dict.fromkeys(modes, 0.0)
+    for rep in range(args.repetitions):
+        for k in range(len(modes)):
+            mode = modes[(rep + k) % len(modes)]
+            start = time.perf_counter()
             _decode_all(sentences, model, compiled, mode, True, args.threads)
-        elapsed = time.perf_counter() - start
-        rate = len(sentences) * args.repetitions / elapsed
+            elapsed[mode] += time.perf_counter() - start
+    for mode in modes:
+        rate = len(sentences) * args.repetitions / elapsed[mode]
         print(f"{mode}\t{rate:.1f} sents/sec{note}")
     return EXIT_OK
 

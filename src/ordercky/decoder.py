@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import add
-from typing import Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -149,6 +149,16 @@ def decode_ordered(
     return _extract(chart, t, back, n, forbid_root)
 
 
+def _root_error(best: float, n: int) -> Optional[NoDerivation]:
+    """What a best root score of ``best`` says is wrong, if anything: -inf is
+    no derivation, NaN or +inf a chart that is not finite."""
+    if best == NEG_INF:
+        return NoDerivation(f"no in-grammar derivation covers the sentence (n={n})")
+    if not np.isfinite(best):
+        return NonFiniteChart(f"the chart scores are not finite (n={n})")
+    return None
+
+
 def _label_id(labels, label):
     return labels.index(label) if label is not None and label in labels else None
 
@@ -183,6 +193,8 @@ def _extract(chart, t, back, n, forbid_root=None) -> DecodeResult:
 _LIST_FILL_MAX_N = 10
 
 
+# overflow in the fill shows as a non-finite root, which the callers report
+@np.errstate(over="ignore", invalid="ignore")
 def _span_cky(left: np.ndarray, right: np.ndarray) -> tuple[list, list]:
     """Best-bracketing values, span (i, j) scoring left[i, j] as a left child
     or the root and right[i, j] as a right child: by_start[i][w] for span
@@ -232,7 +244,8 @@ def decode_baseline(
     labels: tuple[str, ...],
     forbid_root: Optional[str] = None,
 ) -> DecodeResult:
-    """Order-free decoding: per-span label argmax plus best bracketing."""
+    """Order-free decoding: per-span label argmax plus best bracketing.
+    Raises NoDerivation for a -inf root and NonFiniteChart for a NaN or +inf one."""
     n = len(sentence)
     forbidden = _label_id(labels, forbid_root)
     if forbidden is not None:
@@ -241,12 +254,16 @@ def decode_baseline(
     label_choice = np.argmax(scores, axis=2)
     label_score = np.max(scores, axis=2)
     by_start, by_end = _span_cky(label_score, label_score)
+    error = _root_error(by_start[0][n], n)
+    if error:
+        raise error
     tree = _span_tree(lambda i, j, o: label_choice.item(i, j), by_start, by_end, labels, sentence)
     return DecodeResult(tree=tree, score=by_start[0][n])
 
 
 def decode_ablation(chart: SpanScoreChart, forbid_root: Optional[str] = None) -> DecodeResult:
-    """Ordered span scores without the grammar-rule term."""
+    """Ordered span scores without the grammar-rule term; raises like
+    ``decode_baseline``."""
     n = chart.n
     s = chart.scores
     forbidden = _label_id(chart.labels, forbid_root)
@@ -258,8 +275,24 @@ def decode_ablation(chart: SpanScoreChart, forbid_root: Optional[str] = None) ->
     i, j, o = np.indices(label_choice.shape, sparse=True)
     label_score = s[i, j, label_choice, o]
     by_start, by_end = _span_cky(label_score[:, :, LEFT], label_score[:, :, RIGHT])
+    error = _root_error(by_start[0][n], n)
+    if error:
+        raise error
     tree = _span_tree(label_choice.item, by_start, by_end, chart.labels, chart.sentence)
     return DecodeResult(tree=tree, score=by_start[0][n])
+
+
+def decode_each(decode: Callable[[SpanScoreChart], DecodeResult],
+                charts: Sequence[SpanScoreChart]) -> list[Union[DecodeResult, NoDerivation]]:
+    """``decode`` of each chart, with the NoDerivation (or NonFiniteChart) it
+    raises in that chart's place, as ``decode_charts_batched`` returns them."""
+    results: list[Union[DecodeResult, NoDerivation]] = []
+    for chart in charts:
+        try:
+            results.append(decode(chart))
+        except NoDerivation as err:
+            results.append(err)
+    return results
 
 
 def hamming_costs(n: int, labels: tuple[str, ...], gold: BinaryTree) -> np.ndarray:
@@ -518,6 +551,7 @@ def _iter_shape_orders(shape):
 _SPLIT_BLOCK = 1 << 20
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite root is reported instead
 def decode_charts_batched(
     charts: Sequence[SpanScoreChart],
     compiled: CompiledRules,
@@ -576,11 +610,9 @@ def decode_charts_batched(
             root_scores[forbidden] = NEG_INF
         root_lab = int(np.argmax(root_scores))
         best = float(root_scores[root_lab])
-        if best == NEG_INF:
-            results.append(NoDerivation(f"no in-grammar derivation covers the sentence (n={n})"))
-            continue
-        if not np.isfinite(best):
-            results.append(NonFiniteChart(f"the chart scores are not finite (n={n})"))
+        error = _root_error(best, n)
+        if error:
+            results.append(error)
             continue
         tree = _backtrace(t, row[:, b], compiled, chart.sentence, n, root_lab)
         results.append(DecodeResult(tree=tree, score=best))

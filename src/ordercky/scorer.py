@@ -65,12 +65,11 @@ def span_index_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
 class ForwardCache:
     ids: np.ndarray
     emb: np.ndarray        # (n+1, 2d) concatenated token/position embeddings
-    pre_mix: np.ndarray    # (n+1, d) before the ReLU
-    fence: np.ndarray      # (n+1, d) fencepost vectors
+    fence: np.ndarray      # (n+1, d) fencepost vectors; > 0 where the mixing ReLU passed
     i_idx: np.ndarray
     j_idx: np.ndarray
     span_vecs: np.ndarray  # (spans, d)
-    head: dict[int, dict[str, np.ndarray]]
+    head: dict[int, dict[str, np.ndarray]]  # per order: xhat, inv_std, act (> 0 where the ReLU passed)
 
 
 class ScorerModel:
@@ -134,90 +133,115 @@ class ScorerModel:
     ) -> tuple[SpanScoreChart, ForwardCache]:
         """Chart and cache; ``orders=(0,)`` skips the right-order head for
         pipelines (the plain span decoder) that never read it.  The cache
-        holds the fencepost vectors h_0..h_n as ``fence``."""
+        holds the fencepost vectors h_0..h_n as ``fence``.
+
+        Each head normalizes in place, in two (spans, hidden) buffers, with
+        the very float operations of ``z1.mean``, ``z1.var`` and the textbook
+        LayerNorm: the row mean is summed once, and the variance is the row
+        sum of the squared centred values over ``hidden``, as numpy's ``var``
+        computes it."""
         words = tuple(w for w, _ in sentence)
         n = len(words)
         if n >= self.maxlen:
             raise SentenceTooLong(f"sentence length {n} >= maxlen {self.maxlen}")
+        p = self.params
         ids = self.word_ids(words)
-        emb = np.concatenate(
-            [self.params["tok_emb"][ids], self.params["pos_emb"][: n + 1]], axis=1
-        )
-        pre = emb @ self.params["mix_w"].T + self.params["mix_b"]
-        fence = np.maximum(pre, 0.0)
+        emb = np.concatenate([p["tok_emb"][ids], p["pos_emb"][: n + 1]], axis=1)
+        fence = emb @ p["mix_w"].T
+        fence += p["mix_b"]
+        np.maximum(fence, 0.0, out=fence)
         half = self.dim // 2
         fwd, bwd = fence[:, :half], fence[:, half:]
         i_idx, j_idx = span_index_arrays(n)
-        span_vecs = np.concatenate(
-            [fwd[j_idx] - fwd[i_idx], bwd[i_idx] - bwd[j_idx]], axis=1
-        )
+        span_vecs = np.empty((len(i_idx), self.dim))
+        np.subtract(fwd[j_idx], fwd[i_idx], out=span_vecs[:, :half])
+        np.subtract(bwd[i_idx], bwd[j_idx], out=span_vecs[:, half:])
         scores = np.zeros((n + 1, n + 1, len(self.labels), 2))
         head_cache: dict[int, dict[str, np.ndarray]] = {}
         for order, name in ((o, "LR"[o]) for o in orders):
-            z1 = span_vecs @ self.params[f"w1_{name}"].T + self.params[f"b1_{name}"]
-            mean = z1.mean(axis=1, keepdims=True)
-            var = z1.var(axis=1, keepdims=True)
-            inv_std = 1.0 / np.sqrt(var + LN_EPS)
-            xhat = (z1 - mean) * inv_std
-            ln_out = xhat * self.params[f"ln_g_{name}"] + self.params[f"ln_b_{name}"]
-            act = np.maximum(ln_out, 0.0)
-            out = act @ self.params[f"w2_{name}"].T + self.params[f"b2_{name}"]
+            x = span_vecs @ p[f"w1_{name}"].T
+            x += p[f"b1_{name}"]
+            x -= x.sum(axis=1, keepdims=True) / self.hidden
+            act = np.square(x)  # first the variance's scratch, then the activation
+            inv_std = act.sum(axis=1, keepdims=True) / self.hidden
+            inv_std += LN_EPS
+            np.sqrt(inv_std, out=inv_std)
+            np.divide(1.0, inv_std, out=inv_std)
+            x *= inv_std
+            np.multiply(x, p[f"ln_g_{name}"], out=act)
+            act += p[f"ln_b_{name}"]
+            np.maximum(act, 0.0, out=act)
+            out = act @ p[f"w2_{name}"].T
+            out += p[f"b2_{name}"]
             scores[i_idx, j_idx, :, order] = out
-            head_cache[order] = {
-                "xhat": xhat, "inv_std": inv_std, "ln_out": ln_out, "act": act,
-            }
+            head_cache[order] = {"xhat": x, "inv_std": inv_std, "act": act}
         chart = SpanScoreChart(sentence=tuple(sentence), labels=self.labels, scores=scores)
         cache = ForwardCache(
-            ids=ids, emb=emb, pre_mix=pre, fence=fence,
+            ids=ids, emb=emb, fence=fence,
             i_idx=i_idx, j_idx=j_idx, span_vecs=span_vecs, head=head_cache,
         )
         return chart, cache
 
     def backward(self, cache: ForwardCache, out_grad: np.ndarray) -> dict[str, np.ndarray]:
-        """Exact gradients of sum(out_grad * chart) w.r.t. every parameter."""
+        """Exact gradients of sum(out_grad * chart) w.r.t. every parameter.
+
+        Each head works in two (spans, hidden) buffers and keeps the operation
+        order of the textbook formulas, so every gradient is the same float."""
         if cache is None:
             raise ValueError("backward requires the cache from a forward pass")
-        half = self.dim // 2
+        p = self.params
         i_idx, j_idx = cache.i_idx, cache.j_idx
-        grads = {name: np.zeros_like(p) for name, p in self.params.items()}
-        d_span = np.zeros_like(cache.span_vecs)
+        # zeros only where nothing below assigns the whole gradient
+        absent = [f"{kind}_{'LR'[o]}" for o in (0, 1) if o not in cache.head for kind in _HEAD_PARAMS]
+        grads = {name: np.zeros_like(p[name]) for name in ("tok_emb", "pos_emb", *absent)}
+        # the span gradient, and its negation for the fencepost scatter below
+        signed = np.zeros((2, *cache.span_vecs.shape))
+        d_span = signed[0]
         for order in sorted(cache.head):
             name = "LR"[order]
-            hc = cache.head[order]
+            xhat, inv_std, act = (cache.head[order][k] for k in ("xhat", "inv_std", "act"))
             d_out = out_grad[i_idx, j_idx, :, order]
-            grads[f"w2_{name}"] = d_out.T @ hc["act"]
+            grads[f"w2_{name}"] = d_out.T @ act
             grads[f"b2_{name}"] = d_out.sum(axis=0)
-            d_act = d_out @ self.params[f"w2_{name}"]
-            d_ln_out = d_act * (hc["ln_out"] > 0)
-            grads[f"ln_g_{name}"] = (d_ln_out * hc["xhat"]).sum(axis=0)
-            grads[f"ln_b_{name}"] = d_ln_out.sum(axis=0)
-            d_xhat = d_ln_out * self.params[f"ln_g_{name}"]
-            h_dim = d_xhat.shape[1]
-            d_z1 = (
-                hc["inv_std"] / h_dim
-                * (
-                    h_dim * d_xhat
-                    - d_xhat.sum(axis=1, keepdims=True)
-                    - hc["xhat"] * (d_xhat * hc["xhat"]).sum(axis=1, keepdims=True)
-                )
-            )
-            grads[f"w1_{name}"] = d_z1.T @ cache.span_vecs
-            grads[f"b1_{name}"] = d_z1.sum(axis=0)
-            d_span += d_z1 @ self.params[f"w1_{name}"]
+            d = d_out @ p[f"w2_{name}"]
+            d *= act > 0
+            tmp = np.multiply(d, xhat)
+            grads[f"ln_g_{name}"] = tmp.sum(axis=0)
+            grads[f"ln_b_{name}"] = d.sum(axis=0)
+            d *= p[f"ln_g_{name}"]
+            # d_z1 = inv_std / H * (H * d_xhat - sum(d_xhat) - xhat * sum(d_xhat * xhat))
+            d_sum = d.sum(axis=1, keepdims=True)
+            np.multiply(d, xhat, out=tmp)
+            d_dot = tmp.sum(axis=1, keepdims=True)
+            d *= self.hidden
+            d -= d_sum
+            np.multiply(xhat, d_dot, out=tmp)
+            d -= tmp
+            d *= inv_std / self.hidden
+            grads[f"w1_{name}"] = d.T @ cache.span_vecs
+            grads[f"b1_{name}"] = d.sum(axis=0)
+            d_span += d @ p[f"w1_{name}"]
 
-        d_fence = np.zeros_like(cache.fence)
-        np.add.at(d_fence[:, :half], j_idx, d_span[:, :half])
-        np.add.at(d_fence[:, :half], i_idx, -d_span[:, :half])
-        np.add.at(d_fence[:, half:], i_idx, d_span[:, half:])
-        np.add.at(d_fence[:, half:], j_idx, -d_span[:, half:])
-
-        d_pre = d_fence * (cache.pre_mix > 0)
+        # bincount adds its weights in input order, as np.add.at does: into
+        # each forward-half column +d_span at j, then -d_span at i; into each
+        # backward-half column the reverse
+        n_fence, dim = cache.fence.shape
+        half = dim // 2
+        ends = np.empty((2, len(i_idx), dim), dtype=np.intp)
+        ends[0, :, :half] = ends[1, :, half:] = j_idx[:, None]
+        ends[0, :, half:] = ends[1, :, :half] = i_idx[:, None]
+        ends *= dim
+        ends += np.arange(dim)
+        np.negative(d_span, out=signed[1])
+        d_fence = np.bincount(ends.ravel(), signed.ravel(), minlength=n_fence * dim)
+        d_pre = d_fence.reshape(n_fence, dim)
+        d_pre *= cache.fence > 0
         grads["mix_w"] = d_pre.T @ cache.emb
         grads["mix_b"] = d_pre.sum(axis=0)
-        d_emb = d_pre @ self.params["mix_w"]
+        d_emb = d_pre @ p["mix_w"]
         np.add.at(grads["tok_emb"], cache.ids, d_emb[:, : self.dim])
         grads["pos_emb"][: len(cache.ids)] = d_emb[:, self.dim :]
-        return grads
+        return {name: grads[name] for name in p}
 
     def save(self, path: str, extra_meta: Optional[dict] = None,
              extra_tensors: Optional[dict[str, np.ndarray]] = None) -> None:
@@ -251,13 +275,14 @@ class ScorerModel:
         return cls(words, labels, dim, hidden, maxlen, params), meta, tensors
 
 
+_HEAD_PARAMS = ("w1", "b1", "ln_g", "ln_b", "w2", "b2")
+
+
 def _param_shapes(vocab: int, n_labels: int, dim: int, hidden: int, maxlen: int) -> dict[str, tuple]:
     shapes = {"tok_emb": (vocab, dim), "pos_emb": (maxlen, dim), "mix_w": (dim, 2 * dim), "mix_b": (dim,)}
-    for order in ("L", "R"):
-        shapes.update({
-            f"w1_{order}": (hidden, dim), f"b1_{order}": (hidden,), f"ln_g_{order}": (hidden,),
-            f"ln_b_{order}": (hidden,), f"w2_{order}": (n_labels, hidden), f"b2_{order}": (n_labels,),
-        })
+    head = ((hidden, dim), (hidden,), (hidden,), (hidden,), (n_labels, hidden), (n_labels,))
+    for order in "LR":
+        shapes.update((f"{kind}_{order}", shape) for kind, shape in zip(_HEAD_PARAMS, head))
     return shapes
 
 

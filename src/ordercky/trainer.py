@@ -30,6 +30,7 @@ from .decoder import (
     decode_ablation,
     decode_baseline,
     decode_charts_batched,
+    decode_each,
     fallback_tree,
     hamming_costs,
     nodes_with_orders,
@@ -58,12 +59,13 @@ class Mode:
 # The adapters look the decoders up by module-global name at call time, so a
 # patched module attribute (the benchmark's tracer patches them) sees every call.
 def _decode_baseline(charts, compiled, forbid_root=None):
-    return [decode_baseline(c.collapsed(), c.sentence, c.labels, forbid_root=forbid_root)
-            for c in charts]
+    return decode_each(
+        lambda c: decode_baseline(c.collapsed(), c.sentence, c.labels, forbid_root=forbid_root),
+        charts)
 
 
 def _decode_ablation(charts, compiled, forbid_root=None):
-    return [decode_ablation(c, forbid_root=forbid_root) for c in charts]
+    return decode_each(lambda c: decode_ablation(c, forbid_root=forbid_root), charts)
 
 
 def _decode_ordered(charts, compiled, forbid_root=None):
@@ -142,6 +144,7 @@ class TrainState:
     learning_rate: float
     epoch: int = 0
     best_f1: float = -1.0
+    best_epoch: int = 0
     decays_used: int = 0
     loss_history: list[float] = field(default_factory=list)
     dev_history: list[EvalReport] = field(default_factory=list)
@@ -298,7 +301,8 @@ def fit(
     checkpoint_path: Optional[str] = None,
 ) -> TrainState:
     """Train with per-epoch dev evaluation, patience-based decay, and
-    best-checkpoint retention."""
+    best-checkpoint retention.  A ValueError raised once a checkpoint is
+    written names the epoch whose checkpoint ``checkpoint_path`` holds."""
     state = init_state(train, config)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([config.seed, _SHUFFLE_STREAM]))
     sentences = list(train.sentences)
@@ -317,50 +321,56 @@ def fit(
     if checkpoint_path:
         save_checkpoint(checkpoint_path, state)
     emit(0, float("nan"), report)
+    try:
+        stale = 0
+        for epoch in range(1, config.epochs + 1):
+            order = shuffle_rng.permutation(len(sentences))
+            losses = []
+            for lo in range(0, len(order), config.batch_size):
+                batch = [sentences[i] for i in order[lo : lo + config.batch_size]]
+                compiled = CompiledRules(state.model.labels, state.grammar, state.rules)
+                loss, skipped = step(batch, state, compiled=compiled)
+                if skipped < len(batch):
+                    losses.append(loss)
+            if not losses:
+                raise ValueError(f"epoch {epoch}: scored none of the {len(sentences)} training sentences")
+            mean_loss = sum(losses) / len(losses)
+            params = [*state.model.params.values(), state.rules.scores]
+            if not (math.isfinite(mean_loss) and all(np.isfinite(p).all() for p in params)):
+                raise ValueError(f"epoch {epoch}: the loss or a parameter is not finite; "
+                                 "try a lower learning rate")
+            state.epoch = epoch
+            state.loss_history.append(mean_loss)
+            report = evaluate_dev(state, dev)
+            state.dev_history.append(report)
+            emit(epoch, mean_loss, report)
 
-    stale = 0
-    for epoch in range(1, config.epochs + 1):
-        order = shuffle_rng.permutation(len(sentences))
-        losses = []
-        for lo in range(0, len(order), config.batch_size):
-            batch = [sentences[i] for i in order[lo : lo + config.batch_size]]
-            compiled = CompiledRules(state.model.labels, state.grammar, state.rules)
-            loss, skipped = step(batch, state, compiled=compiled)
-            if skipped < len(batch):
-                losses.append(loss)
-        if not losses:
-            raise ValueError(f"epoch {epoch}: scored none of the {len(sentences)} training sentences")
-        mean_loss = sum(losses) / len(losses)
-        params = [*state.model.params.values(), state.rules.scores]
-        if not (math.isfinite(mean_loss) and all(np.isfinite(p).all() for p in params)):
-            raise ValueError(f"epoch {epoch}: the loss or a parameter is not finite; "
-                             "try a lower learning rate")
-        state.epoch = epoch
-        state.loss_history.append(mean_loss)
-        report = evaluate_dev(state, dev)
-        state.dev_history.append(report)
-        emit(epoch, mean_loss, report)
+            if report.f1 > state.best_f1:
+                state.best_f1 = report.f1
+                state.best_epoch = epoch
+                state.snapshot_best()
+                if checkpoint_path:
+                    save_checkpoint(checkpoint_path, state)
+                stale = 0
+            elif report.f1 >= 100.0:
+                stale = 0  # nothing left to improve; decaying would be noise
+            else:
+                stale += 1
 
-        if report.f1 > state.best_f1:
-            state.best_f1 = report.f1
-            state.snapshot_best()
-            if checkpoint_path:
-                save_checkpoint(checkpoint_path, state)
-            stale = 0
-        elif report.f1 >= 100.0:
-            stale = 0  # nothing left to improve; decaying would be noise
-        else:
-            stale += 1
-
-        if mean_loss == 0.0:
-            # every scored margin satisfied: subgradients are zero and nothing can change
-            break
-        if stale >= config.decay_patience:
-            if state.decays_used >= config.max_decay:
+            if mean_loss == 0.0:
+                # every scored margin satisfied: subgradients are zero and nothing can change
                 break
-            state.learning_rate *= config.decay_factor
-            state.decays_used += 1
-            stale = 0
+            if stale >= config.decay_patience:
+                if state.decays_used >= config.max_decay:
+                    break
+                state.learning_rate *= config.decay_factor
+                state.decays_used += 1
+                stale = 0
+    except ValueError as err:
+        if not checkpoint_path:
+            raise
+        raise ValueError(f"{err}; {checkpoint_path} holds the checkpoint of epoch "
+                         f"{state.best_epoch}") from None
 
     state.restore_best()
     if checkpoint_path:

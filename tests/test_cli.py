@@ -2,6 +2,7 @@ import dataclasses
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -271,6 +272,16 @@ class TestBench:
         out = capsys.readouterr().out.strip().split("\n")
         assert [line.split("\t")[0] for line in out] == list(MODES)
 
+    def test_repetitions_interleave_the_modes(self, toy_treebank, toy_model, monkeypatch, capsys):
+        # every repetition runs each mode once, from a rotating start
+        calls = []
+        monkeypatch.setattr(cli, "_decode_all", lambda sentences, model, compiled, mode, *rest:
+                            calls.append(mode))
+        assert cli.main(["bench", "--model", toy_model, toy_treebank, "--repetitions", "2"]) == 0
+        assert calls == ["baseline", "ablation", "ordered", "ablation", "ordered", "baseline"]
+        out = capsys.readouterr().out.strip().split("\n")
+        assert [line.split("\t")[0] for line in out] == list(MODES)
+
     def test_empty_input_na(self, tmp_path, toy_model, capsys):
         empty = tmp_path / "empty.txt"
         empty.write_text("", encoding="utf-8")
@@ -434,6 +445,37 @@ def test_invalid_checkpoint_exits_one_naming_entry(
     assert captured.err.startswith(f"error: {bad}: ") and named in captured.err
 
 
+def _huge_span_scores(tensors):
+    # finite parameters whose every span scores 1e308 in both heads: any tree
+    # of two or more tokens sums to an +inf root
+    for name in ("L", "R"):
+        tensors[f"w2_{name}"] = np.zeros_like(tensors[f"w2_{name}"])
+        tensors[f"b2_{name}"] = np.full_like(tensors[f"b2_{name}"], 1e308)
+
+
+@pytest.mark.parametrize("mode", list(MODES))
+def test_parse_non_finite_chart_falls_back_or_names_the_sentence(
+    tmp_path, toy_treebank, toy_model, mode, capsys
+):
+    bad = _rewrite_checkpoint(toy_model, str(tmp_path / "huge.npz"), _huge_span_scores)
+    sents = sentences_file(tmp_path, toy_treebank)
+    argv = ["parse", "--model", bad, "--mode", mode, sents, "--print-score"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warnings stay silent
+        assert cli.main(argv + ["--fallback-right-branching"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert cli.main(argv) == 1
+    # the right-branching fallback, debinarized flat
+    assert len(lines) == 4 and all(line.endswith("\tnan") for line in lines)
+    assert lines[0] == "(NP (DT the) (NN cat) (VB sees) (DT a) (NN dog))\tnan"
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: sentence 'the cat sees a dog': the chart scores are not finite (n=5); "
+        "use --fallback-right-branching to emit a flat tree\n"
+    )
+
+
 TRAIN_OWN_OPTIONS = {"help", "train_path", "dev_path", "out", "config", "quiet"}
 
 
@@ -502,14 +544,18 @@ def test_config_keys_are_only_train_config_fields(tmp_path, toy_treebank, fit_co
 
 @pytest.mark.parametrize("mode", list(MODES))
 def test_train_blowup_prints_one_error_line(tmp_path, mode):
+    out = tmp_path / "m.npz"
     proc = subprocess.run(
         [sys.executable, "-m", "ordercky.cli", "train", "--train", str(DATA / "skew_train.txt"),
-         "--dev", str(DATA / "skew_dev.txt"), "--out", str(tmp_path / "m.npz"), "--mode", mode,
+         "--dev", str(DATA / "skew_dev.txt"), "--out", str(out), "--mode", mode,
          "--learning-rate", "1e300", "--epochs", "5", "--dim", "8", "--hidden", "16"],
         capture_output=True, text=True,
     )
     assert proc.returncode == 1
     assert "RuntimeWarning" not in proc.stderr
+    # the line says what the run left at --out: the checkpoint written before epoch 1
     assert proc.stderr.splitlines() == [
-        "error: epoch 1: the loss or a parameter is not finite; try a lower learning rate"
+        "error: epoch 1: the loss or a parameter is not finite; try a lower learning rate; "
+        f"{out} holds the checkpoint of epoch 0"
     ]
+    assert proc.stdout.splitlines()[1].startswith("0\t") and out.exists()

@@ -13,6 +13,7 @@ from ordercky.decoder import (
     decode_ablation,
     decode_baseline,
     decode_charts_batched,
+    decode_each,
     decode_loss_augmented,
     decode_ordered,
     nodes_with_orders,
@@ -506,6 +507,34 @@ def test_batched_names_a_root_that_is_not_finite(value, cells, message):
     assert isinstance(results[1], NoDerivation)
     assert isinstance(results[1], NonFiniteChart) == (value != -np.inf)
     assert str(results[1]) == message
+
+
+SPAN_ONLY = {
+    "baseline": lambda c: decode_baseline(c.collapsed(), c.sentence, c.labels),
+    "ablation": decode_ablation,
+}
+
+
+@pytest.mark.parametrize("n", [3, 12])  # both fills of the span-only core
+@pytest.mark.parametrize("mode", list(SPAN_ONLY))
+@pytest.mark.parametrize("value, cells, message", [
+    (np.nan, (0, 1), "the chart scores are not finite (n={n})"),
+    (np.inf, (0, 1), "the chart scores are not finite (n={n})"),
+    (-np.inf, (slice(None), slice(None)), "no in-grammar derivation covers the sentence (n={n})"),
+])
+def test_span_only_decoders_name_a_root_that_is_not_finite(mode, n, value, cells, message):
+    rng = np.random.default_rng(13)
+    labels = ("A", "B")
+    ok = random_chart(rng, n, labels)
+    broken = random_chart(rng, n, labels)
+    broken.scores[cells] = value
+    with pytest.raises(NoDerivation) as err:
+        SPAN_ONLY[mode](broken)
+    assert str(err.value) == message.format(n=n)
+    assert isinstance(err.value, NonFiniteChart) == (value != -np.inf)
+    results = decode_each(SPAN_ONLY[mode], [ok, broken, ok])
+    assert results[0].score == results[2].score == SPAN_ONLY[mode](ok).score
+    assert type(results[1]) is type(err.value) and str(results[1]) == str(err.value)
 
 
 # ---------------------------------------------------------------------------

@@ -204,6 +204,111 @@ class TestBackward:
             model.backward(None, np.zeros((2, 2, 4, 2)))
 
 
+# ---------------------------------------------------------------------------
+# bit identity with the textbook LayerNorm formulas
+
+
+def reference_forward(model, sentence, orders):
+    """The forward pass written out with one new array per operation, as the
+    scorer first computed it; returns the chart and what the backward needs."""
+    p, n = model.params, len(sentence)
+    ids = model.word_ids(tuple(w for w, _ in sentence))
+    emb = np.concatenate([p["tok_emb"][ids], p["pos_emb"][: n + 1]], axis=1)
+    pre = emb @ p["mix_w"].T + p["mix_b"]
+    fence = np.maximum(pre, 0.0)
+    half = model.dim // 2
+    fwd, bwd = fence[:, :half], fence[:, half:]
+    i_idx, j_idx = span_index_arrays(n)
+    span_vecs = np.concatenate([fwd[j_idx] - fwd[i_idx], bwd[i_idx] - bwd[j_idx]], axis=1)
+    scores = np.zeros((n + 1, n + 1, len(model.labels), 2))
+    heads = {}
+    for order in orders:
+        name = "LR"[order]
+        z1 = span_vecs @ p[f"w1_{name}"].T + p[f"b1_{name}"]
+        mean = z1.mean(axis=1, keepdims=True)
+        var = z1.var(axis=1, keepdims=True)
+        inv_std = 1.0 / np.sqrt(var + 1e-5)
+        xhat = (z1 - mean) * inv_std
+        ln_out = xhat * p[f"ln_g_{name}"] + p[f"ln_b_{name}"]
+        act = np.maximum(ln_out, 0.0)
+        scores[i_idx, j_idx, :, order] = act @ p[f"w2_{name}"].T + p[f"b2_{name}"]
+        heads[order] = (xhat, inv_std, ln_out, act)
+    return scores, (ids, emb, pre, fence, span_vecs, heads)
+
+
+def reference_backward(model, saved, out_grad):
+    p, half = model.params, model.dim // 2
+    ids, emb, pre, fence, span_vecs, heads = saved
+    i_idx, j_idx = span_index_arrays(len(ids) - 1)
+    grads = {name: np.zeros_like(value) for name, value in p.items()}
+    d_span = np.zeros_like(span_vecs)
+    for order, (xhat, inv_std, ln_out, act) in sorted(heads.items()):
+        name = "LR"[order]
+        d_out = out_grad[i_idx, j_idx, :, order]
+        grads[f"w2_{name}"] = d_out.T @ act
+        grads[f"b2_{name}"] = d_out.sum(axis=0)
+        d_ln_out = (d_out @ p[f"w2_{name}"]) * (ln_out > 0)
+        grads[f"ln_g_{name}"] = (d_ln_out * xhat).sum(axis=0)
+        grads[f"ln_b_{name}"] = d_ln_out.sum(axis=0)
+        d_xhat = d_ln_out * p[f"ln_g_{name}"]
+        h = d_xhat.shape[1]
+        d_z1 = inv_std / h * (
+            h * d_xhat
+            - d_xhat.sum(axis=1, keepdims=True)
+            - xhat * (d_xhat * xhat).sum(axis=1, keepdims=True)
+        )
+        grads[f"w1_{name}"] = d_z1.T @ span_vecs
+        grads[f"b1_{name}"] = d_z1.sum(axis=0)
+        d_span += d_z1 @ p[f"w1_{name}"]
+    d_fence = np.zeros_like(fence)
+    np.add.at(d_fence[:, :half], j_idx, d_span[:, :half])
+    np.add.at(d_fence[:, :half], i_idx, -d_span[:, :half])
+    np.add.at(d_fence[:, half:], i_idx, d_span[:, half:])
+    np.add.at(d_fence[:, half:], j_idx, -d_span[:, half:])
+    d_pre = d_fence * (pre > 0)
+    grads["mix_w"] = d_pre.T @ emb
+    grads["mix_b"] = d_pre.sum(axis=0)
+    d_emb = d_pre @ p["mix_w"]
+    np.add.at(grads["tok_emb"], ids, d_emb[:, : model.dim])
+    grads["pos_emb"][: len(ids)] = d_emb[:, model.dim :]
+    return grads
+
+
+def assert_same_floats(got, want, what):
+    assert got.shape == want.shape and got.dtype == want.dtype, what
+    assert np.array_equal(got, want), what
+    assert got.tobytes() == want.tobytes(), what  # also the sign of every zero
+
+
+@pytest.mark.parametrize("flat_head", [False, True], ids=["random", "zero-variance"])
+@pytest.mark.parametrize("orders", [(0,), (0, 1)], ids=["L", "LR"])
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 20, 48])
+def test_forward_and_backward_are_bit_identical_to_the_formulas(n, orders, flat_head):
+    rng = np.random.default_rng(n)
+    labels = tuple(f"X{k}" for k in range(14))
+    model = ScorerModel.build(WORDS, labels, rng, dim=64, hidden=250, maxlen=64)
+    for name, value in model.params.items():
+        if value.ndim == 1:  # move biases and gains off their constant starts
+            value += rng.normal(scale=0.5, size=value.shape)
+    if flat_head:
+        # every span's pre-normalization row is b1_L: a constant row has
+        # variance 0, so only eps keeps the normalization finite
+        model.params["w1_L"][:] = 0.0
+        model.params["b1_L"][:] = 0.25
+    sentence = sent(*((WORDS + ("unseen",))[k % 5] for k in range(n)))
+    chart, cache = model.forward(sentence, orders=orders)
+    want_scores, saved = reference_forward(model, sentence, orders)
+    assert_same_floats(chart.scores, want_scores, "chart")
+    out_grad = np.zeros_like(chart.scores)
+    i_idx, j_idx = span_index_arrays(n)
+    out_grad[i_idx, j_idx] = rng.normal(size=(len(i_idx), len(labels), 2))
+    grads = model.backward(cache, out_grad)
+    want = reference_backward(model, saved, out_grad)
+    assert list(grads) == list(model.params)
+    for name in model.params:
+        assert_same_floats(grads[name], want[name], name)
+
+
 def test_save_load_round_trip(tmp_path):
     model = tiny_model(seed=8)
     path = str(tmp_path / "model.npz")

@@ -6,6 +6,7 @@ from ordercky.decoder import (
     CompiledRules,
     NoDerivation,
     decode_loss_augmented,
+    fallback_tree,
     hamming_costs,
     ordered_tree_score,
 )
@@ -24,7 +25,8 @@ from ordercky.trainer import (
     sentence_gradients,
     step,
 )
-from ordercky.trees import Treebank, read_trees
+from ordercky.evaluate import score_trees
+from ordercky.trees import Treebank, debinarize, read_trees
 
 UNIQUE_DERIVATION = "(S (A (X x)) (B (Y y)))"
 
@@ -344,6 +346,20 @@ def test_evaluate_dev_falls_back_on_underivable_sentences():
     report = evaluate_dev(state, dev)
     assert report.gold > 0
     assert 0.0 <= report.f1 < 100.0
+
+
+@pytest.mark.parametrize("mode", list(MODES))
+def test_evaluate_dev_falls_back_on_non_finite_charts(mode):
+    # every span scores 1e308, so every root sums to +inf: each sentence is
+    # scored as its fallback tree, in every mode
+    tb, _, state = make_state(MINI_CORPUS, mode=mode)
+    for name in ("L", "R"):
+        state.model.params[f"w2_{name}"][:] = 0.0
+        state.model.params[f"b2_{name}"][:] = 1e308
+    fallbacks = [debinarize(fallback_tree(tuple(zip(s.words, s.pos)), state.model.labels))
+                 for s in tb.sentences]
+    report = evaluate_dev(state, tb)
+    assert report == score_trees(fallbacks, [s.tree for s in tb.sentences])
 
 
 def test_unknown_mode_same_message_from_config_and_checkpoint(tmp_path):
