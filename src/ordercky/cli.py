@@ -19,11 +19,14 @@ import dataclasses
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from typing import Optional
 
 from .decoder import (
     CompiledRules,
+    DecodeResult,
     NoDerivation,
+    NonFiniteChart,
     decode_ablation,
     decode_baseline,
     decode_charts_batched,
@@ -73,7 +76,12 @@ def _train_config(args: argparse.Namespace) -> TrainConfig:
     unknown = set(config) - set(fields)
     if unknown:
         raise ValueError(f"{args.config}: unknown config keys: {', '.join(sorted(unknown))}")
-    values = {key: type(fields[key].default)(text) for key, text in config.items()}
+    values = {}
+    for key, text in config.items():
+        try:
+            values[key] = type(fields[key].default)(text)
+        except ValueError as err:
+            raise ValueError(f"{args.config}: {key}: {err}") from None
     values.update((name, getattr(args, name)) for name in fields if getattr(args, name) is not None)
     return TrainConfig(**values)
 
@@ -160,8 +168,13 @@ def run_extract_grammar(args) -> int:
 
 def run_train(args) -> int:
     config = _train_config(args)
-    train = _load(Treebank.load, args.train_path)
-    dev = _load(Treebank.load, args.dev_path) if args.dev_path else train
+    banks = [(path, _load(Treebank.load, path)) for path in (args.train_path, args.dev_path) if path]
+    for path, bank in banks:
+        for k, sent in enumerate(bank.sentences):
+            if len(sent.words) >= config.maxlen:
+                raise ValueError(f"{path}: tree {k}: sentence length {len(sent.words)} "
+                                 f">= maxlen {config.maxlen}")
+    train, dev = banks[0][1], banks[-1][1]
     log_fn = None if args.quiet else lambda line: print(line, flush=True)
     if log_fn:
         log_fn("epoch\tloss\tP\tR\tF1\tlr")
@@ -171,77 +184,67 @@ def run_train(args) -> int:
     return EXIT_OK
 
 
-def _read_sentences(stream):
-    sentences = []
-    for lineno, raw in enumerate(stream, 1):
-        line = raw.strip()
-        if not line:
-            continue
-        pairs = []
-        for token in line.split():
-            word, sep, pos = token.rpartition("_")
-            if not (sep and word and pos):
-                raise ValueError(f"line {lineno}: token {token!r} is not word_POS")
-            pairs.append((word, pos))
-        sentences.append(tuple(pairs))
-    return sentences
-
-
-def _decode_chunk(chunk, model, compiled, mode, fallback):
+def _decode_chunk(chunk, model, compiled, mode):
     charts = [model.forward(sentence, orders=MODES[mode].heads)[0] for sentence in chunk]
     # not MODES[mode].decode: perfbench's captured_decodes patches these names on cli
     if mode == "ordered":
-        results = decode_charts_batched(charts, compiled, forbid_root=DUMMY)
-    elif mode == "ablation":
-        results = decode_each(lambda c: decode_ablation(c, forbid_root=DUMMY), charts)
-    else:
-        results = decode_each(
-            lambda c: decode_baseline(c.collapsed(), c.sentence, c.labels, forbid_root=DUMMY),
-            charts)
-    out = []
-    for sentence, res in zip(chunk, results):
-        if isinstance(res, NoDerivation):
-            if not fallback:
-                raise NoDerivation(
-                    f"sentence {' '.join(w for w, _ in sentence)!r}: {res}; "
-                    "use --fallback-right-branching to emit a flat tree"
-                )
-            out.append((fallback_tree(sentence, model.labels), float("nan")))
-        else:
-            out.append((res.tree, res.score))
-    return out
+        return decode_charts_batched(charts, compiled, forbid_root=DUMMY)
+    if mode == "ablation":
+        return decode_each(lambda c: decode_ablation(c, forbid_root=DUMMY), charts)
+    return decode_each(
+        lambda c: decode_baseline(c.collapsed(), c.sentence, c.labels, forbid_root=DUMMY), charts)
 
 
-def _decode_all(sentences, model, compiled, mode, fallback, threads):
-    """(tree, score) per sentence in input order, decoded CHUNK sentences at
-    a time over ``threads`` workers."""
+def _decode_all(sentences, model, compiled, mode, threads):
+    """The decode result, or the NoDerivation in its place, per sentence in
+    input order, decoded CHUNK sentences at a time over ``threads`` workers."""
     chunks = [sentences[i : i + CHUNK] for i in range(0, len(sentences), CHUNK)]
-    worker = lambda chunk: _decode_chunk(chunk, model, compiled, mode, fallback)
+    worker = lambda chunk: _decode_chunk(chunk, model, compiled, mode)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             chunk_results = list(pool.map(worker, chunks))
     else:
         chunk_results = [worker(c) for c in chunks]
-    return [pair for chunk_out in chunk_results for pair in chunk_out]
+    return [res for chunk_out in chunk_results for res in chunk_out]
 
 
 def run_parse(args) -> int:
+    """Every input line is checked before any is decoded; an error names
+    ``path:line`` (``<stdin>`` for standard input)."""
     model, grammar, rules, ckpt_mode = load_checkpoint(args.model)
     mode = args.mode or ckpt_mode
     compiled = CompiledRules(model.labels, grammar, rules)
-    stream = open(args.input, encoding="utf-8") if args.input else sys.stdin
-    try:
-        sentences = _read_sentences(stream)
-    finally:
-        if args.input:
-            stream.close()
-    results = _decode_all(sentences, model, compiled, mode, args.fallback_right_branching,
-                          args.threads)
-    for btree, score in results:
-        line = debinarize(btree).linearize()
+    name = args.input or "<stdin>"
+    sentences = []
+    with open(args.input, encoding="utf-8") if args.input else nullcontext(sys.stdin) as stream:
+        for lineno, raw in enumerate(stream, 1):
+            pairs = []
+            for token in raw.split():
+                word, _, pos = token.rpartition("_")
+                if not (word and pos):
+                    raise ValueError(f"{name}:{lineno}: token {token!r} is not word_POS")
+                pairs.append((word, pos))
+            if len(pairs) >= model.maxlen:
+                raise ValueError(f"{name}:{lineno}: sentence length {len(pairs)} >= maxlen {model.maxlen}")
+            if pairs:
+                sentences.append(tuple(pairs))
+    results = _decode_all(sentences, model, compiled, mode, args.threads)
+    failed = [(sentence, res) for sentence, res in zip(sentences, results) if isinstance(res, NoDerivation)]
+    if failed and not args.fallback_right_branching:
+        sentence, err = failed[0]
+        raise NoDerivation(f"sentence {' '.join(w for w, _ in sentence)!r}: {err}; "
+                           "use --fallback-right-branching to emit a flat tree")
+    for sentence, res in zip(sentences, results):
+        if isinstance(res, NoDerivation):
+            res = DecodeResult(fallback_tree(sentence, model.labels), float("nan"))
+        line = debinarize(res.tree).linearize()
         if args.print_score:
-            line += f"\t{score:.4f}"
+            line += f"\t{res.score:.4f}"
         print(line)
+    if failed:
+        non_finite = sum(isinstance(err, NonFiniteChart) for _, err in failed)
+        print(f"warning: {len(failed)} fallbacks: {len(failed) - non_finite} no derivation, "
+              f"{non_finite} non-finite", file=sys.stderr)
     return EXIT_OK
 
 
@@ -297,7 +300,7 @@ def run_bench(args) -> int:
         for k in range(len(modes)):
             mode = modes[(rep + k) % len(modes)]
             start = time.perf_counter()
-            _decode_all(sentences, model, compiled, mode, True, args.threads)
+            _decode_all(sentences, model, compiled, mode, args.threads)
             elapsed[mode] += time.perf_counter() - start
     for mode in modes:
         rate = len(sentences) * args.repetitions / elapsed[mode]

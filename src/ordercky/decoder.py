@@ -1,6 +1,6 @@
 """Chart decoders over span-score charts.
 
-Four modes share one tie-breaking policy so every path is reproducible:
+Three modes share one tie-breaking policy so every path is reproducible:
 among equal-scoring candidates, the smallest split point wins, then the
 smallest label ids (label ids follow the chart's label tuple, which the
 treebank sorts lexicographically).
@@ -11,9 +11,10 @@ treebank sorts lexicographically).
 * baseline: one score per (span, label); the label of each span is chosen
   independently of the tree structure.
 * ablation: per-order span scores, no grammar term and no rule restriction.
-* loss-augmented: ordered decoding over scores incremented by 1 for every
-  labeled span absent from the gold tree, so the optimum is
-  max_T [score(T) + hamming(T, gold)].
+
+Loss-augmented decoding is not a mode but a chart transform:
+``augmented_chart`` adds 1 to every labeled span absent from the gold tree,
+and any mode's decoder over the result finds max_T [score(T) + hamming(T, gold)].
 
 ``decode_ordered`` is the scalar reference; ``decode_charts_batched`` gives
 its values and trees for a batch of charts.  Its chart cells are rows of one
@@ -109,7 +110,6 @@ def decode_ordered(
     chart: SpanScoreChart,
     grammar: Grammar,
     rules: RuleScoreChart,
-    compiled: Optional[CompiledRules] = None,
     forbid_root: Optional[str] = None,
 ) -> DecodeResult:
     """Scalar reference implementation of the order-aware recursion.
@@ -117,7 +117,7 @@ def decode_ordered(
     ``forbid_root`` excludes one label (the binarization dummy, in the parsing
     pipeline) from the root argmax so the result is always de-binarizable.
     """
-    comp = compiled or CompiledRules(chart.labels, grammar, rules)
+    comp = CompiledRules(chart.labels, grammar, rules)
     n = chart.n
     n_labels = len(chart.labels)
     s = chart.scores
@@ -306,28 +306,25 @@ def hamming_costs(n: int, labels: tuple[str, ...], gold: BinaryTree) -> np.ndarr
     return cost
 
 
-def decode_loss_augmented(
-    chart: SpanScoreChart,
-    grammar: Grammar,
-    rules: RuleScoreChart,
-    gold: BinaryTree,
-    compiled: Optional[CompiledRules] = None,
-) -> DecodeResult:
-    """Ordered decoding of max_T [score(T) + hamming(T, gold)]."""
-    aug = SpanScoreChart(
-        sentence=chart.sentence,
-        labels=chart.labels,
-        scores=chart.scores + hamming_costs(chart.n, chart.labels, gold)[:, :, :, None],
-    )
-    return decode_ordered(aug, grammar, rules, compiled=compiled)
+def augmented_chart(chart: SpanScoreChart, gold: BinaryTree) -> SpanScoreChart:
+    """The chart of loss-augmented decoding: every labeled span absent from
+    ``gold`` scores 1 more in both orders, so a decoder's optimum over it is
+    max_T [score(T) + hamming(T, gold)]."""
+    costs = hamming_costs(chart.n, chart.labels, gold)
+    return SpanScoreChart(chart.sentence, chart.labels, chart.scores + costs[:, :, :, None])
 
 
-def nodes_with_orders(btree: BinaryTree, root_order: int = LEFT) -> Iterator[tuple[BinaryTree, int]]:
-    """Every node paired with its order as a child; the root reads as LEFT."""
-    yield btree, root_order
-    if not btree.is_leaf:
-        yield from nodes_with_orders(btree.left, LEFT)
-        yield from nodes_with_orders(btree.right, RIGHT)
+def nodes_with_orders(btree: BinaryTree) -> Iterator[tuple[BinaryTree, int]]:
+    """Every node in preorder, paired with its order as a child; the root
+    reads as LEFT."""
+
+    def walk(node, order):
+        yield node, order
+        if not node.is_leaf:
+            yield from walk(node.left, LEFT)
+            yield from walk(node.right, RIGHT)
+
+    return walk(btree, LEFT)
 
 
 def ordered_tree_score(
@@ -399,7 +396,6 @@ def brute_force_best(
     mode: str,
     grammar: Optional[Grammar] = None,
     rules: Optional[RuleScoreChart] = None,
-    gold: Optional[BinaryTree] = None,
     forbid_root: Optional[str] = None,
 ) -> DecodeResult:
     """Enumerate every bracketing and exhaustively maximize the labeling of
@@ -412,19 +408,14 @@ def brute_force_best(
     n_labels = len(chart.labels)
     if n > 8 or n_labels > 6:
         raise InstanceTooLarge(f"brute force limited to n <= 8, labels <= 6; got {n}, {n_labels}")
-    if mode not in ("ordered", "baseline", "ablation", "loss-augmented"):
+    if mode not in ("ordered", "baseline", "ablation"):
         raise ValueError(f"unknown mode: {mode}")
-    if mode == "loss-augmented" and gold is None:
-        raise ValueError("loss-augmented mode requires a gold tree")
 
     s = chart.scores
-    if mode == "loss-augmented":
-        s = s + hamming_costs(n, chart.labels, gold)[:, :, :, None]
-
     shapes = _shapes(0, n, {})
     labels, sentence = chart.labels, chart.sentence
 
-    if mode in ("ordered", "loss-augmented"):
+    if mode == "ordered":
         comp = CompiledRules(chart.labels, grammar, rules)
         best_score, best_tree = NEG_INF, None
         for shape in shapes:

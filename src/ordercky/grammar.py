@@ -94,9 +94,8 @@ class RuleScoreChart:
         self.floor = float(floor)
 
     @classmethod
-    def init_random(cls, grammar: Grammar, rng: np.random.Generator,
-                    scale: float = 0.01) -> "RuleScoreChart":
-        return cls(grammar, rng.uniform(-scale, scale, size=(len(grammar), 2)))
+    def init_random(cls, grammar: Grammar, rng: np.random.Generator) -> "RuleScoreChart":
+        return cls(grammar, rng.uniform(-0.01, 0.01, size=(len(grammar), 2)))
 
     def score(self, rule: Rule, order: int) -> float:
         idx = self.grammar.rule_index.get(rule)

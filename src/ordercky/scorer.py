@@ -120,9 +120,6 @@ class ScorerModel:
                 params[name] = np.ones(shape) if name.startswith("ln_g") else np.zeros(shape)
         return cls(vocab, tuple(labels), dim, hidden, maxlen, params)
 
-    def num_params(self) -> int:
-        return sum(p.size for p in self.params.values())
-
     def word_ids(self, words: tuple[str, ...]) -> np.ndarray:
         ids = [self.word_index[BOUNDARY]]
         ids.extend(self.word_index.get(w, self._unk) for w in words)
@@ -284,18 +281,6 @@ def _param_shapes(vocab: int, n_labels: int, dim: int, hidden: int, maxlen: int)
     for order in "LR":
         shapes.update((f"{kind}_{order}", shape) for kind, shape in zip(_HEAD_PARAMS, head))
     return shapes
-
-
-def span_vector(fence: np.ndarray, i: int, j: int) -> np.ndarray:
-    """v(i, j) from fencepost vectors: forward half differenced at (j, i),
-    backward half differenced at (i, j)."""
-    n = fence.shape[0] - 1
-    if not (0 <= i < j <= n):
-        raise IndexError(f"span ({i}, {j}) out of range for {n} tokens")
-    half = fence.shape[1] // 2
-    return np.concatenate(
-        [fence[j, :half] - fence[i, :half], fence[i, half:] - fence[j, half:]]
-    )
 
 
 def save_tensors(path: str, tensors: dict[str, np.ndarray], meta: dict) -> None:

@@ -1,8 +1,11 @@
-"""Randomized decoder-vs-brute-force equivalence checking.
+"""Randomized checks of the production decoders against brute force.
 
-Instances are small enough for exhaustive enumeration (n <= 8, few labels) and
-fully determined by one seed, so any failure is reproducible from the replay
-record alone.
+Each trial decodes one random instance with every mode of ``trainer.MODES``
+(the decoders that ``parse`` and ``train`` run), plus the loss-augmented
+decode that training runs (the ordered mode over ``augmented_chart``), and
+compares each best score with exhaustive enumeration.  Instances are small
+enough for that (n <= 8, few labels) and fully determined by one seed, so
+any failure is reproducible from the replay record alone.
 """
 
 from __future__ import annotations
@@ -13,20 +16,14 @@ from typing import Optional
 
 import numpy as np
 
-from .decoder import (
-    DecodeResult,
-    NoDerivation,
-    brute_force_best,
-    decode_ablation,
-    decode_baseline,
-    decode_loss_augmented,
-    decode_ordered,
-)
+from .decoder import CompiledRules, DecodeResult, NoDerivation, augmented_chart, brute_force_best
 from .grammar import Grammar, Rule, RuleScoreChart
 from .scorer import SpanScoreChart
+from .trainer import MODES
 from .trees import BinaryTree
 
-MODES = ("ordered", "baseline", "ablation", "loss-augmented")
+# brute force sums each tree's terms in another order than the chart recursion
+_TOLERANCE = 1e-9
 
 
 @dataclass
@@ -82,28 +79,13 @@ def random_instance(rng: np.random.Generator, max_n: int = 6, max_labels: int = 
     return Instance(chart=chart, grammar=grammar, rules=rules, gold=random_tree(0, n))
 
 
-def run_mode(inst: Instance, mode: str) -> tuple[Optional[DecodeResult], Optional[DecodeResult]]:
-    """(decoder result, brute-force result); None means no derivation."""
+def _best(decode) -> Optional[DecodeResult]:
+    """``decode()``'s result; None for no derivation, raised or returned."""
     try:
-        if mode == "ordered":
-            got = decode_ordered(inst.chart, inst.grammar, inst.rules)
-        elif mode == "baseline":
-            got = decode_baseline(inst.chart.collapsed(), inst.chart.sentence, inst.chart.labels)
-        elif mode == "ablation":
-            got = decode_ablation(inst.chart)
-        elif mode == "loss-augmented":
-            got = decode_loss_augmented(inst.chart, inst.grammar, inst.rules, inst.gold)
-        else:
-            raise ValueError(mode)
+        result = decode()
     except NoDerivation:
-        got = None
-    try:
-        want = brute_force_best(
-            inst.chart, mode, grammar=inst.grammar, rules=inst.rules, gold=inst.gold
-        )
-    except NoDerivation:
-        want = None
-    return got, want
+        return None
+    return None if isinstance(result, NoDerivation) else result
 
 
 @dataclass
@@ -117,20 +99,19 @@ class CheckReport:
         return not self.failures
 
 
-def oracle_check(
-    seed: int,
-    trials: int = 200,
-    max_n: int = 6,
-    max_labels: int = 4,
-    tolerance: float = 1e-9,
-) -> CheckReport:
+def oracle_check(seed: int, trials: int = 200, max_n: int = 6, max_labels: int = 4) -> CheckReport:
     rng = np.random.default_rng(seed)
     failures: list[dict] = []
     checks = 0
     for trial in range(trials):
         inst = random_instance(rng, max_n=max_n, max_labels=max_labels)
-        for mode in MODES:
-            got, want = run_mode(inst, mode)
+        compiled = CompiledRules(inst.chart.labels, inst.grammar, inst.rules)
+        # (name, mode, chart): every mode, then the loss-augmented decode of training
+        cases = [(mode, mode, inst.chart) for mode in MODES]
+        cases.append(("loss-augmented", "ordered", augmented_chart(inst.chart, inst.gold)))
+        for name, mode, chart in cases:
+            got = _best(lambda: MODES[mode].decode([chart], compiled)[0])
+            want = _best(lambda: brute_force_best(chart, mode, grammar=inst.grammar, rules=inst.rules))
             checks += 1
             if (got is None) != (want is None):
                 gap = float("inf")
@@ -138,11 +119,11 @@ def oracle_check(
                 gap = 0.0
             else:
                 gap = abs(got.score - want.score)
-            if gap > tolerance:
+            if gap > _TOLERANCE:
                 failures.append(
                     {
                         "trial": trial,
-                        "mode": mode,
+                        "mode": name,
                         "decoder_score": None if got is None else got.score,
                         "oracle_score": None if want is None else want.score,
                         "gap": gap,

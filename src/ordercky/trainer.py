@@ -26,13 +26,13 @@ from .decoder import (
     DecodeResult,
     NoDerivation,
     NonFiniteChart,
+    augmented_chart,
     baseline_tree_score,
     decode_ablation,
     decode_baseline,
     decode_charts_batched,
     decode_each,
     fallback_tree,
-    hamming_costs,
     nodes_with_orders,
     ordered_tree_score,
 )
@@ -127,12 +127,15 @@ class TrainConfig:
         if self.mode not in MODES:
             raise ValueError(_unknown_mode(self.mode))
         if not (0.0 < self.decay_factor < 1.0):
-            raise ValueError("decay factor must lie in (0, 1)")
+            raise ValueError("decay_factor must lie in (0, 1)")
         for name in ("batch_size", "learning_rate", "max_decay", "decay_patience", "dim", "hidden"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.epochs < 0:
-            raise ValueError("epochs must be non-negative")
+        for name in ("epochs", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative")
+        if self.maxlen < 2:  # a sentence has at least one token and fewer than maxlen
+            raise ValueError("maxlen must be at least 2")
 
 
 @dataclass
@@ -191,9 +194,7 @@ def sentence_gradients(
     if spec.rules:
         check_gold_rules(sent.btree, grammar)
     chart, cache = model.forward(tuple(zip(sent.words, sent.pos)), orders=spec.heads)
-    costs = hamming_costs(chart.n, chart.labels, sent.btree)
-    aug = SpanScoreChart(chart.sentence, chart.labels, chart.scores + costs[:, :, :, None])
-    augmented = spec.decode([aug], compiled)[0]
+    augmented = spec.decode([augmented_chart(chart, sent.btree)], compiled)[0]
     if isinstance(augmented, NoDerivation):
         raise augmented
     loss = max(augmented.score - spec.gold_score(sent.btree, chart, rules), 0.0)
@@ -213,8 +214,7 @@ def sentence_gradients(
     return loss, model.backward(cache, out_grad), rule_grad
 
 
-def step(batch: list[Sentence], state: TrainState,
-         compiled: Optional[CompiledRules] = None) -> tuple[float, int]:
+def step(batch: list[Sentence], state: TrainState) -> tuple[float, int]:
     """One mini-batch subgradient step; returns the mean loss over the
     sentences it scored (NaN when it scored none) and the number it skipped,
     or (NaN, 0) without an update when a chart is not finite.  The update is
@@ -222,7 +222,7 @@ def step(batch: list[Sentence], state: TrainState,
     with the rule term."""
     if not batch:
         raise ValueError("empty batch")
-    comp = compiled or CompiledRules(state.model.labels, state.grammar, state.rules)
+    comp = CompiledRules(state.model.labels, state.grammar, state.rules)
     grad_sum: Optional[dict[str, np.ndarray]] = None
     rule_sum: Optional[np.ndarray] = None
     total_loss = 0.0
@@ -328,8 +328,7 @@ def fit(
             losses = []
             for lo in range(0, len(order), config.batch_size):
                 batch = [sentences[i] for i in order[lo : lo + config.batch_size]]
-                compiled = CompiledRules(state.model.labels, state.grammar, state.rules)
-                loss, skipped = step(batch, state, compiled=compiled)
+                loss, skipped = step(batch, state)
                 if skipped < len(batch):
                     losses.append(loss)
             if not losses:

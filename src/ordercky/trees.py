@@ -1,4 +1,4 @@
-"""Bracketed constituency trees: reading, binarization, spans, Hamming distance.
+"""Bracketed constituency trees: reading, binarization, spans.
 
 Label conventions shared by the whole toolkit:
 
@@ -362,33 +362,6 @@ def decoded_spans(btree: BinaryTree) -> set[LabeledSpan]:
     return {LabeledSpan(n.start, n.end, n.label) for n in btree.nodes()}
 
 
-def hamming(pred: BinaryTree, gold: BinaryTree) -> int:
-    """Number of predicted labeled spans (DUMMY included) absent from gold.
-
-    This is the decomposable asymmetric count used by loss-augmented decoding:
-    each decoded span contributes exactly 0 or 1.
-    """
-    if (pred.start, pred.end) != (gold.start, gold.end):
-        raise LengthMismatch(
-            f"trees cover different spans: {(pred.start, pred.end)} vs {(gold.start, gold.end)}"
-        )
-    gold_set = decoded_spans(gold)
-    return sum(1 for s in decoded_spans(pred) if s not in gold_set)
-
-
-def check_partition(btree: BinaryTree) -> None:
-    """Assert that every internal node's children split its span at i < k < j."""
-    for node in btree.nodes():
-        if node.is_leaf:
-            if node.end != node.start + 1:
-                raise ValueError(f"leaf span ({node.start}, {node.end}) is not width 1")
-            continue
-        i, j = node.start, node.end
-        k = node.left.end
-        if not (node.left.start == i and node.right.end == j and i < k < j and node.right.start == k):
-            raise ValueError(f"children do not partition span ({i}, {j}) at {k}")
-
-
 def _unwrap_root(tree: Node) -> Node:
     if (
         isinstance(tree, InternalNode)
@@ -411,7 +384,7 @@ def _check_labels(node: Node, idx: int) -> None:
         _check_labels(child, idx)
 
 
-def read_trees(text: str, strip_decorations: bool = True) -> list[Node]:
+def read_trees(text: str) -> list[Node]:
     """All trees in a treebank string, with root wrappers unwrapped and
     function tags stripped."""
     out = []
@@ -419,16 +392,15 @@ def read_trees(text: str, strip_decorations: bool = True) -> list[Node]:
         tree = _unwrap_root(tree)
         if isinstance(tree, LeafNode):
             raise ValueError(f"tree {idx} is a bare part-of-speech leaf")
-        if strip_decorations:
-            tree = _strip_tree(tree)
+        tree = _strip_tree(tree)
         _check_labels(tree, idx)
         out.append(tree)
     return out
 
 
-def load_trees(path: str, strip_decorations: bool = True) -> list[Node]:
+def load_trees(path: str) -> list[Node]:
     with open(path, encoding="utf-8") as fh:
-        return read_trees(fh.read(), strip_decorations=strip_decorations)
+        return read_trees(fh.read())
 
 
 @dataclass(frozen=True)

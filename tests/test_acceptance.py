@@ -67,7 +67,7 @@ def skew_model(tmp_path_factory):
 
 def test_oracle_equivalence():
     start = time.monotonic()
-    result = oracle_check(seed=20250810, trials=200, max_n=6, max_labels=4, tolerance=1e-9)
+    result = oracle_check(seed=20250810, trials=200, max_n=6, max_labels=4)
     elapsed = time.monotonic() - start
     report(
         "oracle equivalence",
@@ -113,7 +113,7 @@ def test_gradient_fidelity():
         ("alpha", "beta", "gamma", "delta"), ("A", "B", "C", "D"), rng,
         dim=8, hidden=8, maxlen=8,
     )
-    assert model.num_params() <= 2000
+    assert sum(p.size for p in model.params.values()) <= 2000
     sentence = tuple((w, "T") for w in ("alpha", "beta", "gamma"))
     chart, cache = model.forward(sentence)
     out_rng = np.random.default_rng(99)
@@ -203,8 +203,8 @@ def test_ablation_ordering(skew_runs):
 
 
 def test_evalb_agreement():
-    pred = load_trees(data_path("golden_pred.txt"), strip_decorations=False)
-    gold = load_trees(data_path("golden_gold.txt"), strip_decorations=False)
+    pred = load_trees(data_path("golden_pred.txt"))
+    gold = load_trees(data_path("golden_gold.txt"))
     result = score_trees(pred, gold)
     ok = (
         abs(result.precision - 76.27) <= 0.01

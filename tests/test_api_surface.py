@@ -1,0 +1,55 @@
+"""The package keeps no API that only tests use.
+
+Every public top-level function or class, and every public method, defined
+in ``src/ordercky/`` must be referenced from ``src/ordercky/`` or
+``perfbench/`` outside its own definition.  A name, an attribute or an
+exact string constant counts as a reference; an import alone does not.
+"""
+
+import ast
+from collections import defaultdict
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "ordercky"
+PROGRAM_DIRS = (PACKAGE, ROOT / "perfbench")
+
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def public_definitions(tree):
+    """(name, node) of every public top-level def or class and public method."""
+    for node in tree.body:
+        if isinstance(node, DEFS) and not node.name.startswith("_"):
+            yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                for member in node.body:
+                    if isinstance(member, DEFS) and not member.name.startswith("_"):
+                        yield member.name, member
+
+
+def references(tree):
+    """(name, line) of every name, attribute and string constant."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value, node.lineno
+
+
+def test_every_public_name_has_a_program_caller():
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"), str(path))
+             for folder in PROGRAM_DIRS for path in sorted(folder.glob("*.py"))}
+    refs = defaultdict(list)  # name -> [(path, line)]
+    for path, tree in trees.items():
+        for name, line in references(tree):
+            refs[name].append((path, line))
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name, node in public_definitions(trees[path]):
+            own = range(node.lineno, node.end_lineno + 1)
+            if not any(where != path or line not in own for where, line in refs[name]):
+                unused.append(f"{path.name}:{node.lineno} {name}")
+    assert not unused, "defined but referenced by no program code: " + ", ".join(unused)

@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import json
 import subprocess
 import sys
@@ -225,16 +226,18 @@ class TestOracleCheckCommand:
         assert "pass" in captured.out
 
     def test_corrupted_decoder_fails_with_replay(self, tmp_path, monkeypatch, capsys):
-        import ordercky.selfcheck as selfcheck
+        # the production decoder that parse and train run, through the mode table
+        import ordercky.trainer as trainer
 
-        real = selfcheck.decode_ordered
+        real = trainer.decode_charts_batched
 
-        def corrupted(chart, grammar, rules, **kwargs):
-            result = real(chart, grammar, rules, **kwargs)
-            result.score += 1.0
-            return result
+        def corrupted(charts, compiled, **kwargs):
+            results = real(charts, compiled, **kwargs)
+            for result in results:
+                result.score += 1.0
+            return results
 
-        monkeypatch.setattr(selfcheck, "decode_ordered", corrupted)
+        monkeypatch.setattr(trainer, "decode_charts_batched", corrupted)
         replay = tmp_path / "replay.json"
         rc = cli.main(
             ["oracle-check", "--trials", "3", "--seed", "0", "--replay", str(replay)]
@@ -334,6 +337,18 @@ def test_bench_sentence_exceeding_maxlen_exits_one(tmp_path, toy_treebank, capsy
     assert "maxlen" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where", ["train", "dev"])
+def test_train_rejects_a_too_long_sentence_before_epoch_0(tmp_path, toy_treebank, where, capsys):
+    short = tmp_path / "short.txt"
+    short.write_text("(S (NP (DT the) (NN cat)) (VP (VB runs)))\n", encoding="utf-8")
+    train, dev = (toy_treebank, str(short)) if where == "train" else (str(short), toy_treebank)
+    out = tmp_path / "m.npz"
+    assert cli.main(["train", "--train", train, "--dev", dev, "--out", str(out),
+                     "--maxlen", "4", "--dim", "8", "--hidden", "8"]) == 1
+    assert capsys.readouterr() == ("", f"error: {toy_treebank}: tree 0: sentence length 5 >= maxlen 4\n")
+    assert not out.exists()
+
+
 def test_config_unknown_key_rejected(tmp_path, toy_treebank, capsys):
     config = tmp_path / "bad.cfg"
     config.write_text("epocks = 5\n", encoding="utf-8")
@@ -390,14 +405,23 @@ def test_mode_choices_come_from_the_mode_table():
     assert list(choices["bench"]) == [*MODES, "all"]
 
 
-@pytest.mark.parametrize("line", ["_NN a_DT", "the_DT a_"])
-def test_parse_rejects_empty_word_or_pos(tmp_path, toy_model, line, capsys):
+@pytest.mark.parametrize("line, cause", [
+    ("_NN a_DT", "token '_NN' is not word_POS"),
+    ("the_DT a_", "token 'a_' is not word_POS"),
+    (" ".join(["the_DT"] * 70), "sentence length 70 >= maxlen 64"),
+], ids=["_NN a_DT", "the_DT a_", "70 tokens"])
+def test_parse_rejects_empty_word_or_pos(tmp_path, toy_model, line, cause, monkeypatch, capsys):
+    text = f"the_DT cat_NN\n{line}\n"
     sents = tmp_path / "sents.txt"
-    sents.write_text(f"the_DT cat_NN\n{line}\n", encoding="utf-8")
-    assert cli.main(["parse", "--model", toy_model, str(sents)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "line 2" in captured.err
+    sents.write_text(text, encoding="utf-8")
+    # every line is checked before any sentence is decoded, fallback or not
+    monkeypatch.setattr(cli, "_decode_all", lambda *args: pytest.fail("decoded"))
+    for fallback in ([], ["--fallback-right-branching"]):
+        assert cli.main(["parse", "--model", toy_model, str(sents), *fallback]) == 1
+        assert capsys.readouterr() == ("", f"error: {sents}:2: {cause}\n")
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        assert cli.main(["parse", "--model", toy_model, *fallback]) == 1
+        assert capsys.readouterr() == ("", f"error: <stdin>:2: {cause}\n")
 
 
 def _rewrite_checkpoint(src, dst, edit_tensors=None, edit_meta=None):
@@ -463,17 +487,34 @@ def test_parse_non_finite_chart_falls_back_or_names_the_sentence(
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # numpy's overflow warnings stay silent
         assert cli.main(argv + ["--fallback-right-branching"]) == 0
-        lines = capsys.readouterr().out.splitlines()
+        fallen = capsys.readouterr()
         assert cli.main(argv) == 1
-    # the right-branching fallback, debinarized flat
+    # the right-branching fallback, debinarized flat, and one line counting the causes
+    lines = fallen.out.splitlines()
     assert len(lines) == 4 and all(line.endswith("\tnan") for line in lines)
     assert lines[0] == "(NP (DT the) (NN cat) (VB sees) (DT a) (NN dog))\tnan"
+    assert fallen.err == "warning: 4 fallbacks: 0 no derivation, 4 non-finite\n"
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
         "error: sentence 'the cat sees a dog': the chart scores are not finite (n=5); "
         "use --fallback-right-branching to emit a flat tree\n"
     )
+    # a parse that falls back on nothing says nothing
+    assert cli.main(["parse", "--model", toy_model, "--mode", mode, sents,
+                     "--fallback-right-branching"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_parse_counts_fallbacks_that_find_no_derivation(tmp_path, toy_model, capsys):
+    # no tree of the toy grammar (S -> NP VP, NP -> ∅ ∅, VP -> ∅ NP) spans six tokens
+    sents = tmp_path / "odd.txt"
+    sents.write_text("the_DT cat_NN runs_VB\nthe_DT cat_NN sees_VB a_DT big_JJ dog_NN\n",
+                     encoding="utf-8")
+    assert cli.main(["parse", "--model", toy_model, str(sents), "--fallback-right-branching"]) == 0
+    captured = capsys.readouterr()
+    assert len(captured.out.splitlines()) == 2
+    assert captured.err == "warning: 1 fallbacks: 1 no derivation, 0 non-finite\n"
 
 
 TRAIN_OWN_OPTIONS = {"help", "train_path", "dev_path", "out", "config", "quiet"}
@@ -530,6 +571,23 @@ def test_every_train_config_field_is_a_flag_and_a_config_key(tmp_path, toy_treeb
         argv += ["--config", str(config)]
     assert cli.main(argv) == 0
     assert fit_configs == [TrainConfig(**settings)]
+
+
+@pytest.mark.parametrize("flags, config, message", [
+    (["--maxlen", "-3"], None, "maxlen must be at least 2"),
+    (["--seed", "-1"], None, "seed must be non-negative"),
+    ([], "epochs = ten", "{config}: epochs: invalid literal for int() with base 10: 'ten'"),
+], ids=["maxlen", "seed", "config-value"])
+def test_train_setting_errors_name_the_setting(tmp_path, toy_treebank, fit_configs, flags, config,
+                                               message, capsys):
+    argv = ["train", "--train", toy_treebank, "--out", str(tmp_path / "m.npz"), *flags]
+    path = tmp_path / "train.cfg"
+    if config:
+        path.write_text(config + "\n", encoding="utf-8")
+        argv += ["--config", str(path)]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message.format(config=path)}\n"
+    assert not fit_configs
 
 
 @pytest.mark.parametrize("key", sorted(TRAIN_OWN_OPTIONS - {"help"}))

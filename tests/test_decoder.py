@@ -8,13 +8,13 @@ from ordercky.decoder import (
     InstanceTooLarge,
     NoDerivation,
     NonFiniteChart,
+    augmented_chart,
     baseline_tree_score,
     brute_force_best,
     decode_ablation,
     decode_baseline,
     decode_charts_batched,
     decode_each,
-    decode_loss_augmented,
     decode_ordered,
     nodes_with_orders,
     ordered_tree_score,
@@ -22,7 +22,7 @@ from ordercky.decoder import (
 from ordercky.grammar import LEFT, RIGHT, Grammar, Rule, RuleScoreChart
 from ordercky.scorer import SpanScoreChart
 from ordercky.selfcheck import oracle_check, random_instance
-from ordercky.trees import BinaryTree, check_partition, hamming
+from ordercky.trees import BinaryTree, decoded_spans
 
 
 def make_chart(n, labels, scores):
@@ -40,6 +40,22 @@ def full_grammar(labels):
 
 def zero_rules(grammar):
     return RuleScoreChart(grammar, np.zeros((len(grammar), 2)))
+
+
+def hamming(pred, gold):
+    """Labeled spans of ``pred`` (dummy nodes included) absent from ``gold``:
+    the loss that loss-augmented decoding adds, counted on the trees."""
+    return len(decoded_spans(pred) - decoded_spans(gold))
+
+
+def assert_partition(btree):
+    """Leaves have width 1 and every internal node's children split its span
+    at some i < k < j."""
+    for node in btree.nodes():
+        if node.is_leaf:
+            assert node.end == node.start + 1
+        else:
+            assert node.start == node.left.start < node.left.end == node.right.start < node.end == node.right.end
 
 
 class TestOrderedHandExamples:
@@ -178,7 +194,7 @@ class TestLossAugmented:
         grammar = Grammar([Rule("A", "B", "B"), Rule("B", "B", "B")])
         rules = zero_rules(grammar)
         chart = make_chart(2, labels, np.zeros((3, 3, 2, 2)))
-        result = decode_loss_augmented(chart, grammar, rules, gold)
+        result = decode_ordered(augmented_chart(chart, gold), grammar, rules)
         # gold has augmented score 0; any other labeling picks up its hamming count
         assert result.score >= 0.0
         assert result.score == pytest.approx(
@@ -189,11 +205,20 @@ class TestLossAugmented:
     def test_matches_brute_force_seed_9(self):
         rng = np.random.default_rng(9)
         inst = random_instance(rng, max_n=4, max_labels=3)
-        got = decode_loss_augmented(inst.chart, inst.grammar, inst.rules, inst.gold)
-        want = brute_force_best(
+        got = decode_ordered(augmented_chart(inst.chart, inst.gold), inst.grammar, inst.rules)
+        want = full_enumeration_best(
             inst.chart, "loss-augmented", grammar=inst.grammar, rules=inst.rules, gold=inst.gold
         )
-        assert got.score == pytest.approx(want.score, abs=1e-9)
+        assert got.score == pytest.approx(want, abs=1e-9)
+
+    def test_chart_adds_one_off_gold_in_both_orders(self):
+        rng = np.random.default_rng(4)
+        inst = random_instance(rng, max_n=4, max_labels=3)
+        aug = augmented_chart(inst.chart, inst.gold)
+        assert (aug.sentence, aug.labels) == (inst.chart.sentence, inst.chart.labels)
+        gold = {(s.start, s.end, inst.chart.labels.index(s.label)) for s in decoded_spans(inst.gold)}
+        for cell in np.ndindex(aug.scores.shape[:3]):
+            assert np.array_equal(aug.scores[cell], inst.chart.scores[cell] + (cell not in gold))
 
     def test_dominates_gold_plain_score(self):
         rng = np.random.default_rng(17)
@@ -204,7 +229,7 @@ class TestLossAugmented:
                 for n, _ in nodes_with_orders(inst.gold) if not n.is_leaf
             ):
                 continue
-            aug = decode_loss_augmented(inst.chart, inst.grammar, inst.rules, inst.gold)
+            aug = decode_ordered(augmented_chart(inst.chart, inst.gold), inst.grammar, inst.rules)
             gold_plain = ordered_tree_score(inst.gold, inst.chart, inst.rules)
             assert aug.score >= gold_plain - 1e-9
 
@@ -259,10 +284,12 @@ def test_oracle_agrees_with_full_enumeration(mode, seed):
     want = full_enumeration_best(
         inst.chart, mode, grammar=inst.grammar, rules=inst.rules, gold=inst.gold
     )
+    # loss-augmented decoding is the ordered objective over the augmented chart
+    chart, oracle_mode = inst.chart, mode
+    if mode == "loss-augmented":
+        chart, oracle_mode = augmented_chart(inst.chart, inst.gold), "ordered"
     try:
-        got = brute_force_best(
-            inst.chart, mode, grammar=inst.grammar, rules=inst.rules, gold=inst.gold
-        ).score
+        got = brute_force_best(chart, oracle_mode, grammar=inst.grammar, rules=inst.rules).score
     except NoDerivation:
         got = None
     if want is None:
@@ -283,14 +310,14 @@ def test_score_recomputation_all_modes():
         inst = random_instance(rng, max_n=6, max_labels=4)
         try:
             res = decode_ordered(inst.chart, inst.grammar, inst.rules)
-            check_partition(res.tree)
+            assert_partition(res.tree)
             assert res.score == pytest.approx(
                 ordered_tree_score(res.tree, inst.chart, inst.rules), abs=1e-9
             )
         except NoDerivation:
             pass
         abl = decode_ablation(inst.chart)
-        check_partition(abl.tree)
+        assert_partition(abl.tree)
         assert abl.score == pytest.approx(
             ordered_tree_score(abl.tree, inst.chart, rules=None), abs=1e-9
         )
@@ -299,7 +326,7 @@ def test_score_recomputation_all_modes():
             baseline_tree_score(base.tree, inst.chart.collapsed(), inst.chart.labels), abs=1e-9
         )
         try:
-            aug = decode_loss_augmented(inst.chart, inst.grammar, inst.rules, inst.gold)
+            aug = decode_ordered(augmented_chart(inst.chart, inst.gold), inst.grammar, inst.rules)
             assert aug.score == pytest.approx(
                 ordered_tree_score(aug.tree, inst.chart, inst.rules)
                 + hamming(aug.tree, inst.gold),
@@ -412,7 +439,7 @@ def test_brute_force_single_token_all_modes():
     assert brute_force_best(chart, "ordered", grammar=grammar, rules=rules).score == s[0, 1, :, LEFT].max()
     assert brute_force_best(chart, "baseline").score == s[0, 1, :, LEFT].max()
     assert brute_force_best(chart, "ablation").score == s[0, 1, :, LEFT].max()
-    aug = brute_force_best(chart, "loss-augmented", grammar=grammar, rules=rules, gold=gold)
+    aug = brute_force_best(augmented_chart(chart, gold), "ordered", grammar=grammar, rules=rules)
     assert aug.score == (s[0, 1, :, LEFT] + (np.arange(3) != 1)).max()
 
 
@@ -547,7 +574,7 @@ def assert_batched_equals_scalar(charts, grammar, rules, forbid_root=None):
     assert len(results) == len(charts)
     for chart, got in zip(charts, results):
         try:
-            want = decode_ordered(chart, grammar, rules, compiled=compiled, forbid_root=forbid_root)
+            want = decode_ordered(chart, grammar, rules, forbid_root=forbid_root)
         except NoDerivation:
             assert isinstance(got, NoDerivation), chart.n
             continue

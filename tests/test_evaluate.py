@@ -7,7 +7,7 @@ from ordercky.trees import InternalNode, LeafNode, LengthMismatch, load_trees, r
 
 
 def trees(text):
-    return read_trees(text, strip_decorations=False)
+    return read_trees(text)
 
 
 def fixture_path(name):
@@ -112,15 +112,15 @@ GOLDEN_ROWS = [
 
 class TestGoldenFixture:
     def test_golden_counts_per_sentence(self):
-        pred = load_trees(fixture_path("golden_pred.txt"), strip_decorations=False)
-        gold = load_trees(fixture_path("golden_gold.txt"), strip_decorations=False)
+        pred = load_trees(fixture_path("golden_pred.txt"))
+        gold = load_trees(fixture_path("golden_gold.txt"))
         assert len(pred) == len(gold) == 20
         for idx, (p, g) in enumerate(zip(pred, gold)):
             assert bracket_counts(p, g) == GOLDEN_ROWS[idx], f"sentence {idx}"
 
     def test_golden_counts_against_independent_walk(self):
-        pred = load_trees(fixture_path("golden_pred.txt"), strip_decorations=False)
-        gold = load_trees(fixture_path("golden_gold.txt"), strip_decorations=False)
+        pred = load_trees(fixture_path("golden_pred.txt"))
+        gold = load_trees(fixture_path("golden_gold.txt"))
         from collections import Counter
 
         for idx, (p, g) in enumerate(zip(pred, gold)):
@@ -130,8 +130,8 @@ class TestGoldenFixture:
             assert (matched, sum(pb.values()), sum(gb.values())) == GOLDEN_ROWS[idx]
 
     def test_golden_totals(self):
-        pred = load_trees(fixture_path("golden_pred.txt"), strip_decorations=False)
-        gold = load_trees(fixture_path("golden_gold.txt"), strip_decorations=False)
+        pred = load_trees(fixture_path("golden_pred.txt"))
+        gold = load_trees(fixture_path("golden_gold.txt"))
         report = score_trees(pred, gold)
         assert (report.matched, report.predicted, report.gold) == (45, 59, 66)
         assert report.precision == pytest.approx(76.27, abs=0.01)

@@ -8,7 +8,6 @@ from ordercky.scorer import (
     SentenceTooLong,
     load_tensors,
     span_index_arrays,
-    span_vector,
 )
 
 WORDS = ("alpha", "beta", "gamma", "delta")
@@ -54,29 +53,34 @@ class TestEncode:
 
 
 class TestSpanVector:
+    """The span vectors ``forward`` keeps in its cache, one row per span
+    (cache.i_idx[r], cache.j_idx[r])."""
+
     def test_minimal_span_shape(self):
         model = tiny_model()
-        fence = fence_of(model, "alpha", "beta")
-        assert span_vector(fence, 0, 1).shape == (model.dim,)
+        cache = model.forward(sent("alpha"))[1]
+        assert cache.span_vecs.shape == (1, model.dim)
 
     def test_full_sentence_span_uses_boundaries(self):
         model = tiny_model()
-        fence = fence_of(model, "alpha", "beta", "gamma")
-        half = model.dim // 2
-        v = span_vector(fence, 0, 3)
-        assert np.allclose(v[:half], fence[3, :half] - fence[0, :half])
-        assert np.allclose(v[half:], fence[0, half:] - fence[3, half:])
+        cache = model.forward(sent("alpha", "beta", "gamma"))[1]
+        fence, half = cache.fence, model.dim // 2
+        for v, i, j in zip(cache.span_vecs, cache.i_idx, cache.j_idx):
+            assert np.array_equal(v[:half], fence[j, :half] - fence[i, :half])
+            assert np.array_equal(v[half:], fence[i, half:] - fence[j, half:])
 
     def test_zero_fenceposts_give_zero_vector(self):
-        fence = np.zeros((4, 8))
-        assert np.array_equal(span_vector(fence, 1, 3), np.zeros(8))
+        model = tiny_model()
+        model.params["mix_w"][...] = 0.0
+        model.params["mix_b"][...] = 0.0
+        cache = model.forward(sent("alpha", "beta", "gamma"))[1]
+        assert not cache.fence.any() and not cache.span_vecs.any()
 
-    def test_out_of_range(self):
-        fence = np.zeros((3, 8))
-        with pytest.raises(IndexError):
-            span_vector(fence, 1, 3)
-        with pytest.raises(IndexError):
-            span_vector(fence, 2, 2)
+    def test_rows_are_exactly_the_spans(self):
+        cache = tiny_model().forward(sent("alpha", "beta", "gamma"))[1]
+        spans = list(zip(cache.i_idx.tolist(), cache.j_idx.tolist()))
+        assert spans == [(i, j) for i in range(3) for j in range(i + 1, 4)]
+        assert len(cache.span_vecs) == len(spans)
 
 
 class TestScoreSpans:
@@ -173,7 +177,7 @@ class TestBackward:
         i_idx, j_idx = span_index_arrays(3)
         out_grad[i_idx, j_idx] = rng.normal(size=(len(i_idx), 4, 2))
         grads = model.backward(cache, out_grad)
-        assert model.num_params() <= 2000
+        assert sum(p.size for p in model.params.values()) <= 2000
         for name in model.params:
             fd = finite_difference(model, sentence, out_grad, name)
             assert max_rel_error(grads[name], fd) <= 1e-4, name

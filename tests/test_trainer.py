@@ -5,13 +5,13 @@ from ordercky import trainer
 from ordercky.decoder import (
     CompiledRules,
     NoDerivation,
-    decode_loss_augmented,
+    augmented_chart,
+    decode_ordered,
     fallback_tree,
-    hamming_costs,
     ordered_tree_score,
 )
 from ordercky.grammar import Rule, RuleScoreChart, extract_grammar
-from ordercky.scorer import ScorerModel, SpanScoreChart
+from ordercky.scorer import ScorerModel
 from ordercky.trainer import (
     MODES,
     GoldRuleMissing,
@@ -63,10 +63,9 @@ def augmented_and_gold(state, sent):
     """The Hamming-augmented decode and the gold score, through the mode table."""
     spec = MODES[state.mode]
     chart, _ = state.model.forward(tuple(zip(sent.words, sent.pos)), orders=spec.heads)
-    costs = hamming_costs(chart.n, chart.labels, sent.btree)
-    aug = SpanScoreChart(chart.sentence, chart.labels, chart.scores + costs[:, :, :, None])
     compiled = CompiledRules(state.model.labels, state.grammar, state.rules)
-    return spec.decode([aug], compiled)[0], spec.gold_score(sent.btree, chart, state.rules)
+    augmented = spec.decode([augmented_chart(chart, sent.btree)], compiled)[0]
+    return augmented, spec.gold_score(sent.btree, chart, state.rules)
 
 
 class TestHingeLoss:
@@ -86,8 +85,7 @@ class TestHingeLoss:
         from ordercky.decoder import brute_force_best
 
         want = brute_force_best(
-            chart, "loss-augmented",
-            grammar=state.grammar, rules=state.rules, gold=sent.btree,
+            augmented_chart(chart, sent.btree), "ordered", grammar=state.grammar, rules=state.rules
         )
         assert loss == pytest.approx(
             max(want.score - ordered_tree_score(sent.btree, chart, state.rules), 0.0),
@@ -258,11 +256,10 @@ class TestCheckpoint:
             assert np.array_equal(model.params[name], value)
 
 
-def hinge_objective(state, sent, compiled):
+def hinge_objective(state, sent):
     pair = tuple(zip(sent.words, sent.pos))
     chart, _ = state.model.forward(pair)
-    augmented = decode_loss_augmented(chart, state.grammar, state.rules, sent.btree,
-                                      compiled=compiled)
+    augmented = decode_ordered(augmented_chart(chart, sent.btree), state.grammar, state.rules)
     gold = ordered_tree_score(sent.btree, chart, state.rules)
     return max(augmented.score - gold, 0.0), augmented.tree
 
@@ -277,7 +274,7 @@ def test_hinge_subgradient_matches_finite_differences():
     assert loss > 0.0
     step_size = 1e-5
     checked = skipped = 0
-    _, center_tree = hinge_objective(state, sent, compiled)
+    _, center_tree = hinge_objective(state, sent)
 
     def fd_for(array, analytic):
         nonlocal checked, skipped
@@ -288,11 +285,9 @@ def test_hinge_subgradient_matches_finite_differences():
         for k in idx:
             orig = flat[k]
             flat[k] = orig + step_size
-            comp = CompiledRules(state.model.labels, state.grammar, state.rules)
-            up, up_tree = hinge_objective(state, sent, comp)
+            up, up_tree = hinge_objective(state, sent)
             flat[k] = orig - step_size
-            comp = CompiledRules(state.model.labels, state.grammar, state.rules)
-            down, down_tree = hinge_objective(state, sent, comp)
+            down, down_tree = hinge_objective(state, sent)
             flat[k] = orig
             if up_tree != center_tree or down_tree != center_tree or min(up, down) <= 0:
                 skipped += 1  # argmax not locally stable at this coordinate

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ordercky.decoder import hamming_costs
 from ordercky.trees import (
     DUMMY,
     BinaryTree,
@@ -9,20 +10,36 @@ from ordercky.trees import (
     InternalNode,
     LabeledSpan,
     LeafNode,
-    LengthMismatch,
     TrailingInput,
     Treebank,
     UnbalancedBrackets,
     UnknownDummyPlacement,
     binarize,
     iter_leaves,
-    check_partition,
     debinarize,
-    hamming,
+    decoded_spans,
     parse_bracketed,
     read_trees,
     spans_of,
 )
+
+
+def assert_partition(btree):
+    """Leaves have width 1 and every internal node's children split its span
+    at some i < k < j."""
+    for node in btree.nodes():
+        if node.is_leaf:
+            assert node.end == node.start + 1
+        else:
+            assert node.start == node.left.start < node.left.end == node.right.start < node.end == node.right.end
+
+
+def hamming(pred, gold):
+    """What loss-augmented decoding adds for ``pred``: ``hamming_costs``
+    summed over its decoded spans."""
+    labels = tuple(sorted({s.label for s in decoded_spans(pred) | decoded_spans(gold)}))
+    costs = hamming_costs(gold.end, labels, gold)
+    return sum(costs[s.start, s.end, labels.index(s.label)] for s in decoded_spans(pred))
 
 
 def leaf(word, pos="T"):
@@ -114,7 +131,7 @@ class TestBinarize:
 
     def test_partition_checked(self):
         tree = node("S", *[leaf(w) for w in "abcdef"])
-        check_partition(binarize(tree))
+        assert_partition(binarize(tree))
 
 
 class TestDebinarize:
@@ -176,12 +193,6 @@ class TestHamming:
         )
         assert hamming(pred, gold) == 2
 
-    def test_length_mismatch(self):
-        a = binarize(node("S", leaf("a"), leaf("b")))
-        b = binarize(node("S", leaf("a"), leaf("b"), leaf("c")))
-        with pytest.raises(LengthMismatch):
-            hamming(a, b)
-
     def test_bounded_by_node_count(self):
         gold = binarize(node("S", node("X", leaf("a"), leaf("b")), leaf("c")))
         pred = binarize(node("Q", node("R", leaf("a"), leaf("c")), leaf("b")))
@@ -211,7 +222,7 @@ def random_tree(draw, max_depth=4):
 @settings(max_examples=200, deadline=None)
 def test_binarize_round_trip(tree):
     bt = binarize(tree)
-    check_partition(bt)
+    assert_partition(bt)
     assert debinarize(bt) == tree
 
 
