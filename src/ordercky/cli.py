@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import statistics
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -144,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--replay", default="oracle_replay.json",
                           help="where to record the first failing instance")
 
-    p_bench = sub.add_parser("bench", help="decoding throughput per mode")
+    p_bench = sub.add_parser("bench", help="decoding throughput per mode, from the median repetition")
     p_bench.add_argument("--model", required=True)
     p_bench.add_argument("treebank")
     p_bench.add_argument("--mode", choices=(*MODES, "all"), default="all")
@@ -294,16 +295,18 @@ def run_bench(args) -> int:
     modes = tuple(MODES) if args.mode == "all" else (args.mode,)
     note = " (single repetition; noisy)" if args.repetitions == 1 else ""
     # each repetition runs every mode once, starting one mode later than the
-    # last, so a slow stretch of the machine does not land on one mode alone
-    elapsed = dict.fromkeys(modes, 0.0)
+    # last, and a mode's rate comes from its median repetition, so a stall or
+    # a fast stretch of a shared machine that lands on a few repetitions of
+    # one mode does not move its rate
+    elapsed = {mode: [] for mode in modes}
     for rep in range(args.repetitions):
         for k in range(len(modes)):
             mode = modes[(rep + k) % len(modes)]
             start = time.perf_counter()
             _decode_all(sentences, model, compiled, mode, args.threads)
-            elapsed[mode] += time.perf_counter() - start
+            elapsed[mode].append(time.perf_counter() - start)
     for mode in modes:
-        rate = len(sentences) * args.repetitions / elapsed[mode]
+        rate = len(sentences) / statistics.median(elapsed[mode])
         print(f"{mode}\t{rate:.1f} sents/sec{note}")
     return EXIT_OK
 

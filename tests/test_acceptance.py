@@ -256,7 +256,7 @@ def test_order_statistics_reproduction():
 
 def test_speed_direction(skew_model, capsys):
     assert cli.main(
-        ["bench", "--model", skew_model, data_path("skew_dev.txt"), "--repetitions", "10"]
+        ["bench", "--model", skew_model, data_path("skew_dev.txt"), "--repetitions", "30"]
     ) == 0
     out = capsys.readouterr().out.strip().split("\n")
     rates = {}
