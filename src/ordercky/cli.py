@@ -38,7 +38,7 @@ from .evaluate import per_sentence_rows, score_trees
 from .grammar import extract_grammar, grammar_tsv, order_statistics, stats_tsv
 from .selfcheck import oracle_check, write_replay
 from .trainer import MODES, TrainConfig, fit, load_checkpoint
-from .trees import DUMMY, BracketError, Treebank, debinarize, load_trees, sentence_of
+from .trees import DUMMY, BracketError, LengthMismatch, Treebank, debinarize, load_trees, sentence_of
 
 EXIT_OK, EXIT_ERROR = 0, 1
 
@@ -53,6 +53,14 @@ def _load(load, path: str):
         with open(path, "rb") as fh:
             line = fh.read()[: err.offset].count(b"\n") + 1
         raise ValueError(f"{path}:{line}: {err}") from None
+
+
+def _check_lengths(path: str, sentences, maxlen: int) -> None:
+    """Every sentence (a sequence of tokens) of the treebank at ``path`` is
+    shorter than ``maxlen``; else a ValueError naming the file and the tree."""
+    for k, sentence in enumerate(sentences):
+        if len(sentence) >= maxlen:
+            raise ValueError(f"{path}: tree {k}: sentence length {len(sentence)} >= maxlen {maxlen}")
 
 
 def _read_config(path: str) -> dict[str, str]:
@@ -136,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--per-sentence", help="write per-sentence counts TSV here")
 
     p_oracle = sub.add_parser("oracle-check", help="decoders vs brute-force enumeration")
-    p_oracle.add_argument("--seed", type=int, default=0)
+    p_oracle.add_argument("--seed", type=_int_in(0), default=0)
     p_oracle.add_argument("--trials", type=_int_in(0), default=200)
     # random instances need two tokens and two labels; brute force stays
     # tractable up to 8 tokens, and instances name at most 6 labels
@@ -171,10 +179,7 @@ def run_train(args) -> int:
     config = _train_config(args)
     banks = [(path, _load(Treebank.load, path)) for path in (args.train_path, args.dev_path) if path]
     for path, bank in banks:
-        for k, sent in enumerate(bank.sentences):
-            if len(sent.words) >= config.maxlen:
-                raise ValueError(f"{path}: tree {k}: sentence length {len(sent.words)} "
-                                 f">= maxlen {config.maxlen}")
+        _check_lengths(path, [sent.words for sent in bank.sentences], config.maxlen)
     train, dev = banks[0][1], banks[-1][1]
     log_fn = None if args.quiet else lambda line: print(line, flush=True)
     if log_fn:
@@ -252,7 +257,10 @@ def run_parse(args) -> int:
 def run_eval(args) -> int:
     pred = _load(load_trees, args.pred)
     gold = _load(load_trees, args.gold)
-    report = score_trees(pred, gold)
+    try:
+        report = score_trees(pred, gold)
+    except LengthMismatch as err:
+        raise ValueError(f"--pred {args.pred} vs --gold {args.gold}: {err}") from None
     print(report.summary())
     if args.per_sentence:
         with open(args.per_sentence, "w", encoding="utf-8") as fh:
@@ -288,6 +296,7 @@ def run_bench(args) -> int:
     model, grammar, rules, _ = load_checkpoint(args.model)
     trees = _load(load_trees, args.treebank)
     sentences = [sentence_of(t) for t in trees]
+    _check_lengths(args.treebank, sentences, model.maxlen)
     if not sentences:
         print("bench: n/a (0 sentences)")
         return EXIT_OK

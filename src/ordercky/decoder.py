@@ -317,14 +317,12 @@ def augmented_chart(chart: SpanScoreChart, gold: BinaryTree) -> SpanScoreChart:
 def nodes_with_orders(btree: BinaryTree) -> Iterator[tuple[BinaryTree, int]]:
     """Every node in preorder, paired with its order as a child; the root
     reads as LEFT."""
-
-    def walk(node, order):
+    stack = [(btree, LEFT)]
+    while stack:
+        node, order = stack.pop()
         yield node, order
         if not node.is_leaf:
-            yield from walk(node.left, LEFT)
-            yield from walk(node.right, RIGHT)
-
-    return walk(btree, LEFT)
+            stack += ((node.right, RIGHT), (node.left, LEFT))
 
 
 def ordered_tree_score(

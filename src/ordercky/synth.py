@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import random
 
+from .decoder import nodes_with_orders
 from .grammar import extract_grammar, order_statistics
 from .trees import DUMMY, Treebank, read_trees
 
@@ -35,33 +36,19 @@ def _treebank(lines):
     return Treebank.from_trees(read_trees("\n".join(lines)))
 
 
-def _span_keys(btree):
-    """(key, order, label) per gold node; key = (i, j, w_{i-1}, w_{j-1})."""
-    words = [w for w, _ in btree.sentence]
-    out = []
-
-    def rec(node, order):
-        left_word = words[node.start - 1] if node.start > 0 else "<s>"
-        out.append(((node.start, node.end, left_word, words[node.end - 1]), order, node.label))
-        if not node.is_leaf:
-            rec(node.left, 0)
-            rec(node.right, 1)
-
-    rec(btree, 0)
-    return out
-
-
 def check_consistency(lines, allow_conflicts=()):
-    """Map (key, order) -> label over all gold spans; returns conflicts whose
-    label pair is not in ``allow_conflicts``."""
+    """Map (key, order) -> label over all gold spans, key = (i, j, w_{i-1},
+    w_{j-1}); returns conflicts whose label pair is not in ``allow_conflicts``."""
     tb = _treebank(lines)
     seen: dict = {}
     conflicts = []
     for sent in tb.sentences:
-        for key, order, label in _span_keys(sent.btree):
-            prev = seen.setdefault((key, order), label)
-            if prev != label and tuple(sorted((prev, label))) not in allow_conflicts:
-                conflicts.append((key, order, prev, label))
+        for node, order in nodes_with_orders(sent.btree):
+            left_word = sent.words[node.start - 1] if node.start > 0 else "<s>"
+            key = (node.start, node.end, left_word, sent.words[node.end - 1])
+            prev = seen.setdefault((key, order), node.label)
+            if prev != node.label and tuple(sorted((prev, node.label))) not in allow_conflicts:
+                conflicts.append((key, order, prev, node.label))
     return conflicts
 
 

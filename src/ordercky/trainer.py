@@ -371,9 +371,7 @@ def fit(
         raise ValueError(f"{err}; {checkpoint_path} holds the checkpoint of epoch "
                          f"{state.best_epoch}") from None
 
-    state.restore_best()
-    if checkpoint_path:
-        save_checkpoint(checkpoint_path, state)
+    state.restore_best()  # checkpoint_path already holds this state
     return state
 
 

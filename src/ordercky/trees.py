@@ -14,12 +14,18 @@ Label conventions shared by the whole toolkit:
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional, Union
 
 DUMMY = "∅"
 UNARY_SEP = "|"
 UNK = "<UNK>"
+
+# deepest bracket nesting a treebank may use; InternalNode.linearize spends
+# two stack frames per level, so 200 levels stay well inside the default
+# recursion limit of 1000
+MAX_DEPTH = 200
 
 _ESCAPES = [("(", "-LRB-"), (")", "-RRB-")]
 
@@ -102,10 +108,13 @@ class BinaryTree:
         return self.left is None
 
     def nodes(self) -> Iterator["BinaryTree"]:
-        yield self
-        if self.left is not None:
-            yield from self.left.nodes()
-            yield from self.right.nodes()
+        """Every node in preorder."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            if node.left is not None:
+                stack += (node.right, node.left)
 
 
 def escape_token(word: str) -> str:
@@ -118,111 +127,94 @@ def _byte_offset(text: str, i: int) -> int:
     return len(text[:i].encode("utf-8"))
 
 
-def _parse_node(text: str, i: int) -> tuple[Node, int]:
-    """Parse one s-expression starting at text[i] == '('."""
+# whitespace, then an atom (a label or a token; maybe empty), then whitespace:
+# whitespace is what str.isspace() says, but an atom ends only at a bracket or
+# at one of the four ASCII separators, so it may hold a form feed, say
+_ATOM = re.compile(r"\s*([^() \t\r\n]*)\s*").match
+_SPACE = re.compile(r"\s*").match
+
+
+def _end_error(text: str) -> UnbalancedBrackets:
+    return UnbalancedBrackets("unexpected end of input", _byte_offset(text, len(text)))
+
+
+def _read_tree(text: str, i: int) -> tuple[Optional[Node], int]:
+    """Read the tree whose '(' is the first non-space character at or after
+    ``text[i]``; return it and the index of the first non-space character
+    after it, or (None, len(text)) when only whitespace is left.
+
+    Open constituents wait on a stack as (label, label index, children); a
+    '(' that would open more than MAX_DEPTH of them is an error.
+    """
     n = len(text)
-    i += 1
-    while i < n and text[i].isspace():
-        i += 1
-    start_label = i
-    while i < n and text[i] not in "() \t\r\n":
-        i += 1
-    label = text[start_label:i]
-    while i < n and text[i].isspace():
-        i += 1
-    if i >= n:
-        raise UnbalancedBrackets("unexpected end of input", _byte_offset(text, i))
-
-    if text[i] == "(":
-        children: list[Node] = []
+    i = _SPACE(text, i).end()
+    if i == n:
+        return None, n
+    if text[i] != "(":
+        raise UnbalancedBrackets("expected '('", _byte_offset(text, i))
+    stack: list[tuple[str, int, list[Node]]] = []
+    while True:
+        # text[i] is the '(' of a new constituent
+        if len(stack) == MAX_DEPTH:
+            raise BracketError(f"tree nested deeper than {MAX_DEPTH} levels", _byte_offset(text, i))
+        m = _ATOM(text, i + 1)
+        label, start, i = m[1], m.start(1), m.end()
+        if i == n:
+            raise _end_error(text)
+        if text[i] == "(":
+            stack.append((label, start, []))
+            continue
+        if text[i] == ")":
+            raise EmptyConstituent("constituent without children", _byte_offset(text, i))
+        # a token; its label is not empty, since an empty label ends at '(' or ')'
+        m = _ATOM(text, i)
+        node: Node = LeafNode(word=m[1], pos=label)
+        i = m.end()
+        if i == n:
+            raise _end_error(text)
+        if text[i] != ")":
+            raise UnbalancedBrackets("expected ')' after token", _byte_offset(text, i))
+        # text[i] closes ``node``
         while True:
+            i = _SPACE(text, i + 1).end()
+            if not stack:
+                return node, i
+            stack[-1][2].append(node)
+            if i == n:
+                raise _end_error(text)
             if text[i] == "(":
-                child, i = _parse_node(text, i)
-                children.append(child)
-            elif text[i] == ")":
                 break
+            if text[i] != ")":
+                raise UnbalancedBrackets("expected '(' or ')' inside constituent", _byte_offset(text, i))
+            label, start, children = stack.pop()
+            if label:
+                node = InternalNode(label, tuple(children))
+            elif len(children) == 1:
+                node = children[0]  # a bare "( ... )" shell around one tree
             else:
-                raise UnbalancedBrackets(
-                    "expected '(' or ')' inside constituent", _byte_offset(text, i)
-                )
-            while i < n and text[i].isspace():
-                i += 1
-            if i >= n:
-                raise UnbalancedBrackets("unexpected end of input", _byte_offset(text, i))
-        if not label:
-            # bare "( ... )" wrapper: legal only as a single-child shell,
-            # resolved by the caller
-            if len(children) == 1:
-                return children[0], i + 1
-            raise EmptyConstituent("constituent without a label", _byte_offset(text, start_label))
-        return InternalNode(label, tuple(children)), i + 1
-
-    if text[i] == ")":
-        raise EmptyConstituent("constituent without children", _byte_offset(text, i))
-
-    start_tok = i
-    while i < n and text[i] not in "() \t\r\n":
-        i += 1
-    token = text[start_tok:i]
-    while i < n and text[i].isspace():
-        i += 1
-    if i >= n:
-        raise UnbalancedBrackets("unexpected end of input", _byte_offset(text, i))
-    if text[i] != ")":
-        raise UnbalancedBrackets("expected ')' after token", _byte_offset(text, i))
-    if not label:
-        raise EmptyConstituent("token without a part-of-speech tag", _byte_offset(text, start_tok))
-    return LeafNode(word=token, pos=label), i + 1
+                raise EmptyConstituent("constituent without a label", _byte_offset(text, start))
 
 
 def iter_bracketed(text: str) -> Iterator[Node]:
     """Yield every balanced tree in ``text``.
 
     Handles both one-tree-per-line files and multi-line s-expressions; the
-    scanner only cares about balance, not line structure.
+    reader only cares about balance, not line structure.
     """
-    i, n = 0, len(text)
-    while True:
-        while i < n and text[i].isspace():
-            i += 1
-        if i >= n:
-            return
-        if text[i] != "(":
-            raise UnbalancedBrackets("expected '('", _byte_offset(text, i))
-        tree, i = _parse_node(text, i)
+    tree, i = _read_tree(text, 0)
+    while tree is not None:
         yield tree
+        tree, i = _read_tree(text, i)
 
 
 def parse_bracketed(text: str) -> Node:
     """Parse exactly one bracketed tree; anything after it is an error."""
-    it = iter_bracketed(text)
-    try:
-        tree = next(it)
-    except StopIteration:
-        raise UnbalancedBrackets("no tree in input", _byte_offset(text, len(text))) from None
-    try:
-        next(it)
-    except StopIteration:
-        return tree
-    except BracketError as err:
-        raise TrailingInput("trailing input after tree", err.offset) from None
-    raise TrailingInput("trailing input after tree", _find_trailing_offset(text))
-
-
-def _find_trailing_offset(text: str) -> int:
-    # offset of the content following the first balanced tree
-    depth = 0
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth == 0:
-                j = i + 1
-                while j < len(text) and text[j].isspace():
-                    j += 1
-                return _byte_offset(text, j)
-    return _byte_offset(text, len(text))
+    tree, i = _read_tree(text, 0)
+    if tree is None:
+        raise UnbalancedBrackets("no tree in input", _byte_offset(text, len(text)))
+    if i < len(text):
+        raise TrailingInput("trailing input after tree", _byte_offset(text, i))
+    return tree
 
 
 def iter_leaves(node: Node) -> Iterator[LeafNode]:
@@ -249,15 +241,6 @@ def strip_label_decorations(label: str) -> str:
         if cut != -1:
             label = label[:cut]
     return label
-
-
-def _strip_tree(node: Node) -> Node:
-    if isinstance(node, LeafNode):
-        return node
-    return InternalNode(
-        strip_label_decorations(node.label),
-        tuple(_strip_tree(c) for c in node.children),
-    )
 
 
 def binarize(tree: Node) -> BinaryTree:
@@ -329,16 +312,11 @@ def debinarize(btree: BinaryTree) -> Node:
     return expand(btree)[0]
 
 
-def spans_of(tree: Union[Node, BinaryTree]) -> list[LabeledSpan]:
+def spans_of(tree: Node) -> list[LabeledSpan]:
     """Labeled spans of phrasal nodes (a multiset; unary chains may repeat a span).
 
-    Part-of-speech leaves are never spans.  On a BinaryTree, DUMMY nodes are
-    excluded and collapsed labels are reported as their collapsed symbol.
+    Part-of-speech leaves are never spans.
     """
-    if isinstance(tree, BinaryTree):
-        return sorted(
-            LabeledSpan(n.start, n.end, n.label) for n in tree.nodes() if n.label != DUMMY
-        )
     out: list[LabeledSpan] = []
 
     def rec(node: Node, i: int) -> int:
@@ -373,28 +351,27 @@ def _unwrap_root(tree: Node) -> Node:
     return tree
 
 
-def _check_labels(node: Node, idx: int) -> None:
-    if isinstance(node, LeafNode):
-        return
-    if DUMMY in node.label or UNARY_SEP in node.label:
-        raise ValueError(
-            f"tree {idx}: label {node.label!r} uses a reserved symbol ({DUMMY!r} or {UNARY_SEP!r})"
-        )
-    for child in node.children:
-        _check_labels(child, idx)
-
-
 def read_trees(text: str) -> list[Node]:
     """All trees in a treebank string, with root wrappers unwrapped and
-    function tags stripped."""
+    function tags stripped; a stripped label that holds DUMMY or UNARY_SEP
+    is an error."""
+
+    def strip(node: Node, idx: int) -> Node:
+        if isinstance(node, LeafNode):
+            return node
+        label = strip_label_decorations(node.label)
+        if DUMMY in label or UNARY_SEP in label:
+            raise ValueError(
+                f"tree {idx}: label {label!r} uses a reserved symbol ({DUMMY!r} or {UNARY_SEP!r})"
+            )
+        return InternalNode(label, tuple(strip(c, idx) for c in node.children))
+
     out = []
     for idx, tree in enumerate(iter_bracketed(text)):
         tree = _unwrap_root(tree)
         if isinstance(tree, LeafNode):
             raise ValueError(f"tree {idx} is a bare part-of-speech leaf")
-        tree = _strip_tree(tree)
-        _check_labels(tree, idx)
-        out.append(tree)
+        out.append(strip(tree, idx))
     return out
 
 

@@ -12,7 +12,7 @@ import pytest
 
 from ordercky import cli
 from ordercky.trainer import MODES, TrainConfig
-from ordercky.trees import load_trees, read_trees, sentence_of
+from ordercky.trees import MAX_DEPTH, load_trees, read_trees, sentence_of
 
 DATA = Path(cli.__file__).parent / "data"
 
@@ -99,6 +99,34 @@ class TestStats:
         assert ":2:" in err and "byte offset" in err
 
 
+@pytest.mark.parametrize("command", ["stats", "eval", "train"])
+def test_tree_nested_past_the_bound_names_path_and_line(tmp_path, toy_treebank, command, capsys):
+    deep = tmp_path / "deep.txt"
+    first = TOY.splitlines()[0]
+    deep.write_text(f"{first}\n{'(A ' * MAX_DEPTH}(P w){')' * MAX_DEPTH}\n", encoding="utf-8")
+    argv = {
+        "stats": ["stats", str(deep)],
+        "eval": ["eval", "--pred", str(deep), "--gold", toy_treebank],
+        "train": ["train", "--train", str(deep), "--out", str(tmp_path / "m.npz")],
+    }[command]
+    assert cli.main(argv) == 1
+    # the '(' that opens level MAX_DEPTH + 1, on line 2
+    offset = len(first) + 1 + 3 * MAX_DEPTH
+    assert capsys.readouterr() == (
+        "", f"error: {deep}:2: tree nested deeper than {MAX_DEPTH} levels (byte offset {offset})\n")
+
+
+@pytest.mark.parametrize("command, out", [
+    ("stats", "label\tL\tR\n∅\t1499\t1499\n"),
+    ("extract-grammar", "parent\tleft\tright\nS\t∅\t∅\n∅\t∅\t∅\n"),
+])
+def test_flat_tree_with_1500_children(tmp_path, command, out, capsys):
+    wide = tmp_path / "wide.txt"
+    wide.write_text("(S " + " ".join(f"(T w{k})" for k in range(1500)) + ")\n", encoding="utf-8")
+    assert cli.main([command, str(wide)]) == 0
+    assert capsys.readouterr() == (out, "")
+
+
 class TestExtractGrammar:
     def test_toy_rules(self, toy_treebank, capsys):
         assert cli.main(["extract-grammar", toy_treebank]) == 0
@@ -170,6 +198,17 @@ class TestTrainParseEval:
         rows = dump.read_text().strip().split("\n")
         assert rows[0] == "index\tmatched\tpredicted\tgold"
         assert len(rows) == 5
+
+    @pytest.mark.parametrize("pred_lines, cause", [
+        (TOY.splitlines()[:1], "1 predicted trees vs 4 gold trees"),
+        (["(S (NP (DT the) (NN cat)) (VP (VB runs)))", *TOY.splitlines()[1:]],
+         "sentence 0: predicted and gold lengths differ"),
+    ], ids=["tree-count", "sentence-length"])
+    def test_eval_mismatch_names_both_files(self, tmp_path, toy_treebank, pred_lines, cause, capsys):
+        pred = tmp_path / "pred.txt"
+        pred.write_text("\n".join(pred_lines) + "\n", encoding="utf-8")
+        assert cli.main(["eval", "--pred", str(pred), "--gold", toy_treebank]) == 1
+        assert capsys.readouterr() == ("", f"error: --pred {pred} vs --gold {toy_treebank}: {cause}\n")
 
     def test_train_log_format(self, tmp_path, toy_treebank, capsys):
         out = str(tmp_path / "m.npz")
@@ -333,8 +372,9 @@ def test_bench_sentence_exceeding_maxlen_exits_one(tmp_path, toy_treebank, capsy
         ["train", "--train", str(short), "--out", out, "--epochs", "0",
          "--dim", "8", "--hidden", "8", "--maxlen", "4", "--quiet"]
     ) == 0
+    capsys.readouterr()
     assert cli.main(["bench", "--model", out, toy_treebank, "--repetitions", "1"]) == 1
-    assert "maxlen" in capsys.readouterr().err
+    assert capsys.readouterr() == ("", f"error: {toy_treebank}: tree 0: sentence length 5 >= maxlen 4\n")
 
 
 @pytest.mark.parametrize("where", ["train", "dev"])
@@ -377,6 +417,7 @@ def test_thread_count_below_one_is_usage_error(tmp_path, toy_treebank, command, 
         (["oracle-check", "--max-labels", "1"], "--max-labels: must be between 2 and 6, got 1"),
         (["oracle-check", "--max-labels", "9"], "--max-labels: must be between 2 and 6, got 9"),
         (["oracle-check", "--trials", "many"], "--trials: invalid int value: 'many'"),
+        (["oracle-check", "--seed", "-1"], "--seed: must be >= 0, got -1"),
         (["bench", "--model", "missing.npz", "missing.txt", "--repetitions", "0"],
          "--repetitions: must be >= 1, got 0"),
     ],

@@ -215,6 +215,10 @@ class TestFit:
         )  # smoke: checkpoint loads and evaluates
         assert mode == "ordered"
         assert grammar.rules == state.grammar.rules
+        # the file holds the best state, the one fit returns
+        assert np.array_equal(rules.scores, state.rules.scores)
+        for name, value in state.model.params.items():
+            assert np.array_equal(model.params[name], value)
 
     def test_learning_rate_decays_on_plateau(self):
         # two irreconcilable label assignments for the same span keep baseline

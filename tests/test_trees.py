@@ -2,10 +2,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ordercky.decoder import hamming_costs
+from ordercky.decoder import hamming_costs, nodes_with_orders
+from ordercky.grammar import LEFT, RIGHT
 from ordercky.trees import (
     DUMMY,
+    MAX_DEPTH,
     BinaryTree,
+    BracketError,
     EmptyConstituent,
     InternalNode,
     LabeledSpan,
@@ -15,6 +18,7 @@ from ordercky.trees import (
     UnbalancedBrackets,
     UnknownDummyPlacement,
     binarize,
+    iter_bracketed,
     iter_leaves,
     debinarize,
     decoded_spans,
@@ -40,6 +44,11 @@ def hamming(pred, gold):
     labels = tuple(sorted({s.label for s in decoded_spans(pred) | decoded_spans(gold)}))
     costs = hamming_costs(gold.end, labels, gold)
     return sum(costs[s.start, s.end, labels.index(s.label)] for s in decoded_spans(pred))
+
+
+def phrasal_spans(btree):
+    """A binary tree's decoded spans without the DUMMY ones."""
+    return {s for s in decoded_spans(btree) if s.label != DUMMY}
 
 
 def leaf(word, pos="T"):
@@ -98,6 +107,61 @@ class TestParseBracketed:
         text = "(X\n (A a)\n (B b))\n\n(Y (C c))\n"
         trees = read_trees(text)
         assert [t.label for t in trees] == ["X", "Y"]
+
+
+def nested(levels):
+    """One tree whose brackets nest ``levels`` deep: a chain of A nodes over
+    one leaf."""
+    return "(A " * (levels - 1) + "(P w)" + ")" * (levels - 1)
+
+
+# every message of the reader: how it is read, the input, the exception class,
+# the message and the byte offset; 北 is three bytes in UTF-8 and NBSP two
+MALFORMED = [
+    ("iter", "(A 北) x", UnbalancedBrackets, "expected '('", 8),
+    ("iter", "(S (A 北)", UnbalancedBrackets, "unexpected end of input", 10),
+    ("iter", "(S (A 北) x)", UnbalancedBrackets, "expected '(' or ')' inside constituent", 11),
+    ("iter", "(S (A 北 x))", UnbalancedBrackets, "expected ')' after token", 10),
+    ("iter", "(S (A 北) ())", EmptyConstituent, "constituent without children", 12),
+    ("iter", "(X 北)\n( (A a) (B b))", EmptyConstituent, "constituent without a label", 10),
+    ("iter", f"(北 {nested(MAX_DEPTH)})", BracketError,
+     f"tree nested deeper than {MAX_DEPTH} levels", 3 * MAX_DEPTH + 2),
+    ("parse", "\u00a0\n", UnbalancedBrackets, "no tree in input", 3),
+    ("parse", "(A 北) (B b)", TrailingInput, "trailing input after tree", 8),
+    # the trailing text is itself malformed: the offset is still where it starts
+    ("parse", "(A 北)  (B", TrailingInput, "trailing input after tree", 9),
+]
+
+
+@pytest.mark.parametrize("how, text, cls, message, offset", MALFORMED,
+                         ids=[f"{row[0]}-{row[3]}" for row in MALFORMED])
+def test_malformed_input(how, text, cls, message, offset):
+    with pytest.raises(BracketError) as exc:
+        list(iter_bracketed(text)) if how == "iter" else parse_bracketed(text)
+    assert type(exc.value) is cls
+    assert str(exc.value) == f"{message} (byte offset {offset})"
+    assert exc.value.offset == offset
+
+
+def test_tree_at_the_depth_bound_round_trips():
+    trees = read_trees(nested(MAX_DEPTH))
+    depth, tree = 1, trees[0]
+    while isinstance(tree, InternalNode):
+        depth, tree = depth + 1, tree.children[0]
+    assert depth == MAX_DEPTH
+    assert read_trees(trees[0].linearize()) == trees
+
+
+def test_wide_tree_walks_in_preorder():
+    bt = binarize(node("S", *[leaf(str(k)) for k in range(1500)]))
+    nodes = list(bt.nodes())
+    assert len(nodes) == 2 * 1500 - 1
+    assert [n for n, _ in nodes_with_orders(bt)] == nodes
+    # preorder of a left-branching fold: the spine top-down, then each
+    # spine node's right leaf bottom-up
+    spine = nodes[:1500]
+    assert [(n.start, n.end) for n in spine] == [(0, 1500 - k) for k in range(1500)]
+    assert [n.start for n in nodes[1500:]] == list(range(1, 1500))
 
 
 class TestBinarize:
@@ -162,7 +226,7 @@ class TestSpans:
 
     def test_dummy_excluded_from_binary_spans(self):
         tree = node("S", leaf("a"), leaf("b"), leaf("c"))
-        assert spans_of(binarize(tree)) == [LabeledSpan(0, 3, "S")]
+        assert phrasal_spans(binarize(tree)) == {LabeledSpan(0, 3, "S")}
 
     def test_unary_chain_duplicates_span(self):
         tree = node("S", node("NP", leaf("x"), leaf("y")))
@@ -231,10 +295,25 @@ def test_binarize_round_trip(tree):
 def test_binarize_preserves_phrasal_spans(tree):
     # expand collapsed labels back into individual span entries
     expanded = []
-    for i, j, label in spans_of(binarize(tree)):
+    for i, j, label in phrasal_spans(binarize(tree)):
         for part in label.split("|"):
             expanded.append((i, j, part))
     assert sorted(expanded) == sorted((i, j, l) for i, j, l in spans_of(tree))
+
+
+@given(random_tree())
+@settings(max_examples=100, deadline=None)
+def test_walks_are_preorder(tree):
+    def preorder(node, order):
+        yield node, order
+        if not node.is_leaf:
+            yield from preorder(node.left, LEFT)
+            yield from preorder(node.right, RIGHT)
+
+    bt = binarize(tree)
+    expected = list(preorder(bt, LEFT))
+    assert list(nodes_with_orders(bt)) == expected
+    assert list(bt.nodes()) == [n for n, _ in expected]
 
 
 @given(random_tree())
