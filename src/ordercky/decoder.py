@@ -85,10 +85,8 @@ class CompiledRules:
         self.parent = np.array([t[0] for t in triples], dtype=np.intp)
         self.left = np.array([t[1] for t in triples], dtype=np.intp)
         self.right = np.array([t[2] for t in triples], dtype=np.intp)
-        if triples:
-            self.scores = rules.scores[np.array([t[3] for t in triples], dtype=np.intp)]
-        else:
-            self.scores = np.zeros((0, 2))
+        self._rule_ids = np.array([t[3] for t in triples], dtype=np.intp)
+        self.refresh(rules)
         bounds = np.searchsorted(self.parent, np.arange(len(self.labels) + 1))
         self.parent_slices = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
         # the batched fill maximizes over splits once per distinct child pair,
@@ -97,6 +95,11 @@ class CompiledRules:
         self.pair_left, self.pair_right = np.divmod(pairs, len(self.labels))
         self.seg_parents = np.flatnonzero(np.diff(bounds))
         self.seg_starts = bounds[self.seg_parents]
+
+    def refresh(self, rules: RuleScoreChart) -> None:
+        """Gather ``scores`` afresh from the rule chart, for rules whose scores
+        changed since compilation."""
+        self.scores = rules.scores[self._rule_ids]
 
     def __len__(self) -> int:
         return len(self.parent)
@@ -351,22 +354,16 @@ def fallback_tree(
     sentence: tuple[tuple[str, str], ...], labels: Sequence[str]
 ) -> BinaryTree:
     """Right-branching tree of dummy nodes under the first non-dummy label,
-    for robustness runs where no in-grammar derivation exists."""
+    for robustness runs where no in-grammar derivation exists; built bottom-up,
+    so its depth costs no stack."""
     from .trees import DUMMY
 
-    root_label = next((lab for lab in labels if lab != DUMMY), DUMMY)
     n = len(sentence)
-
-    def build(i):
-        if i == n - 1:
-            return BinaryTree(DUMMY, i, i + 1, sentence)
-        return BinaryTree(DUMMY, i, n, sentence, BinaryTree(DUMMY, i, i + 1, sentence), build(i + 1))
-
-    if n == 1:
-        return BinaryTree(root_label, 0, 1, sentence)
-    left = BinaryTree(DUMMY, 0, 1, sentence)
-    right = build(1)
-    return BinaryTree(root_label, 0, n, sentence, left, right)
+    node = BinaryTree(DUMMY, n - 1, n, sentence)
+    for i in range(n - 2, -1, -1):
+        node = BinaryTree(DUMMY, i, n, sentence, BinaryTree(DUMMY, i, i + 1, sentence), node)
+    root_label = next((lab for lab in labels if lab != DUMMY), DUMMY)
+    return BinaryTree(root_label, 0, n, sentence, node.left, node.right)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from .decoder import (
 )
 from .evaluate import EvalReport, score_trees
 from .grammar import LEFT, RIGHT, Grammar, Rule, RuleScoreChart, extract_grammar
-from .scorer import ScorerModel, SpanScoreChart, checked_tensor, meta_value
+from .scorer import ForwardCache, ScorerModel, SpanScoreChart, checked_tensor, meta_value
 from .trees import DUMMY, BinaryTree, Sentence, Treebank, debinarize
 
 logger = logging.getLogger(__name__)
@@ -153,6 +153,15 @@ class TrainState:
     dev_history: list[EvalReport] = field(default_factory=list)
     _best_params: Optional[dict] = None
     _best_rule_scores: Optional[np.ndarray] = None
+    _compiled: Optional[CompiledRules] = None
+
+    def compiled_rules(self) -> CompiledRules:
+        """The grammar compiled once per state, with the current rule scores."""
+        if self._compiled is None:
+            self._compiled = CompiledRules(self.model.labels, self.grammar, self.rules)
+        else:
+            self._compiled.refresh(self.rules)
+        return self._compiled
 
     def snapshot_best(self) -> None:
         self._best_params = {k: v.copy() for k, v in self.model.params.items()}
@@ -176,14 +185,18 @@ def check_gold_rules(gold: BinaryTree, grammar: Grammar) -> None:
 
 def sentence_gradients(
     sent: Sentence,
+    chart: SpanScoreChart,
+    cache: ForwardCache,
+    augmented: Union[DecodeResult, NoDerivation],
     model: ScorerModel,
     grammar: Grammar,
     rules: RuleScoreChart,
     mode: str,
-    compiled: CompiledRules,
 ) -> tuple[float, Optional[dict[str, np.ndarray]], Optional[np.ndarray]]:
     """Subgradient of one sentence's hinge loss, max(best augmented score -
-    gold score, 0); (loss, None, None) at loss 0.
+    gold score, 0), from its forward ``chart`` and ``cache`` and the decode
+    of its Hamming-augmented chart; (loss, None, None) at loss 0.  Raises
+    GoldRuleMissing, or the decode's NoDerivation.
 
     The augmented tree's chart entries (and rule scores, where the mode has
     the rule term) get +1, the gold tree's get -1; ties inherit the decoder's
@@ -193,8 +206,6 @@ def sentence_gradients(
     spec = MODES[mode]
     if spec.rules:
         check_gold_rules(sent.btree, grammar)
-    chart, cache = model.forward(tuple(zip(sent.words, sent.pos)), orders=spec.heads)
-    augmented = spec.decode([augmented_chart(chart, sent.btree)], compiled)[0]
     if isinstance(augmented, NoDerivation):
         raise augmented
     loss = max(augmented.score - spec.gold_score(sent.btree, chart, rules), 0.0)
@@ -214,40 +225,75 @@ def sentence_gradients(
     return loss, model.backward(cache, out_grad), rule_grad
 
 
+# floats of forward caches one training sub-batch may hold, counted as
+# spans x hidden x 2 arrays x heads: 2 MB, about twenty skew-corpus sentences
+# at the default size; a sentence over the budget decodes alone.  The held
+# caches raise training's peak RSS by about their size
+_CACHE_FLOATS = 1 << 18
+
+
+def _sub_batches(batch: list[Sentence], floats_per_span: int) -> Iterator[list[Sentence]]:
+    """Consecutive runs of ``batch`` whose forward caches fit the budget."""
+    sub: list[Sentence] = []
+    held = 0
+    for sent in batch:
+        n = len(sent.words)
+        need = n * (n + 1) // 2 * floats_per_span
+        if sub and held + need > _CACHE_FLOATS:
+            yield sub
+            sub, held = [], 0
+        sub.append(sent)
+        held += need
+    yield sub
+
+
 def step(batch: list[Sentence], state: TrainState) -> tuple[float, int]:
     """One mini-batch subgradient step; returns the mean loss over the
     sentences it scored (NaN when it scored none) and the number it skipped,
     or (NaN, 0) without an update when a chart is not finite.  The update is
     scaled by the whole batch's size; the rule scores change only in a mode
-    with the rule term."""
+    with the rule term.
+
+    The batch runs in sub-batches: the forwards of a sub-batch, one decode
+    of all their augmented charts, then each sentence's gradient in batch
+    order.  The hinge loss decomposes per sentence and the decoders are
+    exact per chart, so the update is the one a sentence-at-a-time loop
+    computes, bit for bit."""
     if not batch:
         raise ValueError("empty batch")
-    comp = CompiledRules(state.model.labels, state.grammar, state.rules)
+    spec = MODES[state.mode]
+    model = state.model
+    comp = state.compiled_rules()
     grad_sum: Optional[dict[str, np.ndarray]] = None
     rule_sum: Optional[np.ndarray] = None
     total_loss = 0.0
     skipped = 0
-    for sent in batch:
-        try:
-            loss, grads, rule_grad = sentence_gradients(
-                sent, state.model, state.grammar, state.rules, state.mode, comp
-            )
-        except NonFiniteChart:
-            return math.nan, 0  # the model, not the sentence, is at fault: no update
-        except (GoldRuleMissing, NoDerivation) as err:
-            logger.warning("skipping sentence %r: %s", " ".join(sent.words[:8]), err)
-            skipped += 1
-            continue
-        total_loss += loss
-        if grads is None:
-            continue
-        if grad_sum is None:
-            grad_sum = grads
-        else:
-            for name in grad_sum:
-                grad_sum[name] += grads[name]
-        if rule_grad is not None:
-            rule_sum = rule_grad if rule_sum is None else rule_sum + rule_grad
+    for sub in _sub_batches(batch, model.hidden * 2 * len(spec.heads)):
+        forwards = [model.forward(tuple(zip(s.words, s.pos)), orders=spec.heads) for s in sub]
+        decoded = spec.decode([augmented_chart(chart, s.btree) for s, (chart, _) in zip(sub, forwards)],
+                              comp)
+        for sent, (chart, cache), augmented in zip(sub, forwards, decoded):
+            try:
+                loss, grads, rule_grad = sentence_gradients(
+                    sent, chart, cache, augmented, model, state.grammar, state.rules, state.mode
+                )
+            except NonFiniteChart:
+                return math.nan, 0  # the model, not the sentence, is at fault: no update
+            except (GoldRuleMissing, NoDerivation) as err:
+                logger.warning("skipping sentence %r: %s", " ".join(sent.words[:8]), err)
+                skipped += 1
+                continue
+            total_loss += loss
+            if grads is None:
+                continue
+            if grad_sum is None:
+                grad_sum = grads
+            else:
+                for name in grad_sum:
+                    grad_sum[name] += grads[name]
+            if rule_grad is not None:
+                rule_sum = rule_grad if rule_sum is None else rule_sum + rule_grad
+        del forwards, decoded  # the caches go before the next sub-batch's forwards
 
     scale = state.learning_rate / len(batch)
     if grad_sum is not None:
@@ -262,7 +308,7 @@ def step(batch: list[Sentence], state: TrainState) -> tuple[float, int]:
 def evaluate_dev(state: TrainState, dev: Treebank) -> EvalReport:
     """Decode the dev set with the state's mode and score phrasal brackets."""
     spec = MODES[state.mode]
-    comp = CompiledRules(state.model.labels, state.grammar, state.rules)
+    comp = state.compiled_rules()
     sentences = [tuple(zip(s.words, s.pos)) for s in dev.sentences]
     charts = [state.model.forward(s, orders=spec.heads)[0] for s in sentences]
     pred_trees = []

@@ -286,30 +286,39 @@ def binarize(tree: Node) -> BinaryTree:
     return root
 
 
+def _labeled(label: str, children: tuple[Node, ...]) -> Node:
+    """``children`` under the collapsed chain ``label`` ("A|B" is A over B)."""
+    labels = label.split(UNARY_SEP)
+    out = InternalNode(labels[-1], children)
+    for lab in reversed(labels[:-1]):
+        out = InternalNode(lab, (out,))
+    return out
+
+
 def debinarize(btree: BinaryTree) -> Node:
-    """Inverse of :func:`binarize`: splice DUMMY nodes, re-expand "A|B" chains."""
+    """Inverse of :func:`binarize`: splice DUMMY nodes, re-expand "A|B" chains.
+
+    A postorder stack walk: a node's label on the stack marks where both its
+    children are done, and ``done`` holds, per finished subtree, the nodes it
+    expands to (several for a DUMMY node), so a left-branching tree as deep as
+    its sentence costs no recursion."""
     if btree.label == DUMMY:
         raise UnknownDummyPlacement("dummy symbol at the root of a binary tree")
-
-    def expand(node: BinaryTree) -> list[Node]:
-        if node.is_leaf:
-            word, pos = node.sentence[node.start]
-            out: Node = LeafNode(word, pos)
-            if node.label == DUMMY:
-                return [out]
-            for lab in reversed(node.label.split(UNARY_SEP)):
-                out = InternalNode(lab, (out,))
-            return [out]
-        kids = expand(node.left) + expand(node.right)
-        if node.label == DUMMY:
-            return kids
-        labels = node.label.split(UNARY_SEP)
-        out = InternalNode(labels[-1], tuple(kids))
-        for lab in reversed(labels[:-1]):
-            out = InternalNode(lab, (out,))
-        return [out]
-
-    return expand(btree)[0]
+    done: list[list[Node]] = []
+    stack: list[Union[BinaryTree, str]] = [btree]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            right = done.pop()
+            done[-1] += right
+            if item != DUMMY:
+                done[-1] = [_labeled(item, tuple(done[-1]))]
+        elif item.left is None:
+            out: Node = LeafNode(*item.sentence[item.start])
+            done.append([out if item.label == DUMMY else _labeled(item.label, (out,))])
+        else:
+            stack += (item.label, item.right, item.left)
+    return done[0][0]
 
 
 def spans_of(tree: Node) -> list[LabeledSpan]:

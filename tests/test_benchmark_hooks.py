@@ -61,14 +61,25 @@ def test_tracer_sees_training_decodes(perfbench, toy_files, mode):
     probe = tracing.Probe(timing=True)
     with tracing.installed(probe), probe.root(mode):
         assert cli.main(argv) == 0
-    assert probe.counts["trainer.sentences"] == 2 * len(sentences)
-    # each sentence's gradient runs one traced forward, Hamming cost, decode
-    # and gold score, whichever module-level names the mode table reaches
+    scored = probe.counts["trainer.sentences"]
+    assert scored == 2 * len(sentences)
+    # each step runs one traced forward and Hamming cost per sentence and
+    # decodes its sub-batches; each sentence's gradient scores the gold tree,
+    # whichever module-level names the mode table reaches
     spans = probe.spans
-    per_sentence = Counter(name for name, _, _, parent, _ in spans
-                           if parent >= 0 and spans[parent][0] == "trainer.sentence_gradients")
-    for name in ("scorer.forward", "decoder.hamming_costs", "decoder.decode", "decoder.tree_score"):
-        assert per_sentence[name] == probe.counts["trainer.sentences"], name
+
+    def children(parent_name):
+        return Counter(name for name, _, _, parent, _ in spans
+                       if parent >= 0 and spans[parent][0] == parent_name)
+
+    per_step, per_sentence = children("trainer.step"), children("trainer.sentence_gradients")
+    assert per_step["scorer.forward"] == per_step["decoder.hamming_costs"] == scored
+    assert per_sentence["decoder.tree_score"] == scored
+    assert set(per_sentence) <= {"decoder.tree_score", "scorer.backward"}
+    if mode == "ordered":
+        assert 0 < per_step["decoder.decode"] < scored
+    else:
+        assert per_step["decoder.decode"] == scored  # the span decoders run per chart
 
 
 @pytest.mark.parametrize("mode", list(MODES))

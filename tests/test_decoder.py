@@ -16,13 +16,14 @@ from ordercky.decoder import (
     decode_charts_batched,
     decode_each,
     decode_ordered,
+    fallback_tree,
     nodes_with_orders,
     ordered_tree_score,
 )
 from ordercky.grammar import LEFT, RIGHT, Grammar, Rule, RuleScoreChart
 from ordercky.scorer import SpanScoreChart
 from ordercky.selfcheck import oracle_check, random_instance
-from ordercky.trees import BinaryTree, decoded_spans
+from ordercky.trees import DUMMY, BinaryTree, InternalNode, LeafNode, debinarize, decoded_spans
 
 
 def make_chart(n, labels, scores):
@@ -629,3 +630,19 @@ def test_batched_equals_scalar_on_empty_grammar():
     charts = [make_chart(n, labels, _grid(rng, (n + 1, n + 1, 2, 2))) for n in (1, 4, 1, 2)]
     for forbid in (None, "A"):
         assert_batched_equals_scalar(charts, empty, zero_rules(empty), forbid_root=forbid)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 1500])
+def test_fallback_tree_branches_right_under_the_first_label(n):
+    # 1,500 tokens make a right-branching chain 1,499 nodes deep
+    sentence = tuple((f"w{k}", "T") for k in range(n))
+    tree = fallback_tree(sentence, (DUMMY, "NP", "S"))
+    want = [(0, n, "NP")] if n == 1 else [(0, n, "NP"), (0, 1, DUMMY)]
+    for i in range(1, n - 1):
+        want += [(i, n, DUMMY), (i, i + 1, DUMMY)]
+    if n > 1:
+        want.append((n - 1, n, DUMMY))
+    assert [(t.start, t.end, t.label) for t in tree.nodes()] == want
+    assert all(t.sentence is sentence for t in tree.nodes())
+    flat = InternalNode("NP", tuple(LeafNode(w, p) for w, p in sentence))
+    assert debinarize(tree) == (InternalNode("NP", (LeafNode("w0", "T"),)) if n == 1 else flat)

@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -5,12 +8,14 @@ from ordercky import trainer
 from ordercky.decoder import (
     CompiledRules,
     NoDerivation,
+    NonFiniteChart,
     augmented_chart,
     decode_ordered,
     fallback_tree,
+    nodes_with_orders,
     ordered_tree_score,
 )
-from ordercky.grammar import Rule, RuleScoreChart, extract_grammar
+from ordercky.grammar import LEFT, Rule, RuleScoreChart, extract_grammar
 from ordercky.scorer import ScorerModel
 from ordercky.trainer import (
     MODES,
@@ -53,10 +58,19 @@ def make_state(text, mode="ordered", seed=0, dim=8, hidden=8):
     return tb, config, init_state(tb, config)
 
 
+def gradients(state, sent):
+    """``sentence_gradients`` of one sentence, from its forward and the decode
+    of its Hamming-augmented chart alone."""
+    spec = MODES[state.mode]
+    chart, cache = state.model.forward(tuple(zip(sent.words, sent.pos)), orders=spec.heads)
+    augmented = spec.decode([augmented_chart(chart, sent.btree)], state.compiled_rules())[0]
+    return sentence_gradients(sent, chart, cache, augmented, state.model, state.grammar, state.rules,
+                              state.mode)
+
+
 def hinge_loss(state, sent):
     """The sentence's hinge loss from ``sentence_gradients``."""
-    compiled = CompiledRules(state.model.labels, state.grammar, state.rules)
-    return sentence_gradients(sent, state.model, state.grammar, state.rules, state.mode, compiled)[0]
+    return gradients(state, sent)[0]
 
 
 def augmented_and_gold(state, sent):
@@ -134,14 +148,9 @@ class TestStep:
     def test_duplicated_sentence_doubles_gradient(self):
         tb, _, state = make_state(MINI_CORPUS, seed=2)
         sent = tb.sentences[0]
-        compiled = CompiledRules(state.model.labels, state.grammar, state.rules)
-        loss, grads, rule_grads = sentence_gradients(
-            sent, state.model, state.grammar, state.rules, "ordered", compiled
-        )
+        loss, grads, rule_grads = gradients(state, sent)
         assert loss > 0.0
-        loss2, grads2, rule_grads2 = sentence_gradients(
-            sent, state.model, state.grammar, state.rules, "ordered", compiled
-        )
+        loss2, grads2, rule_grads2 = gradients(state, sent)
         for name in grads:
             assert np.array_equal(grads[name] + grads2[name], 2 * grads[name])
         assert np.array_equal(rule_grads, rule_grads2)
@@ -271,10 +280,7 @@ def hinge_objective(state, sent):
 def test_hinge_subgradient_matches_finite_differences():
     tb, _, state = make_state(MINI_CORPUS, seed=13)
     sent = tb.sentences[0]
-    compiled = CompiledRules(state.model.labels, state.grammar, state.rules)
-    loss, grads, rule_grads = sentence_gradients(
-        sent, state.model, state.grammar, state.rules, "ordered", compiled
-    )
+    loss, grads, rule_grads = gradients(state, sent)
     assert loss > 0.0
     step_size = 1e-5
     checked = skipped = 0
@@ -424,10 +430,7 @@ def test_fit_stops_when_a_parameter_overflows():
 @pytest.mark.parametrize("mode", ["baseline", "ablation"])
 def test_span_only_step_leaves_rule_scores_untouched(mode):
     tb, _, state = make_state(MINI_CORPUS, mode=mode, seed=3)
-    compiled = CompiledRules(state.model.labels, state.grammar, state.rules)
-    loss, grads, rule_grad = sentence_gradients(
-        tb.sentences[0], state.model, state.grammar, state.rules, mode, compiled
-    )
+    loss, grads, rule_grad = gradients(state, tb.sentences[0])
     assert loss > 0.0 and grads is not None and rule_grad is None
     params_before = {k: v.copy() for k, v in state.model.params.items()}
     rules_before = state.rules.scores.tobytes()
@@ -451,3 +454,187 @@ def test_fit_blowup_stops_quietly_with_one_error(mode, caplog):
         with pytest.raises(ValueError, match="^epoch 1: the loss or a parameter is not finite"):
             fit(tb, tb, config)
     assert not caplog.records
+
+
+# ---------------------------------------------------------------------------
+# the sentence-at-a-time step, frozen as the oracle of the sub-batched one
+
+
+def oracle_sentence_gradients(sent, model, grammar, rules, mode, compiled):
+    """One sentence's hinge subgradient with its own forward and a decode of
+    its augmented chart alone."""
+    spec = MODES[mode]
+    if spec.rules:
+        check_gold_rules(sent.btree, grammar)
+    chart, cache = model.forward(tuple(zip(sent.words, sent.pos)), orders=spec.heads)
+    augmented = spec.decode([augmented_chart(chart, sent.btree)], compiled)[0]
+    if isinstance(augmented, NoDerivation):
+        raise augmented
+    loss = max(augmented.score - spec.gold_score(sent.btree, chart, rules), 0.0)
+    if loss <= 0.0:
+        return loss, None, None
+    label_index = {lab: i for i, lab in enumerate(chart.labels)}
+    out_grad = np.zeros_like(chart.scores)
+    rule_grad = np.zeros_like(rules.scores) if spec.rules else None
+    for tree, sign in ((augmented.tree, 1.0), (sent.btree, -1.0)):
+        for node, order in nodes_with_orders(tree):
+            slot = order if order in spec.heads else LEFT
+            out_grad[node.start, node.end, label_index[node.label], slot] += sign
+            if spec.rules and not node.is_leaf:
+                rule = Rule(node.label, node.left.label, node.right.label)
+                rule_grad[grammar.rule_index[rule], order] += sign
+    return loss, model.backward(cache, out_grad), rule_grad
+
+
+def oracle_step(batch, state, outcomes):
+    """``step`` one sentence at a time; appends each sentence's outcome
+    ("active", "zero" or the skip's exception name) to ``outcomes``."""
+    comp = CompiledRules(state.model.labels, state.grammar, state.rules)
+    grad_sum = rule_sum = None
+    total_loss = 0.0
+    skipped = 0
+    for sent in batch:
+        try:
+            loss, grads, rule_grad = oracle_sentence_gradients(
+                sent, state.model, state.grammar, state.rules, state.mode, comp
+            )
+        except NonFiniteChart:
+            return math.nan, 0
+        except (GoldRuleMissing, NoDerivation) as err:
+            outcomes.append(type(err).__name__)
+            skipped += 1
+            continue
+        outcomes.append("zero" if grads is None else "active")
+        total_loss += loss
+        if grads is None:
+            continue
+        if grad_sum is None:
+            grad_sum = grads
+        else:
+            for name in grad_sum:
+                grad_sum[name] += grads[name]
+        if rule_grad is not None:
+            rule_sum = rule_grad if rule_sum is None else rule_sum + rule_grad
+    scale = state.learning_rate / len(batch)
+    if grad_sum is not None:
+        for name, grad in grad_sum.items():
+            state.model.params[name] -= scale * grad
+    if rule_sum is not None:
+        state.rules.scores -= scale * rule_sum
+    scored = len(batch) - skipped
+    return (total_loss / scored if scored else float("nan")), skipped
+
+
+# sentences whose charts ``doctor_charts`` alters, keyed by their first word
+SENTINELS = """\
+(S (NP (DT nowhere) (NN cat)) (VP (VB runs)))
+(S (NP (DT surely) (NN dog)) (VP (VB sees) (NP (DT a) (NN cat))))
+(S (NP (DT broken) (NN fox)) (VP (VB runs)))
+"""
+
+# in the ordered grammar of MINI_CORPUS there is no rule S -> VP NP
+GOLD_RULE_MISSING = "(S (VP (VB runs)) (NP (DT a) (NN dog)))"
+
+
+def doctor_charts(monkeypatch, sentences):
+    """Make the forward alter the chart of a sentinel sentence: "nowhere" has
+    no root score (no derivation in any mode), "surely" scores its gold nodes
+    100 higher (zero loss in any mode), "broken" has an infinite root (a
+    chart that is not finite)."""
+    real = ScorerModel.forward
+    golds = {tuple(zip(s.words, s.pos)): s.btree for s in sentences}
+
+    def forward(self, sentence, orders=(0, 1)):
+        chart, cache = real(self, sentence, orders)
+        n, first = len(sentence), sentence[0][0]
+        if first == "nowhere":
+            chart.scores[0, n] = -np.inf
+        elif first == "broken":
+            chart.scores[0, n] = np.inf
+        elif first == "surely":
+            index = {lab: i for i, lab in enumerate(chart.labels)}
+            for node in golds[tuple(sentence)].nodes():
+                chart.scores[node.start, node.end, index[node.label]] += 100.0
+        return chart, cache
+
+    monkeypatch.setattr(ScorerModel, "forward", forward)
+
+
+def decode_sizes(monkeypatch, mode):
+    """The number of charts in each call of the mode's decoder."""
+    sizes = []
+    spec = MODES[mode]
+
+    def decode(charts, compiled, forbid_root=None):
+        sizes.append(len(charts))
+        return spec.decode(charts, compiled, forbid_root=forbid_root)
+
+    monkeypatch.setitem(MODES, mode, dataclasses.replace(spec, decode=decode))
+    return sizes
+
+
+def cache_floats(state, sent):
+    n = len(sent.words)
+    return n * (n + 1) // 2 * state.model.hidden * 2 * len(MODES[state.mode].heads)
+
+
+def snapshot(state):
+    return {**{k: v.tobytes() for k, v in state.model.params.items()}, "rules": state.rules.scores.tobytes()}
+
+
+@pytest.mark.parametrize("budget", ["default", "largest sentence", "one float"])
+@pytest.mark.parametrize("mode", list(MODES))
+def test_sub_batched_step_is_the_per_sentence_step_bit_for_bit(monkeypatch, mode, budget):
+    # batches mixing scored, zero-loss, underivable and (in the ordered mode)
+    # gold-rule-missing sentences; under a low budget a batch spans several
+    # sub-batches, and under one float every sentence decodes alone
+    tb = bank(MINI_CORPUS)
+    extra = bank(SENTINELS).sentences[:2] + bank(GOLD_RULE_MISSING).sentences
+    sentences = tb.sentences + extra
+    doctor_charts(monkeypatch, sentences)
+    config = TrainConfig(mode=mode, seed=3, dim=8, hidden=8, maxlen=16, learning_rate=0.05)
+    oracle, batched = init_state(tb, config), init_state(tb, config)
+    if budget != "default":
+        low = max(cache_floats(batched, s) for s in sentences) if budget == "largest sentence" else 1
+        monkeypatch.setattr(trainer, "_CACHE_FLOATS", low)
+    sizes = decode_sizes(monkeypatch, mode)
+    rng = np.random.default_rng(0)
+    outcomes, calls = [], []
+    for _ in range(4):
+        order = rng.permutation(len(sentences))
+        for lo in range(0, len(order), 6):
+            batch = [sentences[i] for i in order[lo : lo + 6]]
+            want = oracle_step(batch, oracle, outcomes)
+            del sizes[:]
+            got = step(batch, batched)
+            calls.append(list(sizes))
+            assert got == want
+            assert snapshot(batched) == snapshot(oracle)
+    assert {"active", "zero", "NoDerivation"} <= set(outcomes)
+    assert ("GoldRuleMissing" in outcomes) == MODES[mode].rules
+    if budget == "default":
+        assert all(c == [6] for c in calls)
+    elif budget == "one float":
+        assert all(c == [1] * 6 for c in calls)
+    else:
+        assert any(len(c) > 1 for c in calls) and any(max(c) > 1 for c in calls)
+
+
+@pytest.mark.parametrize("mode", list(MODES))
+def test_non_finite_chart_in_a_later_sub_batch_leaves_the_state_untouched(monkeypatch, mode):
+    tb, _, state = make_state(MINI_CORPUS, mode=mode, seed=1)
+    broken = bank(SENTINELS).sentences[2]
+    doctor_charts(monkeypatch, [broken])
+    batch = tb.sentences[:3] + [broken] + tb.sentences[3:5]
+    monkeypatch.setattr(trainer, "_CACHE_FLOATS", sum(cache_floats(state, s) for s in batch[:3]))
+    sizes = decode_sizes(monkeypatch, mode)
+    backward = ScorerModel.backward
+    backward_calls = []
+    monkeypatch.setattr(ScorerModel, "backward",
+                        lambda self, cache, out_grad: backward_calls.append(1) or backward(self, cache, out_grad))
+    before = snapshot(state)
+    loss, skipped = step(batch, state)
+    assert math.isnan(loss) and skipped == 0
+    assert sizes == [3, 3]  # the broken chart decodes in the second sub-batch
+    assert backward_calls  # after the first sub-batch's gradients were computed
+    assert snapshot(state) == before

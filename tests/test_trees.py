@@ -207,6 +207,11 @@ class TestDebinarize:
         tree = node("S", node("NP", leaf("the", "DT")))
         assert debinarize(binarize(tree)) == tree
 
+    def test_flat_tree_of_1500_children_round_trips(self):
+        # binarization makes it a left-branching chain 1,499 nodes deep
+        tree = node("S", *[leaf(f"w{k}") for k in range(1500)])
+        assert debinarize(binarize(tree)) == tree
+
     def test_dummy_root_rejected(self):
         sent = (("a", "A"), ("b", "B"))
         left = BinaryTree(DUMMY, 0, 1, sent)
