@@ -109,6 +109,7 @@ def _leaf(labels, sentence, i, lab):
     return BinaryTree(labels[lab], i, i + 1, sentence)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite root is reported instead
 def decode_ordered(
     chart: SpanScoreChart,
     grammar: Grammar,
@@ -142,7 +143,8 @@ def decode_ordered(
                         base = t[i, k, comp.left[r], LEFT] + t[k, j, comp.right[r], RIGHT]
                         for o in (LEFT, RIGHT):
                             cand = base + comp.scores[r, o]
-                            if cand > best[o]:
+                            # a NaN candidate wins and stays, as in numpy's max
+                            if cand > best[o] or cand != cand:
                                 best[o] = cand
                                 best_bp[o] = (k, comp.left[r], comp.right[r])
                 for o in (LEFT, RIGHT):
@@ -162,33 +164,44 @@ def _root_error(best: float, n: int) -> Optional[NoDerivation]:
     return None
 
 
-def _label_id(labels, label):
-    return labels.index(label) if label is not None and label in labels else None
+def _root_label(root_scores: np.ndarray, labels: Sequence[str],
+                forbid_root: Optional[str]) -> tuple[int, float]:
+    """The root label and its score: the argmax of one score per label, with
+    ``forbid_root`` (when it is a label) excluded."""
+    if forbid_root in labels:
+        root_scores = root_scores.copy()
+        root_scores[labels.index(forbid_root)] = NEG_INF
+    lab = int(np.argmax(root_scores))
+    return lab, float(root_scores[lab])
+
+
+def _tree(labels, sentence, n, root_lab, split) -> BinaryTree:
+    """The best tree under ``root_lab``, where split(i, j, lab, order) gives a
+    node's split point and its children's labels.  An explicit stack builds it
+    (a node comes back off the stack, with its split, once both children are
+    built), so a tree as deep as its sentence costs no recursion."""
+    done: list[BinaryTree] = []
+    stack = [(0, n, root_lab, LEFT, None)]
+    while stack:
+        i, j, lab, o, k = stack.pop()
+        if j - i == 1:
+            done.append(_leaf(labels, sentence, i, lab))
+        elif k is not None:
+            right = done.pop()
+            done[-1] = BinaryTree(labels[lab], i, j, sentence, done[-1], right)
+        else:
+            k, l1, l2 = split(i, j, lab, o)
+            stack += ((i, j, lab, o, k), (k, j, l2, RIGHT, None), (i, k, l1, LEFT, None))
+    return done[0]
 
 
 def _extract(chart, t, back, n, forbid_root=None) -> DecodeResult:
-    root_scores = t[0, n, :, LEFT]
-    forbidden = _label_id(chart.labels, forbid_root)
-    if forbidden is not None:
-        root_scores = root_scores.copy()
-        root_scores[forbidden] = NEG_INF
-    root_lab = int(np.argmax(root_scores))
-    best = float(root_scores[root_lab])
-    if best == NEG_INF or (n > 1 and (0, n, root_lab, LEFT) not in back):
-        raise NoDerivation(f"no in-grammar derivation covers the sentence (n={n})")
-
-    labels, sentence = chart.labels, chart.sentence
-
-    def build(i, j, lab, o) -> BinaryTree:
-        if j - i == 1:
-            return _leaf(labels, sentence, i, lab)
-        k, l1, l2 = back[(i, j, lab, o)]
-        return BinaryTree(
-            labels[lab], i, j, sentence,
-            build(i, k, l1, LEFT), build(k, j, l2, RIGHT),
-        )
-
-    return DecodeResult(tree=build(0, n, root_lab, LEFT), score=best)
+    root_lab, best = _root_label(t[0, n, :, LEFT], chart.labels, forbid_root)
+    error = _root_error(best, n)
+    if error:
+        raise error
+    tree = _tree(chart.labels, chart.sentence, n, root_lab, lambda i, j, lab, o: back[(i, j, lab, o)])
+    return DecodeResult(tree=tree, score=best)
 
 
 # up to this length the span fill runs faster on float lists than on numpy
@@ -204,7 +217,11 @@ def _span_cky(left: np.ndarray, right: np.ndarray) -> tuple[list, list]:
     (i, i + w) and by_end[j][w] for (j - w, j), so a width-w span's children
     are by_start[i][1:w] and by_end[j][w-1:0:-1] in split order."""
     n = left.shape[0] - 1
-    if n > _LIST_FILL_MAX_N:
+    # Python's max passes over a NaN that is not its first argument, where
+    # numpy's returns it.  Scores below 1e300 hold no NaN or +inf, and no sum
+    # of 2n - 1 of them reaches +inf, so no NaN can arise: only such charts
+    # take the list fill
+    if n > _LIST_FILL_MAX_N or not (left.max() < 1e300 and right.max() < 1e300):
         by_start = np.full((n + 1, n + 1), NEG_INF)
         by_end = np.full((n + 1, n + 1), NEG_INF)
         by_start[:n, 1], by_end[1:, 1] = left.diagonal(1), right.diagonal(1)
@@ -226,19 +243,23 @@ def _span_cky(left: np.ndarray, right: np.ndarray) -> tuple[list, list]:
     return by_start, by_end
 
 
-def _span_tree(label_at, by_start: list, by_end: list, labels, sentence) -> BinaryTree:
-    """The tree of ``_span_cky``'s best bracketing, splitting each span at the
-    smallest best split point; label_at(i, j, order) labels each node."""
+def _decode_spans(left: np.ndarray, right: np.ndarray, label_at, sentence, labels) -> DecodeResult:
+    """The best bracketing of ``_span_cky(left, right)``, split at each node's
+    smallest best split point and labeled by label_at(i, j, order).  Raises
+    NoDerivation for a -inf root and NonFiniteChart for a NaN or +inf one."""
+    n = len(sentence)
+    by_start, by_end = _span_cky(left, right)
+    error = _root_error(by_start[0][n], n)
+    if error:
+        raise error
 
-    def build(i, j, o) -> BinaryTree:
-        lab = label_at(i, j, o)
-        if j - i == 1:
-            return _leaf(labels, sentence, i, lab)
+    def split(i, j, lab, o):
         cand = list(map(add, by_start[i][1 : j - i], by_end[j][j - i - 1 : 0 : -1]))
         k = i + 1 + cand.index(max(cand))
-        return BinaryTree(labels[lab], i, j, sentence, build(i, k, LEFT), build(k, j, RIGHT))
+        return k, label_at(i, k, LEFT), label_at(k, j, RIGHT)
 
-    return build(0, len(sentence), LEFT)
+    tree = _tree(labels, sentence, n, label_at(0, n, LEFT), split)
+    return DecodeResult(tree=tree, score=by_start[0][n])
 
 
 def decode_baseline(
@@ -247,42 +268,28 @@ def decode_baseline(
     labels: tuple[str, ...],
     forbid_root: Optional[str] = None,
 ) -> DecodeResult:
-    """Order-free decoding: per-span label argmax plus best bracketing.
-    Raises NoDerivation for a -inf root and NonFiniteChart for a NaN or +inf one."""
+    """Order-free decoding: per-span label argmax plus best bracketing; raises
+    like ``_decode_spans``."""
     n = len(sentence)
-    forbidden = _label_id(labels, forbid_root)
-    if forbidden is not None:
-        scores = scores.copy()
-        scores[0, n, forbidden] = NEG_INF
     label_choice = np.argmax(scores, axis=2)
     label_score = np.max(scores, axis=2)
-    by_start, by_end = _span_cky(label_score, label_score)
-    error = _root_error(by_start[0][n], n)
-    if error:
-        raise error
-    tree = _span_tree(lambda i, j, o: label_choice.item(i, j), by_start, by_end, labels, sentence)
-    return DecodeResult(tree=tree, score=by_start[0][n])
+    label_choice[0, n], label_score[0, n] = _root_label(scores[0, n], labels, forbid_root)
+    return _decode_spans(label_score, label_score, lambda i, j, o: label_choice.item(i, j), sentence, labels)
 
 
 def decode_ablation(chart: SpanScoreChart, forbid_root: Optional[str] = None) -> DecodeResult:
     """Ordered span scores without the grammar-rule term; raises like
-    ``decode_baseline``."""
+    ``_decode_spans``."""
     n = chart.n
     s = chart.scores
-    forbidden = _label_id(chart.labels, forbid_root)
-    if forbidden is not None:
-        s = s.copy()
-        s[0, n, forbidden, :] = NEG_INF
     label_choice = s.argmax(axis=2)          # (n+1, n+1, 2)
     # the chosen entries; a max over axis 2 ahead of the order axis is slow
     i, j, o = np.indices(label_choice.shape, sparse=True)
     label_score = s[i, j, label_choice, o]
-    by_start, by_end = _span_cky(label_score[:, :, LEFT], label_score[:, :, RIGHT])
-    error = _root_error(by_start[0][n], n)
-    if error:
-        raise error
-    tree = _span_tree(label_choice.item, by_start, by_end, chart.labels, chart.sentence)
-    return DecodeResult(tree=tree, score=by_start[0][n])
+    root = _root_label(s[0, n, :, LEFT], chart.labels, forbid_root)
+    label_choice[0, n, LEFT], label_score[0, n, LEFT] = root
+    return _decode_spans(label_score[:, :, LEFT], label_score[:, :, RIGHT], label_choice.item,
+                         chart.sentence, chart.labels)
 
 
 def decode_each(decode: Callable[[SpanScoreChart], DecodeResult],
@@ -409,6 +416,7 @@ def brute_force_best(
     s = chart.scores
     shapes = _shapes(0, n, {})
     labels, sentence = chart.labels, chart.sentence
+    forbidden = labels.index(forbid_root) if forbid_root in labels else None
 
     if mode == "ordered":
         comp = CompiledRules(chart.labels, grammar, rules)
@@ -439,9 +447,7 @@ def brute_force_best(
 
             fill(shape)
             root_vals = table[shape][:, LEFT]
-            forbidden = _label_id(labels, forbid_root)
             if forbidden is not None:
-                root_vals = root_vals.copy()
                 root_vals[forbidden] = NEG_INF
             lab = int(np.argmax(root_vals))
             val = float(root_vals[lab])
@@ -464,32 +470,11 @@ def brute_force_best(
             raise NoDerivation(f"no in-grammar derivation covers the sentence (n={n})")
         return DecodeResult(tree=best_tree, score=best_score)
 
-    forbidden = _label_id(labels, forbid_root)
-
-    if mode == "baseline":
-        s3 = chart.collapsed()
-        if forbidden is not None:
-            s3 = s3.copy()
-            s3[0, n, forbidden] = NEG_INF
-        best_score, best_shape = NEG_INF, None
-        for shape in shapes:
-            total = sum(float(np.max(s3[i, j])) for i, j, _, _ in _iter_shape(shape))
-            if total > best_score:
-                best_score, best_shape = total, shape
-
-        def build_b(node):
-            i, j, lt, rt = node
-            lab = int(np.argmax(s3[i, j]))
-            if lt is None:
-                return _leaf(labels, sentence, i, lab)
-            return BinaryTree(labels[lab], i, j, sentence, build_b(lt), build_b(rt))
-
-        return DecodeResult(tree=build_b(best_shape), score=best_score)
-
-    # ablation: the order of every node is fixed by its position in the shape
+    # the span modes: a node's order is fixed by its place in the shape, and
+    # baseline reads every node's LEFT scores, which is what chart.collapsed() is
+    s = s[..., [LEFT, LEFT] if mode == "baseline" else [LEFT, RIGHT]]
     if forbidden is not None:
-        s = s.copy()
-        s[0, n, forbidden, :] = NEG_INF
+        s[0, n, forbidden] = NEG_INF
     best_score, best_shape = NEG_INF, None
     for shape in shapes:
         total = sum(
@@ -508,16 +493,6 @@ def brute_force_best(
         )
 
     return DecodeResult(tree=build_a(best_shape, LEFT), score=best_score)
-
-
-def _iter_shape(shape):
-    stack = [shape]
-    while stack:
-        node = stack.pop()
-        yield node
-        if node[2] is not None:
-            stack.append(node[2])
-            stack.append(node[3])
 
 
 def _iter_shape_orders(shape):
@@ -588,37 +563,29 @@ def decode_charts_batched(
         right_pairs[lo:hi] = t[lo:hi, compiled.pair_right, RIGHT]
 
     results: list[Union[DecodeResult, NoDerivation]] = []
-    forbidden = _label_id(compiled.labels, forbid_root)
     for b, chart in enumerate(charts):
         n = int(lens[b])
-        root_scores = t[row[n, b, 0], :, LEFT].copy()
-        if forbidden is not None:
-            root_scores[forbidden] = NEG_INF
-        root_lab = int(np.argmax(root_scores))
-        best = float(root_scores[root_lab])
+        root_lab, best = _root_label(t[row[n, b, 0], :, LEFT], compiled.labels, forbid_root)
         error = _root_error(best, n)
         if error:
             results.append(error)
             continue
-        tree = _backtrace(t, row[:, b], compiled, chart.sentence, n, root_lab)
+        tree = _tree(compiled.labels, chart.sentence, n, root_lab, _backtrace_split(t, row[:, b], compiled))
         results.append(DecodeResult(tree=tree, score=best))
     return results
 
 
-def _backtrace(t, row, compiled, sentence, n, root_lab) -> BinaryTree:
-    """Recompute each node's (split, rule) candidates of the best tree in the
-    scalar decoder's K-major order; the first argmax is its tie-break."""
-    labels = compiled.labels
+def _backtrace_split(t, row, compiled):
+    """The split rule of one sentence's best tree: recompute a node's (split,
+    rule) candidates in the scalar decoder's k-major order and take the first
+    argmax, which is its tie-break."""
 
-    def build(i, j, lab, o) -> BinaryTree:
-        if j - i == 1:
-            return _leaf(labels, sentence, i, lab)
+    def split(i, j, lab, o):
         lo, hi = compiled.parent_slices[lab]
         ks = np.arange(1, j - i)
         tl = t[row[ks, i][:, None], compiled.left[lo:hi], LEFT]
         tr = t[row[j - i - ks, i + ks][:, None], compiled.right[lo:hi], RIGHT]
         k, r = divmod(int(np.argmax((tl + tr) + compiled.scores[lo:hi, o])), hi - lo)
-        k, l1, l2 = i + 1 + k, compiled.left[lo + r], compiled.right[lo + r]
-        return BinaryTree(labels[lab], i, j, sentence, build(i, k, l1, LEFT), build(k, j, l2, RIGHT))
+        return i + 1 + k, compiled.left[lo + r], compiled.right[lo + r]
 
-    return build(0, n, root_lab, LEFT)
+    return split

@@ -20,7 +20,6 @@ from typing import Iterator, NamedTuple, Optional, Union
 
 DUMMY = "∅"
 UNARY_SEP = "|"
-UNK = "<UNK>"
 
 # deepest bracket nesting a treebank may use; InternalNode.linearize spends
 # two stack frames per level, so 200 levels stay well inside the default
@@ -409,7 +408,7 @@ class Treebank:
             for node in sent.btree.nodes():
                 labels.add(node.label)
         self.labels: tuple[str, ...] = tuple(sorted(labels))
-        self.words: tuple[str, ...] = (UNK,) + tuple(sorted(words))
+        self.words: tuple[str, ...] = tuple(sorted(words))
 
     def __len__(self) -> int:
         return len(self.sentences)

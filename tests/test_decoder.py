@@ -1,3 +1,6 @@
+import inspect
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -519,6 +522,9 @@ def test_batched_empty_grammar_yields_no_derivation_slots():
 @pytest.mark.parametrize("value, cells, message", [
     (np.nan, (0, 1), "the chart scores are not finite (n=3)"),
     (np.inf, (0, 1), "the chart scores are not finite (n=3)"),
+    # (0, 1) is a child in the root's first split, (1, 3) in a later one
+    (np.nan, (1, 3), "the chart scores are not finite (n=3)"),
+    (np.inf, (1, 3), "the chart scores are not finite (n=3)"),
     (-np.inf, (slice(None), slice(None)), "no in-grammar derivation covers the sentence (n=3)"),
 ])
 def test_batched_names_a_root_that_is_not_finite(value, cells, message):
@@ -535,6 +541,7 @@ def test_batched_names_a_root_that_is_not_finite(value, cells, message):
     assert isinstance(results[1], NoDerivation)
     assert isinstance(results[1], NonFiniteChart) == (value != -np.inf)
     assert str(results[1]) == message
+    assert_batched_equals_scalar([ok, broken, ok], grammar, rules)  # the scalar reference raises alike
 
 
 SPAN_ONLY = {
@@ -543,11 +550,15 @@ SPAN_ONLY = {
 }
 
 
-@pytest.mark.parametrize("n", [3, 12])  # both fills of the span-only core
+# both fills of the span-only core; at n = 5, span (1, 3) is a child in no
+# parent's first split
+@pytest.mark.parametrize("n", [3, 5, 12])
 @pytest.mark.parametrize("mode", list(SPAN_ONLY))
 @pytest.mark.parametrize("value, cells, message", [
     (np.nan, (0, 1), "the chart scores are not finite (n={n})"),
     (np.inf, (0, 1), "the chart scores are not finite (n={n})"),
+    (np.nan, (1, 3), "the chart scores are not finite (n={n})"),
+    (np.inf, (1, 3), "the chart scores are not finite (n={n})"),
     (-np.inf, (slice(None), slice(None)), "no in-grammar derivation covers the sentence (n={n})"),
 ])
 def test_span_only_decoders_name_a_root_that_is_not_finite(mode, n, value, cells, message):
@@ -565,6 +576,45 @@ def test_span_only_decoders_name_a_root_that_is_not_finite(mode, n, value, cells
     assert type(results[1]) is type(err.value) and str(results[1]) == str(err.value)
 
 
+def _outcome(decode, chart):
+    """(score, tree) of a decode, or (error class, message) of what it raises."""
+    try:
+        result = decode(chart)
+    except NoDerivation as err:
+        return type(err), str(err)
+    return result.score, result.tree
+
+
+def test_list_fill_and_numpy_fill_agree_on_every_chart(monkeypatch):
+    # Python's max passes over a NaN that is not its first argument; the list
+    # fill must still answer what numpy's NaN-propagating fill answers
+    rng = np.random.default_rng(2024)
+    labels = ("A", "B", "C")
+    charts = []
+    for trial in range(240):
+        n = int(rng.integers(2, 13))
+        chart = random_chart(rng, n, labels)
+        if trial % 8 == 7:  # finite scores whose sums overflow
+            chart.scores *= 1e307
+        else:
+            for _ in range(int(rng.integers(0, 4))):
+                # one entry, or every label and order of one span
+                cell = tuple(int(rng.integers(0, d)) for d in chart.scores.shape)
+                value = rng.choice([np.nan, np.inf, -np.inf])
+                chart.scores[cell[: 2 if rng.random() < 0.3 else 4]] = value
+        charts.append(chart)
+    outcomes = {}
+    for max_n in (0, 64):  # numpy's fill for every chart, then the list fill wherever it runs
+        monkeypatch.setattr("ordercky.decoder._LIST_FILL_MAX_N", max_n)
+        outcomes[max_n] = [
+            _outcome(decode, chart) for chart in charts for decode in SPAN_ONLY.values()
+        ]
+    for k, (numpy_fill, list_fill) in enumerate(zip(outcomes[0], outcomes[64])):
+        assert list_fill == numpy_fill, (k // 2, charts[k // 2].n)
+    kinds = {o[0] if isinstance(o[0], type) else float for o in outcomes[0]}
+    assert kinds == {float, NoDerivation, NonFiniteChart}
+
+
 # ---------------------------------------------------------------------------
 # the factored batched fill against the scalar recursion
 
@@ -576,8 +626,8 @@ def assert_batched_equals_scalar(charts, grammar, rules, forbid_root=None):
     for chart, got in zip(charts, results):
         try:
             want = decode_ordered(chart, grammar, rules, forbid_root=forbid_root)
-        except NoDerivation:
-            assert isinstance(got, NoDerivation), chart.n
+        except NoDerivation as err:
+            assert type(got) is type(err) and str(got) == str(err), chart.n
             continue
         assert got.score == want.score, chart.n
         assert got.tree == want.tree, chart.n
@@ -630,6 +680,48 @@ def test_batched_equals_scalar_on_empty_grammar():
     charts = [make_chart(n, labels, _grid(rng, (n + 1, n + 1, 2, 2))) for n in (1, 4, 1, 2)]
     for forbid in (None, "A"):
         assert_batched_equals_scalar(charts, empty, zero_rules(empty), forbid_root=forbid)
+
+
+@given(seed=st.integers(0, 2**32 - 1), forbid=st.sampled_from([None, "A"]))
+@settings(max_examples=15, deadline=None)
+def test_batched_equals_scalar_with_non_finite_cells(seed, forbid):
+    rng = np.random.default_rng(seed)
+    labels = ("A", "B", "C")
+    grammar = full_grammar(labels)
+    rules = RuleScoreChart(grammar, rng.normal(size=(len(grammar), 2)))
+    charts = [random_chart(rng, int(n), labels) for n in rng.integers(1, 7, size=4)]
+    for chart in charts:
+        for _ in range(int(rng.integers(0, 3))):
+            cell = tuple(int(rng.integers(0, d)) for d in chart.scores.shape)
+            chart.scores[cell] = rng.choice([np.nan, np.inf, -np.inf])
+    assert_batched_equals_scalar(charts, grammar, rules, forbid_root=forbid)
+
+
+A_TO_AA = Grammar([Rule("A", "A", "A")])
+DEEP_DECODERS = {
+    "baseline": lambda c: decode_baseline(c.collapsed(), c.sentence, c.labels),
+    "ablation": decode_ablation,
+    "ordered": lambda c: decode_charts_batched([c], CompiledRules(c.labels, A_TO_AA, zero_rules(A_TO_AA)))[0],
+}
+
+
+@pytest.mark.parametrize("mode", list(DEEP_DECODERS))
+def test_decoders_build_a_tree_as_deep_as_the_sentence_without_recursion(mode):
+    # every span starting at 0 scores 1, so the best tree branches left all
+    # the way down: 299 levels under a stack only 100 frames from its limit
+    n = 300
+    scores = np.zeros((n + 1, n + 1, 1, 2))
+    scores[0, :, 0, :] = 1.0
+    chart = make_chart(n, ("A",), scores)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        result = DEEP_DECODERS[mode](chart)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert result.score == n
+    internal = [(node.start, node.end) for node in result.tree.nodes() if not node.is_leaf]
+    assert internal == [(0, j) for j in range(n, 1, -1)]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 1500])

@@ -338,10 +338,9 @@ def test_treebank_vocabularies():
     trees = read_trees("(S (NP (DT the) (NN cat)) (VP (VBD sat)))\n(S (NP (NN cat)))\n")
     tb = Treebank.from_trees(trees)
     assert DUMMY in tb.labels
-    assert "<UNK>" in tb.words
     assert "S" in tb.labels and "NP" in tb.labels
     assert "S|NP" in tb.labels  # collapsed chain from the second tree
-    assert set(tb.words) == {"<UNK>", "the", "cat", "sat"}
+    assert tb.words == ("cat", "sat", "the")  # the scorer adds its own <UNK> row
     assert list(tb.labels) == sorted(tb.labels)
 
 
