@@ -34,7 +34,7 @@ from .decoder import (
     decode_each,
     fallback_tree,
 )
-from .evaluate import per_sentence_rows, score_trees
+from .evaluate import EvalReport, per_sentence_rows
 from .grammar import extract_grammar, grammar_tsv, order_statistics, stats_tsv
 from .selfcheck import oracle_check, write_replay
 from .trainer import MODES, TrainConfig, fit, load_checkpoint
@@ -258,14 +258,14 @@ def run_eval(args) -> int:
     pred = _load(load_trees, args.pred)
     gold = _load(load_trees, args.gold)
     try:
-        report = score_trees(pred, gold)
+        rows = per_sentence_rows(pred, gold)
     except LengthMismatch as err:
         raise ValueError(f"--pred {args.pred} vs --gold {args.gold}: {err}") from None
-    print(report.summary())
+    print(EvalReport.of_rows(rows).summary())
     if args.per_sentence:
         with open(args.per_sentence, "w", encoding="utf-8") as fh:
             fh.write("index\tmatched\tpredicted\tgold\n")
-            for row in per_sentence_rows(pred, gold):
+            for row in rows:
                 fh.write("\t".join(str(v) for v in row) + "\n")
     return EXIT_OK
 

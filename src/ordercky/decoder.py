@@ -6,8 +6,8 @@ smallest label ids (label ids follow the chart's label tuple, which the
 treebank sorts lexicographically).
 
 * ordered: per-order span scores plus grammar-rule scores; compositions are
-  restricted to extracted rules (skipping a rule is equivalent to scoring it
-  at the rule-chart floor, which can never win).
+  restricted to extracted rules, since a rule outside the grammar has no
+  score.
 * baseline: one score per (span, label); the label of each span is chosen
   independently of the tree structure.
 * ablation: per-order span scores, no grammar term and no rule restriction.
@@ -67,26 +67,21 @@ class DecodeResult:
 class CompiledRules:
     """Grammar plus rule scores flattened to id arrays for chart decoding.
 
-    Rules are sorted by (parent, left, right) label ids; rules mentioning
-    labels outside the chart vocabulary are dropped.
-    """
+    The labels must be sorted and distinct and name every grammar label, so the
+    grammar order is the (parent, left, right) id order; ``scores`` is the rule
+    chart's own array."""
 
     def __init__(self, labels: Sequence[str], grammar: Grammar, rules: RuleScoreChart):
         self.labels = tuple(labels)
+        if list(self.labels) != sorted(set(self.labels)):
+            raise ValueError("the chart labels are not sorted and distinct")
         index = {lab: i for i, lab in enumerate(self.labels)}
-        triples = []
-        for rule in grammar.rules:
-            if rule.parent in index and rule.left in index and rule.right in index:
-                ridx = grammar.rule_index[rule]
-                triples.append(
-                    (index[rule.parent], index[rule.left], index[rule.right], ridx)
-                )
-        triples.sort()
-        self.parent = np.array([t[0] for t in triples], dtype=np.intp)
-        self.left = np.array([t[1] for t in triples], dtype=np.intp)
-        self.right = np.array([t[2] for t in triples], dtype=np.intp)
-        self._rule_ids = np.array([t[3] for t in triples], dtype=np.intp)
-        self.refresh(rules)
+        try:
+            ids = np.array([[index[lab] for lab in rule] for rule in grammar.rules], dtype=np.intp)
+        except KeyError as err:
+            raise ValueError(f"grammar label {err.args[0]!r} is not a chart label") from None
+        self.parent, self.left, self.right = ids.reshape(-1, 3).T.copy()
+        self.scores = rules.scores
         bounds = np.searchsorted(self.parent, np.arange(len(self.labels) + 1))
         self.parent_slices = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
         # the batched fill maximizes over splits once per distinct child pair,
@@ -95,11 +90,6 @@ class CompiledRules:
         self.pair_left, self.pair_right = np.divmod(pairs, len(self.labels))
         self.seg_parents = np.flatnonzero(np.diff(bounds))
         self.seg_starts = bounds[self.seg_parents]
-
-    def refresh(self, rules: RuleScoreChart) -> None:
-        """Gather ``scores`` afresh from the rule chart, for rules whose scores
-        changed since compilation."""
-        self.scores = rules.scores[self._rule_ids]
 
     def __len__(self) -> int:
         return len(self.parent)
@@ -482,6 +472,8 @@ def brute_force_best(
         )
         if total > best_score:
             best_score, best_shape = total, shape
+    if best_shape is None:
+        raise NoDerivation(f"no in-grammar derivation covers the sentence (n={n})")
 
     def build_a(node, o):
         i, j, lt, rt = node

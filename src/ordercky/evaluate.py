@@ -34,6 +34,11 @@ class EvalReport:
         p, r = self.precision, self.recall
         return 2 * p * r / (p + r) if p + r else 0.0
 
+    @classmethod
+    def of_rows(cls, rows: Sequence[tuple[int, int, int, int]]) -> "EvalReport":
+        """The corpus totals of ``per_sentence_rows``."""
+        return cls(*(sum(row[k] for row in rows) for k in (1, 2, 3)))
+
     def summary(self) -> str:
         return (
             f"P={self.precision:.2f} R={self.recall:.2f} F1={self.f1:.2f} "
@@ -49,23 +54,16 @@ def bracket_counts(pred: Node, gold: Node) -> tuple[int, int, int]:
 
 
 def score_trees(pred: Sequence[Node], gold: Sequence[Node]) -> EvalReport:
-    if len(pred) != len(gold):
-        raise LengthMismatch(f"{len(pred)} predicted trees vs {len(gold)} gold trees")
-    matched = predicted = total_gold = 0
-    for idx, (p, g) in enumerate(zip(pred, gold)):
-        if sum(1 for _ in iter_leaves(p)) != sum(1 for _ in iter_leaves(g)):
-            raise LengthMismatch(f"sentence {idx}: predicted and gold lengths differ")
-        m, np_, ng = bracket_counts(p, g)
-        matched += m
-        predicted += np_
-        total_gold += ng
-    return EvalReport(matched=matched, predicted=predicted, gold=total_gold)
+    return EvalReport.of_rows(per_sentence_rows(pred, gold))
 
 
 def per_sentence_rows(pred: Sequence[Node], gold: Sequence[Node]) -> list[tuple[int, int, int, int]]:
-    """(index, matched, predicted, gold) per sentence, for TSV dumps."""
+    """(index, matched, predicted, gold) per sentence; LengthMismatch unless trees and leaves pair up."""
+    if len(pred) != len(gold):
+        raise LengthMismatch(f"{len(pred)} predicted trees vs {len(gold)} gold trees")
     rows = []
     for idx, (p, g) in enumerate(zip(pred, gold)):
-        m, np_, ng = bracket_counts(p, g)
-        rows.append((idx, m, np_, ng))
+        if sum(1 for _ in iter_leaves(p)) != sum(1 for _ in iter_leaves(g)):
+            raise LengthMismatch(f"sentence {idx}: predicted and gold lengths differ")
+        rows.append((idx, *bracket_counts(p, g)))
     return rows

@@ -14,7 +14,10 @@ from .trees import BinaryTree, Treebank
 LEFT = 0
 RIGHT = 1
 
-RULE_FLOOR = -1e6
+
+class GoldRuleMissing(ValueError):
+    """A gold composition is missing from the grammar: the gold tree was not
+    binarized with the conventions the grammar was extracted under."""
 
 
 class Rule(NamedTuple):
@@ -80,18 +83,14 @@ def order_statistics(treebank: Treebank) -> OrderStats:
 
 
 class RuleScoreChart:
-    """Learnable per-(rule, order) scores with a hard floor for unseen rules.
+    """Learnable per-(rule, order) scores, a row per grammar rule in grammar
+    order; a rule outside the grammar has no score, and asking raises."""
 
-    The floor is a constant, never a parameter: an out-of-grammar composition
-    is effectively forbidden without introducing infinities.
-    """
-
-    def __init__(self, grammar: Grammar, scores: np.ndarray, floor: float = RULE_FLOOR):
+    def __init__(self, grammar: Grammar, scores: np.ndarray):
         if scores.shape != (len(grammar), 2):
             raise ValueError(f"expected scores of shape ({len(grammar)}, 2)")
         self.grammar = grammar
         self.scores = scores.astype(np.float64)
-        self.floor = float(floor)
 
     @classmethod
     def init_random(cls, grammar: Grammar, rng: np.random.Generator) -> "RuleScoreChart":
@@ -100,7 +99,7 @@ class RuleScoreChart:
     def score(self, rule: Rule, order: int) -> float:
         idx = self.grammar.rule_index.get(rule)
         if idx is None:
-            return self.floor
+            raise GoldRuleMissing(f"gold composition {rule} not in the extracted grammar")
         return float(self.scores[idx, order])
 
 

@@ -259,11 +259,11 @@ class ScorerModel:
         """Model, metadata and the tensors that are not parameters; a missing,
         malformed or non-finite entry raises a ValueError naming it."""
         tensors, meta = load_tensors(path)
-        words = meta_value(path, meta, "words", tuple)
+        words = meta_value(path, meta, "words", strings)
         for symbol in (UNK, BOUNDARY):
             if symbol not in words:
                 raise ValueError(f"{path}: checkpoint metadata 'words' lacks {symbol!r}")
-        labels = meta_value(path, meta, "labels", tuple)
+        labels = meta_value(path, meta, "labels", strings)
         dim, hidden, maxlen = (meta_value(path, meta, key, int) for key in ("dim", "hidden", "maxlen"))
         shapes = _param_shapes(len(words), len(labels), dim, hidden, maxlen)
         params = {name: checked_tensor(path, tensors, name, shape) for name, shape in shapes.items()}
@@ -309,6 +309,11 @@ def meta_value(path: str, meta: dict, key: str, cast):
         return cast(meta[key])
     except (TypeError, ValueError):
         raise ValueError(f"{path}: checkpoint metadata {key!r} is malformed") from None
+
+
+def strings(value) -> tuple[str, ...]:
+    """``value`` as a tuple of strings; str.__str__ raises TypeError on anything else."""
+    return tuple(str.__str__(v) for v in value)
 
 
 def checked_tensor(path: str, tensors: dict[str, np.ndarray], name: str, shape: tuple) -> np.ndarray:

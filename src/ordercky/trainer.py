@@ -37,8 +37,8 @@ from .decoder import (
     ordered_tree_score,
 )
 from .evaluate import EvalReport, score_trees
-from .grammar import LEFT, RIGHT, Grammar, Rule, RuleScoreChart, extract_grammar
-from .scorer import ForwardCache, ScorerModel, SpanScoreChart, checked_tensor, meta_value
+from .grammar import LEFT, RIGHT, GoldRuleMissing, Grammar, Rule, RuleScoreChart, extract_grammar
+from .scorer import ForwardCache, ScorerModel, SpanScoreChart, checked_tensor, meta_value, strings
 from .trees import DUMMY, BinaryTree, Sentence, Treebank, debinarize
 
 logger = logging.getLogger(__name__)
@@ -101,11 +101,6 @@ _INIT_STREAM = 0xC0FFEE
 _SHUFFLE_STREAM = 0x5F0FF1E
 
 
-class GoldRuleMissing(ValueError):
-    """A gold composition is missing from the grammar: the gold tree was not
-    binarized with the conventions the grammar was extracted under."""
-
-
 @dataclass
 class TrainConfig:
     """Every training setting, with its default; the ``train`` command derives
@@ -156,11 +151,9 @@ class TrainState:
     _compiled: Optional[CompiledRules] = None
 
     def compiled_rules(self) -> CompiledRules:
-        """The grammar compiled once per state, with the current rule scores."""
+        """The grammar compiled once per state; it reads the rule chart's scores in place."""
         if self._compiled is None:
             self._compiled = CompiledRules(self.model.labels, self.grammar, self.rules)
-        else:
-            self._compiled.refresh(self.rules)
         return self._compiled
 
     def snapshot_best(self) -> None:
@@ -172,15 +165,6 @@ class TrainState:
             for k in self.model.params:
                 self.model.params[k][...] = self._best_params[k]
             self.rules.scores[...] = self._best_rule_scores
-
-
-def check_gold_rules(gold: BinaryTree, grammar: Grammar) -> None:
-    for node in gold.nodes():
-        if node.is_leaf:
-            continue
-        rule = Rule(node.label, node.left.label, node.right.label)
-        if rule not in grammar:
-            raise GoldRuleMissing(f"gold composition {rule} not in the extracted grammar")
 
 
 def sentence_gradients(
@@ -195,8 +179,8 @@ def sentence_gradients(
 ) -> tuple[float, Optional[dict[str, np.ndarray]], Optional[np.ndarray]]:
     """Subgradient of one sentence's hinge loss, max(best augmented score -
     gold score, 0), from its forward ``chart`` and ``cache`` and the decode
-    of its Hamming-augmented chart; (loss, None, None) at loss 0.  Raises
-    GoldRuleMissing, or the decode's NoDerivation.
+    of its Hamming-augmented chart; (loss, None, None) at loss 0.  Raises the
+    gold score's GoldRuleMissing, or else the decode's NoDerivation.
 
     The augmented tree's chart entries (and rule scores, where the mode has
     the rule term) get +1, the gold tree's get -1; ties inherit the decoder's
@@ -204,11 +188,10 @@ def sentence_gradients(
     A mode without the rule term returns None for the rule gradient.
     """
     spec = MODES[mode]
-    if spec.rules:
-        check_gold_rules(sent.btree, grammar)
+    gold_score = spec.gold_score(sent.btree, chart, rules)
     if isinstance(augmented, NoDerivation):
         raise augmented
-    loss = max(augmented.score - spec.gold_score(sent.btree, chart, rules), 0.0)
+    loss = max(augmented.score - gold_score, 0.0)
     if loss <= 0.0:
         return loss, None, None
 
@@ -427,7 +410,6 @@ def save_checkpoint(path: str, state: TrainState) -> None:
         extra_meta={
             "mode": state.mode,
             "rules": [list(r) for r in state.grammar.rules],
-            "rule_floor": state.rules.floor,
             "best_f1": state.best_f1,
         },
         extra_tensors={"rule_scores": state.rules.scores},
@@ -436,12 +418,19 @@ def save_checkpoint(path: str, state: TrainState) -> None:
 
 def load_checkpoint(path: str) -> tuple[ScorerModel, Grammar, RuleScoreChart, str]:
     """Model, grammar, rule scores and mode; a missing, malformed or non-finite
-    entry raises a ValueError naming the file and the entry."""
+    entry raises a ValueError naming the file and the entry.  The labels and
+    rules must be sorted and distinct, as saved, and the rules name only labels."""
     model, meta, extra = ScorerModel.load(path)
     mode = meta_value(path, meta, "mode", str)
     if mode not in MODES:
         raise ValueError(f"{path}: checkpoint {_unknown_mode(mode)}")
-    grammar = Grammar(meta_value(path, meta, "rules", lambda rules: [Rule(*r) for r in rules]))
-    scores = checked_tensor(path, extra, "rule_scores", (len(grammar), 2))
-    rules = RuleScoreChart(grammar, scores, floor=meta_value(path, meta, "rule_floor", float))
+    listed = meta_value(path, meta, "rules", lambda rules: [Rule(*strings(r)) for r in rules])
+    for key, entries in (("labels", list(model.labels)), ("rules", listed)):
+        if entries != sorted(set(entries)):
+            raise ValueError(f"{path}: checkpoint metadata {key!r} is not sorted and distinct")
+    unknown = {lab for rule in listed for lab in rule} - set(model.labels)
+    if unknown:
+        raise ValueError(f"{path}: checkpoint metadata 'rules' names unknown labels {sorted(unknown)}")
+    grammar = Grammar(listed)
+    rules = RuleScoreChart(grammar, checked_tensor(path, extra, "rule_scores", (len(grammar), 2)))
     return model, grammar, rules, mode

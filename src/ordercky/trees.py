@@ -194,16 +194,18 @@ def _read_tree(text: str, i: int) -> tuple[Optional[Node], int]:
                 raise EmptyConstituent("constituent without a label", _byte_offset(text, start))
 
 
-def iter_bracketed(text: str) -> Iterator[Node]:
-    """Yield every balanced tree in ``text``.
+def iter_bracketed(text: str) -> Iterator[tuple[int, Node]]:
+    """Yield every balanced tree in ``text``, after the index of its first '('.
 
     Handles both one-tree-per-line files and multi-line s-expressions; the
     reader only cares about balance, not line structure.
     """
-    tree, i = _read_tree(text, 0)
+    start = _SPACE(text, 0).end()
+    tree, i = _read_tree(text, start)
     while tree is not None:
-        yield tree
-        tree, i = _read_tree(text, i)
+        yield start, tree
+        start = i
+        tree, i = _read_tree(text, start)
 
 
 def parse_bracketed(text: str) -> Node:
@@ -360,26 +362,25 @@ def _unwrap_root(tree: Node) -> Node:
 
 
 def read_trees(text: str) -> list[Node]:
-    """All trees in a treebank string, with root wrappers unwrapped and
-    function tags stripped; a stripped label that holds DUMMY or UNARY_SEP
-    is an error."""
+    """All trees in a treebank string, with root wrappers unwrapped and function
+    tags stripped.  A stripped label that holds DUMMY or UNARY_SEP, or a bare
+    part-of-speech leaf for a tree, is a BracketError at the tree's first '('."""
 
-    def strip(node: Node, idx: int) -> Node:
+    def strip(node: Node, idx: int, start: int) -> Node:
         if isinstance(node, LeafNode):
             return node
         label = strip_label_decorations(node.label)
         if DUMMY in label or UNARY_SEP in label:
-            raise ValueError(
-                f"tree {idx}: label {label!r} uses a reserved symbol ({DUMMY!r} or {UNARY_SEP!r})"
-            )
-        return InternalNode(label, tuple(strip(c, idx) for c in node.children))
+            raise BracketError(f"tree {idx}: label {label!r} uses a reserved symbol "
+                               f"({DUMMY!r} or {UNARY_SEP!r})", _byte_offset(text, start))
+        return InternalNode(label, tuple(strip(c, idx, start) for c in node.children))
 
     out = []
-    for idx, tree in enumerate(iter_bracketed(text)):
+    for idx, (start, tree) in enumerate(iter_bracketed(text)):
         tree = _unwrap_root(tree)
         if isinstance(tree, LeafNode):
-            raise ValueError(f"tree {idx} is a bare part-of-speech leaf")
-        out.append(strip(tree, idx))
+            raise BracketError(f"tree {idx} is a bare part-of-speech leaf", _byte_offset(text, start))
+        out.append(strip(tree, idx, start))
     return out
 
 

@@ -116,6 +116,26 @@ def test_tree_nested_past_the_bound_names_path_and_line(tmp_path, toy_treebank, 
         "", f"error: {deep}:2: tree nested deeper than {MAX_DEPTH} levels (byte offset {offset})\n")
 
 
+@pytest.mark.parametrize("command", ["stats", "extract-grammar", "eval", "train"])
+@pytest.mark.parametrize("tree, message", [
+    ("(S (A|B (DT a)) (VP (VB b)))", "tree 1: label 'A|B' uses a reserved symbol ('∅' or '|')"),
+    ("(DT a)", "tree 1 is a bare part-of-speech leaf"),
+], ids=["reserved-label", "bare-leaf"])
+def test_rejected_tree_names_path_and_line(tmp_path, toy_treebank, command, tree, message, capsys):
+    bad = tmp_path / "bad.txt"
+    first = TOY.splitlines()[0]
+    bad.write_text(f"{first}\n{tree}\n", encoding="utf-8")
+    argv = {
+        "stats": ["stats", str(bad)],
+        "extract-grammar": ["extract-grammar", str(bad)],
+        "eval": ["eval", "--pred", str(bad), "--gold", toy_treebank],
+        "train": ["train", "--train", str(bad), "--out", str(tmp_path / "m.npz")],
+    }[command]
+    assert cli.main(argv) == 1
+    # the tree's first bracket, which opens line 2
+    assert capsys.readouterr() == ("", f"error: {bad}:2: {message} (byte offset {len(first) + 1})\n")
+
+
 @pytest.mark.parametrize("command, out", [
     ("stats", "label\tL\tR\n∅\t1499\t1499\n"),
     ("extract-grammar", "parent\tleft\tright\nS\t∅\t∅\n∅\t∅\t∅\n"),
@@ -477,6 +497,11 @@ def _rewrite_checkpoint(src, dst, edit_tensors=None, edit_meta=None):
     return dst
 
 
+def _rename_first_parent(meta):
+    # "AA" sorts before every toy label, so the rules stay sorted
+    meta["rules"][0][0] = "AA"
+
+
 def _nan_at_origin(name):
     def edit(tensors):
         tensors[name] = tensors[name].copy()
@@ -497,6 +522,11 @@ def _nan_at_origin(name):
         (None, lambda m: m.update(rules=[["S", "NP"]]), "metadata 'rules' is malformed"),
         (None, lambda m: m.update(mode="cubic"), "mode 'cubic'"),
         (None, lambda m: m.update(words=m["words"][1:]), "'words' lacks '<UNK>'"),
+        (None, lambda m: m.update(rules=m["rules"][::-1]), "metadata 'rules' is not sorted and distinct"),
+        (None, lambda m: m.update(labels=m["labels"][::-1]), "metadata 'labels' is not sorted and distinct"),
+        (None, _rename_first_parent, "metadata 'rules' names unknown labels ['AA']"),
+        (None, lambda m: m.update(labels=[0, *m["labels"][1:]]), "metadata 'labels' is malformed"),
+        (None, lambda m: m["rules"][0].__setitem__(1, ["NP"]), "metadata 'rules' is malformed"),
     ],
 )
 def test_invalid_checkpoint_exits_one_naming_entry(

@@ -519,6 +519,39 @@ def test_batched_empty_grammar_yields_no_derivation_slots():
     assert not isinstance(results[1], NoDerivation)
 
 
+@pytest.mark.parametrize("labels", [("B", "A"), ("A", "A", "B")])
+def test_compiled_rules_refuse_labels_not_sorted_and_distinct(labels):
+    grammar = Grammar([Rule("A", "B", "B")])
+    with pytest.raises(ValueError, match="^the chart labels are not sorted and distinct$"):
+        CompiledRules(labels, grammar, zero_rules(grammar))
+
+
+def test_compiled_rules_refuse_a_grammar_label_outside_the_chart():
+    grammar = Grammar([Rule("A", "B", "B"), Rule("A", "B", "C")])
+    with pytest.raises(ValueError, match="^grammar label 'C' is not a chart label$"):
+        CompiledRules(("A", "B"), grammar, zero_rules(grammar))
+
+
+def test_compiled_rules_keep_the_grammar_order_and_the_rule_chart_scores():
+    labels = ("A", "B", "C")
+    grammar = full_grammar(labels)
+    rules = RuleScoreChart(grammar, np.random.default_rng(0).normal(size=(len(grammar), 2)))
+    compiled = CompiledRules(labels, grammar, rules)
+    ids = {lab: i for i, lab in enumerate(labels)}
+    assert [tuple(map(int, r)) for r in zip(compiled.parent, compiled.left, compiled.right)] == \
+        [tuple(ids[lab] for lab in rule) for rule in grammar.rules]
+    assert compiled.scores is rules.scores
+
+
+@pytest.mark.parametrize("mode", ["baseline", "ablation"])
+def test_brute_force_span_modes_raise_no_derivation_on_an_all_minus_inf_chart(mode):
+    chart = make_chart(3, ("A", "B"), np.full((4, 4, 2, 2), -np.inf))
+    with pytest.raises(NoDerivation, match=r"^no in-grammar derivation covers the sentence \(n=3\)$"):
+        decode_baseline(chart.collapsed(), chart.sentence, chart.labels)
+    with pytest.raises(NoDerivation, match=r"^no in-grammar derivation covers the sentence \(n=3\)$"):
+        brute_force_best(chart, mode)
+
+
 @pytest.mark.parametrize("value, cells, message", [
     (np.nan, (0, 1), "the chart scores are not finite (n=3)"),
     (np.inf, (0, 1), "the chart scores are not finite (n=3)"),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ordercky.grammar import (
-    RULE_FLOOR,
+    GoldRuleMissing,
     Grammar,
     Rule,
     RuleScoreChart,
@@ -97,29 +97,25 @@ def test_stats_rows_sorted_by_total():
     assert totals == sorted(totals, reverse=True)
 
 
-def test_rule_score_lookup_and_floor():
+def test_rule_score_lookup_and_missing_rule():
     tb = bank("(S (NP (NN x)) (VP (VBD y)))")
     g = extract_grammar(tb)
     chart = RuleScoreChart.init_random(g, np.random.default_rng(0))
     rule = Rule("S", "NP", "VP")
     idx = g.rule_index[rule]
     assert chart.score(rule, 0) == chart.scores[idx, 0]
-    assert chart.score(Rule("S", "VP", "NP"), 0) == RULE_FLOOR
-    assert chart.score(Rule("S", "VP", "NP"), 1) == -1e6
+    assert chart.score(rule, 1) == chart.scores[idx, 1]
+    for order in (0, 1):
+        with pytest.raises(GoldRuleMissing, match=r"^gold composition Rule\(parent='S', left='VP', "
+                                                  r"right='NP'\) not in the extracted grammar$"):
+            chart.score(Rule("S", "VP", "NP"), order)
 
 
-def test_rule_score_floor_override():
-    g = Grammar([Rule("S", "A", "B")])
-    chart = RuleScoreChart(g, np.zeros((1, 2)), floor=-50.0)
-    assert chart.score(Rule("Q", "A", "B"), 0) == -50.0
-
-
-def test_rule_scores_finite_and_above_floor():
+def test_rule_scores_finite_and_small():
     tb = bank("(S (A (X x) (Y y)) (B (Z z) (W w)) (C (V v)))")
     g = extract_grammar(tb)
     chart = RuleScoreChart.init_random(g, np.random.default_rng(42))
     assert np.all(np.isfinite(chart.scores))
-    assert chart.floor < chart.scores.min()
     assert np.all(np.abs(chart.scores) <= 0.01)
 
 

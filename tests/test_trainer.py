@@ -10,6 +10,7 @@ from ordercky.decoder import (
     NoDerivation,
     NonFiniteChart,
     augmented_chart,
+    decode_charts_batched,
     decode_ordered,
     fallback_tree,
     nodes_with_orders,
@@ -21,7 +22,6 @@ from ordercky.trainer import (
     MODES,
     GoldRuleMissing,
     TrainConfig,
-    check_gold_rules,
     evaluate_dev,
     fit,
     init_state,
@@ -120,8 +120,8 @@ class TestHingeLoss:
         tb, _, state = make_state(MINI_CORPUS)
         other = bank("(S (QP (CD one) (CD two)) (VP (VB runs)))")
         sent = other.sentences[0]
-        with pytest.raises(GoldRuleMissing):
-            check_gold_rules(sent.btree, state.grammar)
+        with pytest.raises(GoldRuleMissing, match=r"^gold composition Rule\(parent='S', left='QP'"):
+            gradients(state, sent)
 
 
 class TestStep:
@@ -264,9 +264,23 @@ class TestCheckpoint:
         assert mode == "ordered"
         assert grammar.rules == state.grammar.rules
         assert np.array_equal(rules.scores, state.rules.scores)
-        assert rules.floor == state.rules.floor
         for name, value in state.model.params.items():
             assert np.array_equal(model.params[name], value)
+
+
+def test_compiled_rules_read_the_scores_a_step_updates():
+    tb, _, state = make_state(MINI_CORPUS, seed=11)
+    compiled = state.compiled_rules()
+    before = state.rules.scores.copy()
+    step(tb.sentences, state)
+    assert not np.array_equal(state.rules.scores, before)
+    assert state.compiled_rules() is compiled and compiled.scores is state.rules.scores
+    charts = [state.model.forward(tuple(zip(s.words, s.pos)))[0] for s in tb.sentences]
+    got = [r.score for r in decode_charts_batched(charts, state.compiled_rules())]
+    # decode_ordered compiles the grammar afresh from the rule chart
+    assert got == [decode_ordered(c, state.grammar, state.rules).score for c in charts]
+    stale = CompiledRules(state.model.labels, state.grammar, RuleScoreChart(state.grammar, before))
+    assert got != [r.score for r in decode_charts_batched(charts, stale)]
 
 
 def hinge_objective(state, sent):
@@ -465,7 +479,10 @@ def oracle_sentence_gradients(sent, model, grammar, rules, mode, compiled):
     its augmented chart alone."""
     spec = MODES[mode]
     if spec.rules:
-        check_gold_rules(sent.btree, grammar)
+        for node in sent.btree.nodes():
+            rule = None if node.is_leaf else Rule(node.label, node.left.label, node.right.label)
+            if rule is not None and rule not in grammar:
+                raise GoldRuleMissing(f"gold composition {rule} not in the extracted grammar")
     chart, cache = model.forward(tuple(zip(sent.words, sent.pos)), orders=spec.heads)
     augmented = spec.decode([augmented_chart(chart, sent.btree)], compiled)[0]
     if isinstance(augmented, NoDerivation):
