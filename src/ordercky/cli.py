@@ -334,9 +334,6 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except BracketError as err:
-        print(f"error: malformed treebank: {err}", file=sys.stderr)
-        return EXIT_ERROR
     except (OSError, ValueError, NoDerivation) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR

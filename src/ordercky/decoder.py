@@ -24,11 +24,15 @@ fill keeps values only, factored over distinct child-label pairs u = (l1, l2):
 M[c, u] = max_k (T[i, k, l1, L] + T[k, j, l2, R]), then the best M[c, u(r)] +
 g[r, o] over each parent's segment of rules.  Since x -> fl(x + g) is
 monotone, max over (k, r) of fl(fl(tl + tr) + g) equals max over r of
-fl(max_k fl(tl + tr) + g): the very float the scalar recursion keeps.  No
-backpointers are stored; at each node of the best tree only, the candidates
-(tl + tr) + g[r, o] are recomputed in k-major order and the first argmax is
-taken, which is the scalar tie-break even where distinct child sums round to
-one candidate once g is added.
+fl(max_k fl(tl + tr) + g): the very float the scalar recursion keeps.  The
+fill keeps M for every cell and stores no backpointers.  One backtrace then
+walks the best trees of the whole batch a level at a time.  At each node it
+keeps the rules of the parent's segment whose fl(M[c, u(r)] + g[r, o]) is the
+segment's maximum, since by monotonicity no other rule reaches it at any
+split.  It scans the splits k = 1 .. w - 1 of those rules only and takes the
+smallest k whose fl(fl(tl + tr) + g) is the maximum, then the smallest rule:
+the scalar tie-break, even where distinct child sums round to one candidate
+once g is added.
 """
 
 from __future__ import annotations
@@ -83,7 +87,7 @@ class CompiledRules:
         self.parent, self.left, self.right = ids.reshape(-1, 3).T.copy()
         self.scores = rules.scores
         bounds = np.searchsorted(self.parent, np.arange(len(self.labels) + 1))
-        self.parent_slices = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
+        self.bounds = bounds  # parent label l's rules are bounds[l]:bounds[l + 1]
         # the batched fill maximizes over splits once per distinct child pair,
         # then reduces each parent's segment of rules
         pairs, self.rule_pair = np.unique(self.left * len(self.labels) + self.right, return_inverse=True)
@@ -112,6 +116,7 @@ def decode_ordered(
     pipeline) from the root argmax so the result is always de-binarizable.
     """
     comp = CompiledRules(chart.labels, grammar, rules)
+    bounds = comp.bounds.tolist()
     n = chart.n
     n_labels = len(chart.labels)
     s = chart.scores
@@ -123,7 +128,7 @@ def decode_ordered(
         for i in range(0, n - w + 1):
             j = i + w
             for lab in range(n_labels):
-                lo, hi = comp.parent_slices[lab]
+                lo, hi = bounds[lab], bounds[lab + 1]
                 if lo == hi:
                     continue
                 best = [NEG_INF, NEG_INF]
@@ -155,14 +160,14 @@ def _root_error(best: float, n: int) -> Optional[NoDerivation]:
 
 
 def _root_label(root_scores: np.ndarray, labels: Sequence[str],
-                forbid_root: Optional[str]) -> tuple[int, float]:
-    """The root label and its score: the argmax of one score per label, with
-    ``forbid_root`` (when it is a label) excluded."""
+                forbid_root: Optional[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The root label and its score: the argmax of one score per label along
+    the last axis, with ``forbid_root`` (when it is a label) excluded.  The
+    max is the score at the argmax, a NaN included."""
     if forbid_root in labels:
         root_scores = root_scores.copy()
-        root_scores[labels.index(forbid_root)] = NEG_INF
-    lab = int(np.argmax(root_scores))
-    return lab, float(root_scores[lab])
+        root_scores[..., labels.index(forbid_root)] = NEG_INF
+    return root_scores.argmax(axis=-1), root_scores.max(axis=-1)
 
 
 def _tree(labels, sentence, n, root_lab, split) -> BinaryTree:
@@ -190,8 +195,8 @@ def _extract(chart, t, back, n, forbid_root=None) -> DecodeResult:
     error = _root_error(best, n)
     if error:
         raise error
-    tree = _tree(chart.labels, chart.sentence, n, root_lab, lambda i, j, lab, o: back[(i, j, lab, o)])
-    return DecodeResult(tree=tree, score=best)
+    tree = _tree(chart.labels, chart.sentence, n, int(root_lab), lambda i, j, lab, o: back[(i, j, lab, o)])
+    return DecodeResult(tree=tree, score=float(best))
 
 
 # up to this length the span fill runs faster on float lists than on numpy
@@ -199,8 +204,6 @@ def _extract(chart, t, back, n, forbid_root=None) -> DecodeResult:
 _LIST_FILL_MAX_N = 10
 
 
-# overflow in the fill shows as a non-finite root, which the callers report
-@np.errstate(over="ignore", invalid="ignore")
 def _span_cky(left: np.ndarray, right: np.ndarray) -> tuple[list, list]:
     """Best-bracketing values, span (i, j) scoring left[i, j] as a left child
     or the root and right[i, j] as a right child: by_start[i][w] for span
@@ -215,11 +218,13 @@ def _span_cky(left: np.ndarray, right: np.ndarray) -> tuple[list, list]:
         by_start = np.full((n + 1, n + 1), NEG_INF)
         by_end = np.full((n + 1, n + 1), NEG_INF)
         by_start[:n, 1], by_end[1:, 1] = left.diagonal(1), right.diagonal(1)
-        for w in range(2, n + 1):
-            cand = by_start[: n - w + 1, 1:w] + by_end[w:, w - 1 : 0 : -1]
-            best = np.maximum.reduce(cand, axis=1)
-            np.add(left.diagonal(w), best, out=by_start[: n - w + 1, w])
-            np.add(right.diagonal(w), best, out=by_end[w:, w])
+        # overflow shows as a non-finite root, which the callers report
+        with np.errstate(over="ignore", invalid="ignore"):
+            for w in range(2, n + 1):
+                cand = by_start[: n - w + 1, 1:w] + by_end[w:, w - 1 : 0 : -1]
+                best = np.maximum.reduce(cand, axis=1)
+                np.add(left.diagonal(w), best, out=by_start[: n - w + 1, w])
+                np.add(right.diagonal(w), best, out=by_end[w:, w])
         return by_start.tolist(), by_end.tolist()
     lv, rv = left.tolist(), right.tolist()
     by_start = [[NEG_INF] * (n + 1) for _ in range(n + 1)]
@@ -274,8 +279,8 @@ def decode_ablation(chart: SpanScoreChart, forbid_root: Optional[str] = None) ->
     s = chart.scores
     label_choice = s.argmax(axis=2)          # (n+1, n+1, 2)
     # the chosen entries; a max over axis 2 ahead of the order axis is slow
-    i, j, o = np.indices(label_choice.shape, sparse=True)
-    label_score = s[i, j, label_choice, o]
+    span = np.arange(n + 1)
+    label_score = s[span[:, None, None], span[:, None], label_choice, np.arange(2)]
     root = _root_label(s[0, n, :, LEFT], chart.labels, forbid_root)
     label_choice[0, n, LEFT], label_score[0, n, LEFT] = root
     return _decode_spans(label_score[:, :, LEFT], label_score[:, :, RIGHT], label_choice.item,
@@ -500,8 +505,9 @@ def _iter_shape_orders(shape):
 # ---------------------------------------------------------------------------
 # width-batched decoding
 
-# elements per block of the split-axis gather; bounds the fill's temporaries
-_SPLIT_BLOCK = 1 << 20
+# elements per block of the split-axis gather; bounds the fill's temporaries,
+# which at this size stay in a 2 MiB L2 cache
+_SPLIT_BLOCK = 1 << 16
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite root is reported instead
@@ -512,7 +518,8 @@ def decode_charts_batched(
 ) -> list[Union[DecodeResult, NoDerivation]]:
     """Width-synchronous decoding of many charts at once, bit-identical to
     ``decode_ordered``: one step fills every cell of one width, across all
-    sentences, with values only; trees come from the lazy backtrace."""
+    sentences, keeping each cell's pair maxima; one level-synchronous
+    backtrace over those maxima then finds every node's split."""
     if not charts:
         return []
     lens = np.array([c.n for c in charts])
@@ -526,21 +533,27 @@ def decode_charts_batched(
     row = np.full((big_n + 1, batch, big_n), -1, dtype=np.intp)
     row[widths, sents, starts] = np.arange(len(widths))
 
-    s = np.empty((len(widths), len(compiled.labels), 2))
-    for b, chart in enumerate(charts):
-        mine = np.flatnonzero(sents == b)
-        s[mine] = chart.scores[starts[mine], starts[mine] + widths[mine]]
+    # every cell's scores, gathered at once from the charts laid end to end
+    n_labels = len(compiled.labels)
+    side = lens + 1
+    offset = np.concatenate([[0], np.cumsum(side * side)[:-1]])
+    flat = np.concatenate([c.scores.reshape(-1, n_labels, 2) for c in charts])
+    s = flat[offset[sents] + starts * side[sents] + starts + widths]
+    del flat  # before the fill allocates its arrays
     t = np.full_like(s, NEG_INF)
     t[: bounds[1]] = s[: bounds[1]]
     # each cell's values at the distinct child-label pairs, as a left / right child
     left_pairs = np.empty((len(widths), n_pairs))
     right_pairs = np.empty((len(widths), n_pairs))
+    # each cell's pair maxima over its splits, read again by the backtrace
+    pair_max = np.empty((len(widths), n_pairs))
     top = big_n if len(compiled) else 1  # no rules: nothing wider than one token
     for w in range(1, top + 1):
         lo, hi = bounds[w - 1], bounds[w]
         if w > 1:
             b, i = sents[lo:hi], starts[lo:hi]
-            m = np.full((hi - lo, n_pairs), NEG_INF)
+            m = pair_max[lo:hi]
+            m.fill(NEG_INF)
             step = max(1, _SPLIT_BLOCK // ((hi - lo) * n_pairs))
             for k0 in range(1, w, step):
                 ks = np.arange(k0, min(w, k0 + step))[:, None]
@@ -554,30 +567,69 @@ def decode_charts_batched(
         left_pairs[lo:hi] = t[lo:hi, compiled.pair_left, LEFT]
         right_pairs[lo:hi] = t[lo:hi, compiled.pair_right, RIGHT]
 
+    root_labs, bests = _root_label(t[row[lens, np.arange(batch), 0], :, LEFT], compiled.labels, forbid_root)
+    errors = [_root_error(best, n) for best, n in zip(bests.tolist(), lens.tolist())]
+    ok = np.array([error is None for error in errors], dtype=bool)
+    splits = _backtrace(t, pair_max, compiled, row, sents, starts, widths,
+                        row[lens[ok], np.flatnonzero(ok), 0], root_labs[ok])
     results: list[Union[DecodeResult, NoDerivation]] = []
-    for b, chart in enumerate(charts):
-        n = int(lens[b])
-        root_lab, best = _root_label(t[row[n, b, 0], :, LEFT], compiled.labels, forbid_root)
-        error = _root_error(best, n)
+    for b, (chart, error) in enumerate(zip(charts, errors)):
         if error:
             results.append(error)
             continue
-        tree = _tree(compiled.labels, chart.sentence, n, root_lab, _backtrace_split(t, row[:, b], compiled))
-        results.append(DecodeResult(tree=tree, score=best))
+        tree = _tree(compiled.labels, chart.sentence, chart.n, int(root_labs[b]),
+                     lambda i, j, lab, o: splits[b, i, j])
+        results.append(DecodeResult(tree=tree, score=float(bests[b])))
     return results
 
 
-def _backtrace_split(t, row, compiled):
-    """The split rule of one sentence's best tree: recompute a node's (split,
-    rule) candidates in the scalar decoder's k-major order and take the first
-    argmax, which is its tie-break."""
-
-    def split(i, j, lab, o):
-        lo, hi = compiled.parent_slices[lab]
-        ks = np.arange(1, j - i)
-        tl = t[row[ks, i][:, None], compiled.left[lo:hi], LEFT]
-        tr = t[row[j - i - ks, i + ks][:, None], compiled.right[lo:hi], RIGHT]
-        k, r = divmod(int(np.argmax((tl + tr) + compiled.scores[lo:hi, o])), hi - lo)
-        return i + 1 + k, compiled.left[lo + r], compiled.right[lo + r]
-
-    return split
+def _backtrace(t, pair_max, compiled, row, sents, starts, widths, roots, root_labs):
+    """(sentence, i, j) -> (split point, left label, right label) of every
+    internal node of the best trees under the cells ``roots``, found one tree
+    level at a time across the batch, in the two stages the module docstring
+    describes."""
+    n_rules = len(compiled)
+    cell, lab, order = roots, root_labs, np.full_like(roots, LEFT)
+    found = []
+    while True:
+        inner = widths[cell] > 1  # leaves need no split
+        cell, lab, order = cell[inner], lab[inner], order[inner]
+        if not len(cell):
+            break
+        # stage 1: each node's rule segment, and the rules that reach its maximum
+        lo = compiled.bounds[lab]
+        size = compiled.bounds[lab + 1] - lo
+        first = np.cumsum(size) - size
+        node = np.repeat(np.arange(len(cell)), size)
+        rule = np.arange(len(node)) + np.repeat(lo - first, size)
+        g = compiled.scores[rule, order[node]]
+        value = pair_max[cell[node], compiled.rule_pair[rule]] + g
+        best = np.maximum.reduceat(value, first)[node]
+        hit = value == best
+        node, rule, g, best = node[hit], rule[hit], g[hit], best[hit]
+        # stage 2: the splits k = 1 .. w - 1 of every qualifying rule, node by node
+        b, i, w = sents[cell], starts[cell], widths[cell]
+        span = w[node] - 1
+        pick = np.repeat(np.arange(len(node)), span)
+        k = np.arange(len(pick)) - np.repeat(np.cumsum(span) - span - 1, span)
+        p, r = node[pick], rule[pick]
+        bp, ip = b[p], i[p]
+        tl = t[row[k, bp, ip], compiled.left[r], LEFT]
+        tr = t[row[w[p] - k, bp, ip + k], compiled.right[r], RIGHT]
+        hit = (tl + tr) + g[pick] == best[pick]
+        # per node, the smallest split with a hit, then the smallest rule; a
+        # qualifying rule reaches the maximum at its pair-max split, so every
+        # node has a hit
+        key = k[hit] * n_rules + r[hit]
+        key = np.minimum.reduceat(key, np.searchsorted(p[hit], np.arange(len(cell))))
+        k, r = np.divmod(key, n_rules)
+        left, right = compiled.left[r], compiled.right[r]
+        found.append((b, i, i + w, i + k, left, right))
+        # the children are the next level's nodes
+        order = np.repeat(np.array([LEFT, RIGHT]), len(cell))
+        cell = np.concatenate([row[k, b, i], row[w - k, b, i + k]])
+        lab = np.concatenate([left, right])
+    if not found:
+        return {}
+    b, i, j, k, left, right = (np.concatenate(col).tolist() for col in zip(*found))
+    return dict(zip(zip(b, i, j), zip(k, left, right)))

@@ -706,6 +706,68 @@ def test_batched_equals_scalar_with_underivable_chart_in_batch(seed):
     assert_batched_equals_scalar(charts, grammar, rules, forbid_root="A")
 
 
+def _rule_candidates(t, compiled, i, j, lo, hi):
+    """fl(fl(tl + tr) + g) of one cell's rules lo:hi, by (split, rule, order)."""
+    tl = t[i, i + 1 : j][:, compiled.left[lo:hi], LEFT]
+    tr = t[i + 1 : j, j][:, compiled.right[lo:hi], RIGHT]
+    return (tl + tr)[:, :, None] + compiled.scores[lo:hi]
+
+
+def _inside(chart, compiled):
+    """The ordered recursion's values t[i, j, label, order], one numpy max per
+    cell and parent label."""
+    n, s = chart.n, chart.scores
+    t = np.full(s.shape, -np.inf)
+    for i in range(n):
+        t[i, i + 1] = s[i, i + 1]
+    for w in range(2, n + 1):
+        for i in range(n - w + 1):
+            for lab, (lo, hi) in enumerate(zip(compiled.bounds[:-1], compiled.bounds[1:])):
+                if lo < hi:
+                    t[i, i + w, lab] = s[i, i + w, lab] + _rule_candidates(t, compiled, i, i + w, lo, hi).max(axis=(0, 1))
+    return t
+
+
+def _split_ties(tree, chart, compiled):
+    """Nodes of ``tree`` at which two rules reach the node's maximum, each
+    first at a different split."""
+    t = _inside(chart, compiled)
+    index = {lab: x for x, lab in enumerate(chart.labels)}
+    count = 0
+    for node, o in nodes_with_orders(tree):
+        if not node.is_leaf:
+            lab = index[node.label]
+            lo, hi = compiled.bounds[lab], compiled.bounds[lab + 1]
+            cand = _rule_candidates(t, compiled, node.start, node.end, lo, hi)[:, :, o]
+            reach = cand == cand.max()
+            count += len({int(np.argmax(reach[:, r])) for r in np.flatnonzero(reach.any(axis=0))}) > 1
+    return count
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_batched_breaks_ties_between_rules_at_different_splits_as_scalar(seed):
+    # A has every one of its 25 child pairs; on the quarter grid with 2**52
+    # offsets several of them reach a node's best, each first at its own
+    # split, so the smallest split must win before the smallest rule
+    rng = np.random.default_rng(seed)
+    labels = ("A", "B", "C", "D", "E")
+    grammar = Grammar([Rule("A", l, r) for l in labels for r in labels]
+                      + [Rule("B", "A", "A"), Rule("C", "D", "E"), Rule("D", "A", "B")])
+    offsets = rng.choice([0.0, 2.0**52], size=(len(grammar), 1))
+    rules = RuleScoreChart(grammar, _grid(rng, (len(grammar), 2)) + offsets)
+    compiled = CompiledRules(labels, grammar, rules)
+    charts = [make_chart(n, labels, _grid(rng, (n + 1, n + 1, len(labels), 2)))
+              for n in (1, 24, 3, 17, 2, 9, 12, 6)]
+    for forbid in (None, "A"):
+        ties = 0
+        for chart, got in zip(charts, decode_charts_batched(charts, compiled, forbid_root=forbid)):
+            want = decode_ordered(chart, grammar, rules, forbid_root=forbid)
+            assert got.score == want.score, (chart.n, forbid)
+            assert got.tree == want.tree, (chart.n, forbid)
+            ties += _split_ties(want.tree, chart, compiled)
+        assert ties > 0, forbid  # else no node tells the two tie-break orders apart
+
+
 def test_batched_equals_scalar_on_empty_grammar():
     rng = np.random.default_rng(5)
     labels = ("A", "B")
