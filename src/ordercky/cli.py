@@ -37,12 +37,10 @@ from .decoder import (
 from .evaluate import EvalReport, per_sentence_rows
 from .grammar import extract_grammar, grammar_tsv, order_statistics, stats_tsv
 from .selfcheck import oracle_check, write_replay
-from .trainer import MODES, TrainConfig, fit, load_checkpoint
+from .trainer import CHUNK, MODES, TrainConfig, fit, load_checkpoint
 from .trees import DUMMY, BracketError, LengthMismatch, Treebank, debinarize, load_trees, sentence_of
 
 EXIT_OK, EXIT_ERROR = 0, 1
-
-CHUNK = 32  # sentences per decode batch; fixed so --threads never changes results
 
 
 def _load(load, path: str):
@@ -179,6 +177,8 @@ def run_train(args) -> int:
     config = _train_config(args)
     banks = [(path, _load(Treebank.load, path)) for path in (args.train_path, args.dev_path) if path]
     for path, bank in banks:
+        if not bank.sentences:
+            raise ValueError(f"{path}: the treebank holds no trees")
         _check_lengths(path, [sent.words for sent in bank.sentences], config.maxlen)
     train, dev = banks[0][1], banks[-1][1]
     log_fn = None if args.quiet else lambda line: print(line, flush=True)

@@ -15,18 +15,14 @@ roundoff.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 
 LN_EPS = 1e-5
 UNK = "<UNK>"
 BOUNDARY = "<START>"
-
-FORMAT_VERSION = 1
 
 
 class SentenceTooLong(ValueError):
@@ -107,10 +103,10 @@ class ScorerModel:
     ) -> "ScorerModel":
         """Vocabulary rows for UNK and the boundary symbol are added here.
         Embeddings draw from uniform(+-0.5) and matrices from Glorot-uniform,
-        in ``_param_shapes`` order; ``ln_g`` starts at ones, other vectors at zeros."""
+        in ``param_shapes`` order; ``ln_g`` starts at ones, other vectors at zeros."""
         vocab = (UNK, BOUNDARY) + tuple(w for w in words if w not in (UNK, BOUNDARY))
         params: dict[str, np.ndarray] = {}
-        for name, shape in _param_shapes(len(vocab), len(labels), dim, hidden, maxlen).items():
+        for name, shape in param_shapes(len(vocab), len(labels), dim, hidden, maxlen).items():
             if name.endswith("_emb"):
                 params[name] = rng.uniform(-0.5, 0.5, size=shape)
             elif len(shape) == 2:
@@ -240,90 +236,14 @@ class ScorerModel:
         grads["pos_emb"][: len(cache.ids)] = d_emb[:, self.dim :]
         return {name: grads[name] for name in p}
 
-    def save(self, path: str, extra_meta: Optional[dict] = None,
-             extra_tensors: Optional[dict[str, np.ndarray]] = None) -> None:
-        meta = {
-            "format_version": FORMAT_VERSION,
-            "words": list(self.words),
-            "labels": list(self.labels),
-            "dim": self.dim,
-            "hidden": self.hidden,
-            "maxlen": self.maxlen,
-        }
-        if extra_meta:
-            meta.update(extra_meta)
-        save_tensors(path, dict(self.params, **(extra_tensors or {})), meta)
-
-    @classmethod
-    def load(cls, path: str) -> tuple["ScorerModel", dict, dict[str, np.ndarray]]:
-        """Model, metadata and the tensors that are not parameters; a missing,
-        malformed or non-finite entry raises a ValueError naming it."""
-        tensors, meta = load_tensors(path)
-        words = meta_value(path, meta, "words", strings)
-        for symbol in (UNK, BOUNDARY):
-            if symbol not in words:
-                raise ValueError(f"{path}: checkpoint metadata 'words' lacks {symbol!r}")
-        labels = meta_value(path, meta, "labels", strings)
-        dim, hidden, maxlen = (meta_value(path, meta, key, int) for key in ("dim", "hidden", "maxlen"))
-        shapes = _param_shapes(len(words), len(labels), dim, hidden, maxlen)
-        params = {name: checked_tensor(path, tensors, name, shape) for name, shape in shapes.items()}
-        for name in shapes:
-            del tensors[name]
-        return cls(words, labels, dim, hidden, maxlen, params), meta, tensors
-
 
 _HEAD_PARAMS = ("w1", "b1", "ln_g", "ln_b", "w2", "b2")
 
 
-def _param_shapes(vocab: int, n_labels: int, dim: int, hidden: int, maxlen: int) -> dict[str, tuple]:
+def param_shapes(vocab: int, n_labels: int, dim: int, hidden: int, maxlen: int) -> dict[str, tuple]:
+    """Parameter shapes, in ``build``'s draw order, which a checkpoint keeps."""
     shapes = {"tok_emb": (vocab, dim), "pos_emb": (maxlen, dim), "mix_w": (dim, 2 * dim), "mix_b": (dim,)}
     head = ((hidden, dim), (hidden,), (hidden,), (hidden,), (n_labels, hidden), (n_labels,))
     for order in "LR":
         shapes.update((f"{kind}_{order}", shape) for kind, shape in zip(_HEAD_PARAMS, head))
     return shapes
-
-
-def save_tensors(path: str, tensors: dict[str, np.ndarray], meta: dict) -> None:
-    """Versioned key->tensor container: an uncompressed .npz whose entries are
-    row-major float64 arrays plus one JSON metadata string under ``__meta__``."""
-    payload = {k: np.ascontiguousarray(v, dtype=np.float64) for k, v in tensors.items()}
-    payload["__meta__"] = np.array(json.dumps(meta))
-    with open(path, "wb") as fh:
-        np.savez(fh, **payload)
-
-
-def load_tensors(path: str) -> tuple[dict[str, np.ndarray], dict]:
-    with np.load(path, allow_pickle=False) as data:
-        meta = json.loads(str(data["__meta__"]))
-        if meta.get("format_version") != FORMAT_VERSION:
-            raise ValueError(f"unsupported model format: {meta.get('format_version')}")
-        tensors = {k: data[k] for k in data.files if k != "__meta__"}
-    return tensors, meta
-
-
-def meta_value(path: str, meta: dict, key: str, cast):
-    """``cast(meta[key])``, or a ValueError naming the file and the key."""
-    if key not in meta:
-        raise ValueError(f"{path}: checkpoint metadata lacks {key!r}")
-    try:
-        return cast(meta[key])
-    except (TypeError, ValueError):
-        raise ValueError(f"{path}: checkpoint metadata {key!r} is malformed") from None
-
-
-def strings(value) -> tuple[str, ...]:
-    """``value`` as a tuple of strings; str.__str__ raises TypeError on anything else."""
-    return tuple(str.__str__(v) for v in value)
-
-
-def checked_tensor(path: str, tensors: dict[str, np.ndarray], name: str, shape: tuple) -> np.ndarray:
-    """``tensors[name]`` if present, of ``shape`` and finite; else a ValueError
-    naming the file and the tensor."""
-    if name not in tensors:
-        raise ValueError(f"{path}: checkpoint lacks tensor {name!r}")
-    value = tensors[name]
-    if value.shape != shape:
-        raise ValueError(f"{path}: tensor {name!r} has shape {value.shape}, expected {shape}")
-    if not np.isfinite(value).all():
-        raise ValueError(f"{path}: tensor {name!r} has non-finite values")
-    return value

@@ -14,8 +14,11 @@ and the command line all read it.
 
 from __future__ import annotations
 
+import json
 import logging
 import math
+import operator
+import zipfile
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Union
 
@@ -38,7 +41,7 @@ from .decoder import (
 )
 from .evaluate import EvalReport, score_trees
 from .grammar import LEFT, RIGHT, GoldRuleMissing, Grammar, Rule, RuleScoreChart, extract_grammar
-from .scorer import ForwardCache, ScorerModel, SpanScoreChart, checked_tensor, meta_value, strings
+from .scorer import BOUNDARY, UNK, ForwardCache, ScorerModel, SpanScoreChart, param_shapes
 from .trees import DUMMY, BinaryTree, Sentence, Treebank, debinarize
 
 logger = logging.getLogger(__name__)
@@ -214,6 +217,8 @@ def sentence_gradients(
 # caches raise training's peak RSS by about their size
 _CACHE_FLOATS = 1 << 18
 
+CHUNK = 32  # sentences per decode batch outside training; fixed so --threads never changes results
+
 
 def _sub_batches(batch: list[Sentence], floats_per_span: int) -> Iterator[list[Sentence]]:
     """Consecutive runs of ``batch`` whose forward caches fit the budget."""
@@ -289,18 +294,22 @@ def step(batch: list[Sentence], state: TrainState) -> tuple[float, int]:
 
 
 def evaluate_dev(state: TrainState, dev: Treebank) -> EvalReport:
-    """Decode the dev set with the state's mode and score phrasal brackets."""
+    """Decode the dev set with the state's mode, CHUNK sentences at a time,
+    and score phrasal brackets."""
     spec = MODES[state.mode]
     comp = state.compiled_rules()
-    sentences = [tuple(zip(s.words, s.pos)) for s in dev.sentences]
-    charts = [state.model.forward(s, orders=spec.heads)[0] for s in sentences]
     pred_trees = []
-    for sentence, res in zip(sentences, spec.decode(charts, comp, forbid_root=DUMMY)):
-        if isinstance(res, NoDerivation):
-            btree = fallback_tree(sentence, state.model.labels)
-        else:
-            btree = res.tree
-        pred_trees.append(debinarize(btree))
+    for lo in range(0, len(dev.sentences), CHUNK):
+        sentences = [tuple(zip(s.words, s.pos)) for s in dev.sentences[lo : lo + CHUNK]]
+        # the chunk's charts go once decoded, before the next chunk's forwards
+        decoded = spec.decode([state.model.forward(s, orders=spec.heads)[0] for s in sentences],
+                              comp, forbid_root=DUMMY)
+        for sentence, res in zip(sentences, decoded):
+            if isinstance(res, NoDerivation):
+                btree = fallback_tree(sentence, state.model.labels)
+            else:
+                btree = res.tree
+            pred_trees.append(debinarize(btree))
     return score_trees(pred_trees, [s.tree for s in dev.sentences])
 
 
@@ -404,33 +413,110 @@ def fit(
     return state
 
 
+FORMAT_VERSION = 1
+
+
 def save_checkpoint(path: str, state: TrainState) -> None:
-    state.model.save(
-        path,
-        extra_meta={
-            "mode": state.mode,
-            "rules": [list(r) for r in state.grammar.rules],
-            "best_f1": state.best_f1,
-        },
-        extra_tensors={"rule_scores": state.rules.scores},
-    )
+    """The one checkpoint writer: the parameters in ``param_shapes`` order,
+    then ``rule_scores``, and the metadata keys in the order below."""
+    model = state.model
+    meta = {
+        "format_version": FORMAT_VERSION, "words": list(model.words), "labels": list(model.labels),
+        "dim": model.dim, "hidden": model.hidden, "maxlen": model.maxlen,
+        "mode": state.mode, "rules": [list(r) for r in state.grammar.rules], "best_f1": state.best_f1,
+    }
+    save_tensors(path, dict(model.params, rule_scores=state.rules.scores), meta)
 
 
 def load_checkpoint(path: str) -> tuple[ScorerModel, Grammar, RuleScoreChart, str]:
-    """Model, grammar, rule scores and mode; a missing, malformed or non-finite
-    entry raises a ValueError naming the file and the entry.  The labels and
-    rules must be sorted and distinct, as saved, and the rules name only labels."""
-    model, meta, extra = ScorerModel.load(path)
+    """The one checkpoint reader: model, grammar, rule scores and mode.  A bad
+    file or entry raises a ValueError naming them.  The labels and rules must
+    be sorted and distinct, as saved, and the rules name only labels."""
+    tensors, meta = load_tensors(path)
+    words = meta_value(path, meta, "words", strings)
+    for symbol in (UNK, BOUNDARY):
+        if symbol not in words:
+            raise ValueError(f"{path}: checkpoint metadata 'words' lacks {symbol!r}")
+    labels = meta_value(path, meta, "labels", strings)
+    # operator.index, not int, which would truncate 8.9 to 8
+    dim, hidden, maxlen = (meta_value(path, meta, key, operator.index)
+                           for key in ("dim", "hidden", "maxlen"))
+    if dim % 2:
+        raise ValueError(f"{path}: checkpoint metadata 'dim' is odd")
     mode = meta_value(path, meta, "mode", str)
     if mode not in MODES:
         raise ValueError(f"{path}: checkpoint {_unknown_mode(mode)}")
     listed = meta_value(path, meta, "rules", lambda rules: [Rule(*strings(r)) for r in rules])
-    for key, entries in (("labels", list(model.labels)), ("rules", listed)):
+    for key, entries in (("labels", list(labels)), ("rules", listed)):
         if entries != sorted(set(entries)):
             raise ValueError(f"{path}: checkpoint metadata {key!r} is not sorted and distinct")
-    unknown = {lab for rule in listed for lab in rule} - set(model.labels)
+    unknown = {lab for rule in listed for lab in rule} - set(labels)
     if unknown:
         raise ValueError(f"{path}: checkpoint metadata 'rules' names unknown labels {sorted(unknown)}")
+    shapes = param_shapes(len(words), len(labels), dim, hidden, maxlen)
+    params = {name: checked_tensor(path, tensors, name, shape) for name, shape in shapes.items()}
     grammar = Grammar(listed)
-    rules = RuleScoreChart(grammar, checked_tensor(path, extra, "rule_scores", (len(grammar), 2)))
-    return model, grammar, rules, mode
+    rules = RuleScoreChart(grammar, checked_tensor(path, tensors, "rule_scores", (len(grammar), 2)))
+    return ScorerModel(words, labels, dim, hidden, maxlen, params), grammar, rules, mode
+
+
+def save_tensors(path: str, tensors: dict[str, np.ndarray], meta: dict) -> None:
+    """The container: ``tensors`` as row-major float64 arrays, in their order,
+    then ``meta`` as one JSON string under ``__meta__``."""
+    payload = {k: np.ascontiguousarray(v, dtype=np.float64) for k, v in tensors.items()}
+    payload["__meta__"] = np.array(json.dumps(meta))
+    with open(path, "wb") as fh:
+        np.savez(fh, **payload)
+
+
+def load_tensors(path: str) -> tuple[dict[str, np.ndarray], dict]:
+    """The tensors and the metadata of the container at ``path``; a file that
+    is no such container, or of another format version, raises a ValueError
+    naming ``path``."""
+    try:
+        with np.load(path, allow_pickle=False) as data:
+            tensors = {k: data[k] for k in data.files}
+    except (ValueError, TypeError, EOFError, zipfile.BadZipFile):
+        # np.load reads a file that is not an archive as a pickle or a .npy
+        raise ValueError(f"{path}: cannot be read as an .npz archive of arrays") from None
+    if "__meta__" not in tensors:
+        raise ValueError(f"{path}: checkpoint lacks '__meta__'")
+    try:
+        meta = json.loads(str(tensors.pop("__meta__")))
+    except (ValueError, RecursionError):
+        meta = None
+    if not isinstance(meta, dict):
+        raise ValueError(f"{path}: checkpoint '__meta__' is not a JSON object")
+    if meta.get("format_version") != FORMAT_VERSION:
+        raise ValueError(f"{path}: unsupported model format: {meta.get('format_version')}")
+    return tensors, meta
+
+
+def meta_value(path: str, meta: dict, key: str, cast):
+    """``cast(meta[key])``, or a ValueError naming the file and the key."""
+    if key not in meta:
+        raise ValueError(f"{path}: checkpoint metadata lacks {key!r}")
+    try:
+        return cast(meta[key])
+    except (TypeError, ValueError):
+        raise ValueError(f"{path}: checkpoint metadata {key!r} is malformed") from None
+
+
+def strings(value) -> tuple[str, ...]:
+    """``value`` as a tuple of strings; str.__str__ raises TypeError on anything else."""
+    return tuple(str.__str__(v) for v in value)
+
+
+def checked_tensor(path: str, tensors: dict[str, np.ndarray], name: str, shape: tuple) -> np.ndarray:
+    """``tensors[name]`` if present, float64, of ``shape`` and finite; else a
+    ValueError naming the file and the tensor."""
+    if name not in tensors:
+        raise ValueError(f"{path}: checkpoint lacks tensor {name!r}")
+    value = tensors[name]
+    if value.dtype != np.float64:
+        raise ValueError(f"{path}: tensor {name!r} has dtype {value.dtype}, expected float64")
+    if value.shape != shape:
+        raise ValueError(f"{path}: tensor {name!r} has shape {value.shape}, expected {shape}")
+    if not np.isfinite(value).all():
+        raise ValueError(f"{path}: tensor {name!r} has non-finite values")
+    return value

@@ -7,6 +7,8 @@ exact string constant counts as a reference; an import alone does not.
 """
 
 import ast
+import importlib
+import importlib.util
 from collections import defaultdict
 from pathlib import Path
 
@@ -53,3 +55,24 @@ def test_every_public_name_has_a_program_caller():
             if not any(where != path or line not in own for where, line in refs[name]):
                 unused.append(f"{path.name}:{node.lineno} {name}")
     assert not unused, "defined but referenced by no program code: " + ", ".join(unused)
+
+
+def resolves(module, name):
+    """``from module import name`` finds an attribute or a submodule."""
+    owner = importlib.import_module(module)
+    if hasattr(owner, name):
+        return True
+    return hasattr(owner, "__path__") and importlib.util.find_spec(f"{module}.{name}") is not None
+
+
+def test_every_package_name_the_benchmark_imports_resolves():
+    # read, not imported: setup_probe.py does its work at import time
+    imported = [(path.name, node.module, alias.name)
+                for path in sorted((ROOT / "perfbench").glob("*.py"))
+                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+                if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "ordercky"
+                for alias in node.names]
+    assert ("harness.py", "ordercky.trainer", "load_checkpoint") in imported
+    missing = [f"{where}: from {module} import {name}" for where, module, name in imported
+               if not resolves(module, name)]
+    assert not missing, "perfbench imports names the package lacks: " + "; ".join(missing)

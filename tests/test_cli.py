@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from ordercky import cli
-from ordercky.trainer import MODES, TrainConfig
+from ordercky.trainer import MODES, TrainConfig, load_tensors, save_tensors
 from ordercky.trees import MAX_DEPTH, load_trees, read_trees, sentence_of
 
 DATA = Path(cli.__file__).parent / "data"
@@ -377,11 +377,35 @@ def test_parse_handles_unknown_words(tmp_path, toy_model, capsys):
     assert out.startswith("(") and "zyzzyva" in out
 
 
-def test_corrupt_checkpoint_exits_one(tmp_path, toy_treebank, capsys):
+def _string_tensor(bad, real):
+    tensors, meta = load_tensors(str(real))
+    tensors["w2_L"] = tensors["w2_L"].astype("U3")
+    np.savez(bad, **tensors, __meta__=np.array(json.dumps(meta)))
+
+
+@pytest.mark.parametrize("write, message", [
+    (lambda bad, real: bad.write_bytes(b"not a checkpoint at all"),
+     "cannot be read as an .npz archive of arrays"),
+    (lambda bad, real: bad.write_bytes(real.read_bytes()[:100]),
+     "cannot be read as an .npz archive of arrays"),
+    (lambda bad, real: np.savez(bad, x=np.zeros(2)), "checkpoint lacks '__meta__'"),
+    (lambda bad, real: np.savez(bad, __meta__=np.array("{not json")),
+     "checkpoint '__meta__' is not a JSON object"),
+    (lambda bad, real: np.savez(bad, __meta__=np.array("[1,2]")),
+     "checkpoint '__meta__' is not a JSON object"),
+    (lambda bad, real: np.savez(bad, __meta__=np.array("[" * 100_000 + "]" * 100_000)),
+     "checkpoint '__meta__' is not a JSON object"),
+    (lambda bad, real: save_tensors(str(bad), {}, {"format_version": 2}), "unsupported model format: 2"),
+    (_string_tensor, "tensor 'w2_L' has dtype <U3, expected float64"),
+], ids=["text", "first 100 bytes", "no __meta__", "{not json", "[1,2]", "deep JSON", "version 2",
+        "string tensor"])
+def test_malformed_checkpoint_file_exits_one_naming_it(tmp_path, toy_treebank, toy_model, write,
+                                                       message, capsys):
     bad = tmp_path / "bad.npz"
-    bad.write_bytes(b"not a checkpoint at all")
-    assert cli.main(["parse", "--model", str(bad), toy_treebank]) == 1
-    assert capsys.readouterr().err.startswith("error:")
+    write(bad, Path(toy_model))
+    sents = sentences_file(tmp_path, toy_treebank)
+    assert cli.main(["parse", "--model", str(bad), sents]) == 1
+    assert capsys.readouterr() == ("", f"error: {bad}: {message}\n")
 
 
 def test_bench_sentence_exceeding_maxlen_exits_one(tmp_path, toy_treebank, capsys):
@@ -406,6 +430,18 @@ def test_train_rejects_a_too_long_sentence_before_epoch_0(tmp_path, toy_treebank
     assert cli.main(["train", "--train", train, "--dev", dev, "--out", str(out),
                      "--maxlen", "4", "--dim", "8", "--hidden", "8"]) == 1
     assert capsys.readouterr() == ("", f"error: {toy_treebank}: tree 0: sentence length 5 >= maxlen 4\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("where", ["train", "dev"])
+def test_train_rejects_an_empty_treebank(tmp_path, toy_treebank, where, capsys):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("\n", encoding="utf-8")
+    train, dev = (str(empty), toy_treebank) if where == "train" else (toy_treebank, str(empty))
+    out = tmp_path / "m.npz"
+    assert cli.main(["train", "--train", train, "--dev", dev, "--out", str(out),
+                     "--dim", "8", "--hidden", "8"]) == 1
+    assert capsys.readouterr() == ("", f"error: {empty}: the treebank holds no trees\n")
     assert not out.exists()
 
 
@@ -486,8 +522,6 @@ def test_parse_rejects_empty_word_or_pos(tmp_path, toy_model, line, cause, monke
 
 
 def _rewrite_checkpoint(src, dst, edit_tensors=None, edit_meta=None):
-    from ordercky.scorer import load_tensors, save_tensors
-
     tensors, meta = load_tensors(src)
     if edit_tensors:
         edit_tensors(tensors)
@@ -519,6 +553,8 @@ def _nan_at_origin(name):
         (lambda t: t.update(mix_b=t["mix_b"][:-1]), None, "'mix_b' has shape"),
         (None, lambda m: m.pop("rules"), "metadata lacks 'rules'"),
         (None, lambda m: m.pop("hidden"), "metadata lacks 'hidden'"),
+        (None, lambda m: m.update(dim=15), "metadata 'dim' is odd"),
+        (None, lambda m: m.update(dim=16.9), "metadata 'dim' is malformed"),
         (None, lambda m: m.update(rules=[["S", "NP"]]), "metadata 'rules' is malformed"),
         (None, lambda m: m.update(mode="cubic"), "mode 'cubic'"),
         (None, lambda m: m.update(words=m["words"][1:]), "'words' lacks '<UNK>'"),

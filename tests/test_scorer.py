@@ -6,7 +6,6 @@ from ordercky.scorer import (
     UNK,
     ScorerModel,
     SentenceTooLong,
-    load_tensors,
     span_index_arrays,
 )
 
@@ -311,27 +310,3 @@ def test_forward_and_backward_are_bit_identical_to_the_formulas(n, orders, flat_
     assert list(grads) == list(model.params)
     for name in model.params:
         assert_same_floats(grads[name], want[name], name)
-
-
-def test_save_load_round_trip(tmp_path):
-    model = tiny_model(seed=8)
-    path = str(tmp_path / "model.npz")
-    model.save(path, extra_meta={"note": "test"}, extra_tensors={"rules": np.arange(6.0)})
-    loaded, meta, extra = ScorerModel.load(path)
-    assert meta["note"] == "test"
-    assert np.array_equal(extra["rules"], np.arange(6.0))
-    assert loaded.words == model.words and loaded.labels == model.labels
-    for name, p in model.params.items():
-        assert np.array_equal(loaded.params[name], p)
-    a = model.forward(sent("alpha", "beta"))[0]
-    b = loaded.forward(sent("alpha", "beta"))[0]
-    assert np.array_equal(a.scores, b.scores)
-
-
-def test_container_rejects_wrong_version(tmp_path):
-    from ordercky.scorer import save_tensors
-
-    path = str(tmp_path / "bad.npz")
-    save_tensors(path, {"x": np.zeros(2)}, {"format_version": 999})
-    with pytest.raises(ValueError):
-        load_tensors(path)

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -17,7 +18,7 @@ from ordercky.decoder import (
     ordered_tree_score,
 )
 from ordercky.grammar import LEFT, Rule, RuleScoreChart, extract_grammar
-from ordercky.scorer import ScorerModel
+from ordercky.scorer import ScorerModel, param_shapes
 from ordercky.trainer import (
     MODES,
     GoldRuleMissing,
@@ -26,7 +27,9 @@ from ordercky.trainer import (
     fit,
     init_state,
     load_checkpoint,
+    load_tensors,
     save_checkpoint,
+    save_tensors,
     sentence_gradients,
     step,
 )
@@ -256,16 +259,48 @@ class TestFit:
 
 
 class TestCheckpoint:
-    def test_round_trip(self, tmp_path):
-        tb, config, state = make_state(MINI_CORPUS, seed=9)
+    @pytest.mark.parametrize("mode", list(MODES))
+    def test_round_trip(self, tmp_path, mode):
+        tb, config, state = make_state(MINI_CORPUS, mode=mode, seed=9)
+        state.best_f1 = 37.5
         path = str(tmp_path / "model.npz")
         save_checkpoint(path, state)
-        model, grammar, rules, mode = load_checkpoint(path)
-        assert mode == "ordered"
+        model, grammar, rules, loaded_mode = load_checkpoint(path)
+        assert loaded_mode == mode
         assert grammar.rules == state.grammar.rules
         assert np.array_equal(rules.scores, state.rules.scores)
+        assert (model.words, model.labels) == (state.model.words, state.model.labels)
+        assert (model.dim, model.hidden, model.maxlen) == (config.dim, config.hidden, config.maxlen)
+        assert list(model.params) == list(state.model.params)
         for name, value in state.model.params.items():
             assert np.array_equal(model.params[name], value)
+        for sent in tb.sentences:
+            sentence = tuple(zip(sent.words + ("unseen",), sent.pos + ("NN",)))
+            assert np.array_equal(model.forward(sentence)[0].scores,
+                                  state.model.forward(sentence)[0].scores)
+
+    def test_format_is_locked(self, tmp_path):
+        _, _, state = make_state(MINI_CORPUS, seed=9)
+        path = str(tmp_path / "model.npz")
+        save_checkpoint(path, state)
+        with np.load(path) as data:
+            names = list(data.files)
+            meta = json.loads(str(data["__meta__"]))
+        assert list(state.model.params) == list(param_shapes(len(state.model.words),
+                                                             len(state.model.labels), 8, 8, 16))
+        assert names == [*state.model.params, "rule_scores", "__meta__"]
+        assert list(meta) == ["format_version", "words", "labels", "dim", "hidden", "maxlen",
+                              "mode", "rules", "best_f1"]
+        assert meta["format_version"] == trainer.FORMAT_VERSION
+        tensors, read_meta = load_tensors(path)
+        assert list(tensors) == [*state.model.params, "rule_scores"] and read_meta == meta
+
+    def test_container_rejects_wrong_version(self, tmp_path):
+        path = str(tmp_path / "bad.npz")
+        save_tensors(path, {"x": np.zeros(2)}, {"format_version": 999})
+        with pytest.raises(ValueError) as err:
+            load_tensors(path)
+        assert str(err.value) == f"{path}: unsupported model format: 999"
 
 
 def test_compiled_rules_read_the_scores_a_step_updates():
@@ -379,6 +414,19 @@ def test_evaluate_dev_falls_back_on_non_finite_charts(mode):
                  for s in tb.sentences]
     report = evaluate_dev(state, tb)
     assert report == score_trees(fallbacks, [s.tree for s in tb.sentences])
+
+
+@pytest.mark.parametrize("mode", list(MODES))
+def test_evaluate_dev_decodes_chunk_sentences_at_a_time(monkeypatch, mode):
+    tb = bank(MINI_CORPUS)
+    dev = Treebank((tb.sentences * 8)[: 2 * trainer.CHUNK + 5])
+    state = init_state(tb, TrainConfig(mode=mode, seed=4, dim=8, hidden=8, maxlen=16))
+    sizes = decode_sizes(monkeypatch, mode)
+    chunked = evaluate_dev(state, dev)
+    assert sizes == [trainer.CHUNK, trainer.CHUNK, 5]
+    monkeypatch.setattr(trainer, "CHUNK", len(dev.sentences))
+    assert evaluate_dev(state, dev) == chunked
+    assert sizes[3:] == [len(dev.sentences)]
 
 
 def test_unknown_mode_same_message_from_config_and_checkpoint(tmp_path):
