@@ -25,14 +25,18 @@ M[c, u] = max_k (T[i, k, l1, L] + T[k, j, l2, R]), then the best M[c, u(r)] +
 g[r, o] over each parent's segment of rules.  Since x -> fl(x + g) is
 monotone, max over (k, r) of fl(fl(tl + tr) + g) equals max over r of
 fl(max_k fl(tl + tr) + g): the very float the scalar recursion keeps.  The
-fill keeps M for every cell and stores no backpointers.  One backtrace then
-walks the best trees of the whole batch a level at a time.  At each node it
-keeps the rules of the parent's segment whose fl(M[c, u(r)] + g[r, o]) is the
-segment's maximum, since by monotonicity no other rule reaches it at any
-split.  It scans the splits k = 1 .. w - 1 of those rules only and takes the
-smallest k whose fl(fl(tl + tr) + g) is the maximum, then the smallest rule:
-the scalar tie-break, even where distinct child sums round to one candidate
-once g is added.
+fill keeps M for one width at a time and stores no backpointers, so the
+cell x pair tables it keeps are the children's values at each pair, as a
+left and as a right child.  One backtrace then walks the best trees of the
+whole batch a level at a time.  At each node it recomputes M from those two
+tables, summing the same floats the fill maximized, so the maximum is exact.
+It keeps the rules of the parent's segment whose fl(M[c, u(r)] + g[r, o]) is
+the segment's maximum, since by monotonicity no other rule reaches it at any
+split.  It scans the splits k = 1 .. w - 1 of those rules only, reading the
+child sums the recomputation made, and takes the smallest k whose
+fl(fl(tl + tr) + g) is the maximum, then the smallest rule: the scalar
+tie-break, even where distinct child sums round to one candidate once g is
+added.
 """
 
 from __future__ import annotations
@@ -518,8 +522,10 @@ def decode_charts_batched(
 ) -> list[Union[DecodeResult, NoDerivation]]:
     """Width-synchronous decoding of many charts at once, bit-identical to
     ``decode_ordered``: one step fills every cell of one width, across all
-    sentences, keeping each cell's pair maxima; one level-synchronous
-    backtrace over those maxima then finds every node's split."""
+    sentences, keeping every cell's values at the distinct child pairs and
+    that width's pair maxima only; one level-synchronous backtrace, which
+    recomputes its nodes' pair maxima from those values, then finds every
+    node's split."""
     if not charts:
         return []
     lens = np.array([c.n for c in charts])
@@ -545,15 +551,14 @@ def decode_charts_batched(
     # each cell's values at the distinct child-label pairs, as a left / right child
     left_pairs = np.empty((len(widths), n_pairs))
     right_pairs = np.empty((len(widths), n_pairs))
-    # each cell's pair maxima over its splits, read again by the backtrace
-    pair_max = np.empty((len(widths), n_pairs))
     top = big_n if len(compiled) else 1  # no rules: nothing wider than one token
     for w in range(1, top + 1):
         lo, hi = bounds[w - 1], bounds[w]
         if w > 1:
             b, i = sents[lo:hi], starts[lo:hi]
-            m = pair_max[lo:hi]
-            m.fill(NEG_INF)
+            # this width's pair maxima over its splits; the backtrace
+            # recomputes them at its nodes
+            m = np.full((hi - lo, n_pairs), NEG_INF)
             step = max(1, _SPLIT_BLOCK // ((hi - lo) * n_pairs))
             for k0 in range(1, w, step):
                 ks = np.arange(k0, min(w, k0 + step))[:, None]
@@ -570,7 +575,7 @@ def decode_charts_batched(
     root_labs, bests = _root_label(t[row[lens, np.arange(batch), 0], :, LEFT], compiled.labels, forbid_root)
     errors = [_root_error(best, n) for best, n in zip(bests.tolist(), lens.tolist())]
     ok = np.array([error is None for error in errors], dtype=bool)
-    splits = _backtrace(t, pair_max, compiled, row, sents, starts, widths,
+    splits = _backtrace(left_pairs, right_pairs, compiled, row, sents, starts, widths,
                         row[lens[ok], np.flatnonzero(ok), 0], root_labs[ok])
     results: list[Union[DecodeResult, NoDerivation]] = []
     for b, (chart, error) in enumerate(zip(charts, errors)):
@@ -583,7 +588,7 @@ def decode_charts_batched(
     return results
 
 
-def _backtrace(t, pair_max, compiled, row, sents, starts, widths, roots, root_labs):
+def _backtrace(left_pairs, right_pairs, compiled, row, sents, starts, widths, roots, root_labs):
     """(sentence, i, j) -> (split point, left label, right label) of every
     internal node of the best trees under the cells ``roots``, found one tree
     level at a time across the batch, in the two stages the module docstring
@@ -596,27 +601,36 @@ def _backtrace(t, pair_max, compiled, row, sents, starts, widths, roots, root_la
         cell, lab, order = cell[inner], lab[inner], order[inner]
         if not len(cell):
             break
+        # each node's child sums at every pair, one row per split k = 1 .. w - 1
+        # from row first[node]: the very floats the fill maximized, so their
+        # maximum is the node's M
+        b, i, w = sents[cell], starts[cell], widths[cell]
+        span = w - 1
+        first = np.cumsum(span) - span
+        split_node = np.repeat(np.arange(len(cell)), span)
+        k = np.arange(len(split_node)) - np.repeat(first - 1, span)
+        bk, ik = b[split_node], i[split_node]
+        sums = left_pairs[row[k, bk, ik]]
+        sums += right_pairs[row[w[split_node] - k, bk, ik + k]]
+        pair_max = np.maximum.reduceat(sums, first)
         # stage 1: each node's rule segment, and the rules that reach its maximum
         lo = compiled.bounds[lab]
         size = compiled.bounds[lab + 1] - lo
-        first = np.cumsum(size) - size
+        seg = np.cumsum(size) - size
         node = np.repeat(np.arange(len(cell)), size)
-        rule = np.arange(len(node)) + np.repeat(lo - first, size)
+        rule = np.arange(len(node)) + np.repeat(lo - seg, size)
         g = compiled.scores[rule, order[node]]
-        value = pair_max[cell[node], compiled.rule_pair[rule]] + g
-        best = np.maximum.reduceat(value, first)[node]
+        value = pair_max[node, compiled.rule_pair[rule]] + g
+        best = np.maximum.reduceat(value, seg)[node]
         hit = value == best
         node, rule, g, best = node[hit], rule[hit], g[hit], best[hit]
-        # stage 2: the splits k = 1 .. w - 1 of every qualifying rule, node by node
-        b, i, w = sents[cell], starts[cell], widths[cell]
-        span = w[node] - 1
-        pick = np.repeat(np.arange(len(node)), span)
-        k = np.arange(len(pick)) - np.repeat(np.cumsum(span) - span - 1, span)
+        # stage 2: the splits of every qualifying rule, node by node, read at
+        # the rule's pair from the rows above
+        reps = span[node]
+        pick = np.repeat(np.arange(len(node)), reps)
+        k = np.arange(len(pick)) - np.repeat(np.cumsum(reps) - reps - 1, reps)
         p, r = node[pick], rule[pick]
-        bp, ip = b[p], i[p]
-        tl = t[row[k, bp, ip], compiled.left[r], LEFT]
-        tr = t[row[w[p] - k, bp, ip + k], compiled.right[r], RIGHT]
-        hit = (tl + tr) + g[pick] == best[pick]
+        hit = sums[first[p] + k - 1, compiled.rule_pair[r]] + g[pick] == best[pick]
         # per node, the smallest split with a hit, then the smallest rule; a
         # qualifying rule reaches the maximum at its pair-max split, so every
         # node has a hit

@@ -1,11 +1,13 @@
 import inspect
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ordercky import decoder
 from ordercky.decoder import (
     CompiledRules,
     InstanceTooLarge,
@@ -790,6 +792,75 @@ def test_batched_equals_scalar_with_non_finite_cells(seed, forbid):
             cell = tuple(int(rng.integers(0, d)) for d in chart.scores.shape)
             chart.scores[cell] = rng.choice([np.nan, np.inf, -np.inf])
     assert_batched_equals_scalar(charts, grammar, rules, forbid_root=forbid)
+
+
+def _random_gold(rng, chart):
+    """A random binary tree over the chart's sentence, with random labels."""
+    labels, sentence = chart.labels, chart.sentence
+
+    def build(i, j):
+        lab = labels[int(rng.integers(len(labels)))]
+        if j - i == 1:
+            return BinaryTree(lab, i, j, sentence)
+        k = int(rng.integers(i + 1, j))
+        return BinaryTree(lab, i, j, sentence, build(i, k), build(k, j))
+
+    return build(0, chart.n)
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=10, deadline=None)
+def test_batched_equals_scalar_on_hamming_augmented_charts(seed):
+    # training decodes these charts; on quarter-grid scores the +1 of every
+    # span off the gold tree makes many candidates tie exactly
+    rng = np.random.default_rng(seed)
+    labels = ("A", "B", "C", "D", "E")
+    lengths = [int(rng.integers(14, 21))] + [int(n) for n in rng.integers(1, 13, size=4)]
+    charts = [make_chart(n, labels, _grid(rng, (n + 1, n + 1, len(labels), 2))) for n in lengths]
+    golds = [_random_gold(rng, chart) for chart in charts]
+    # the gold trees' rules, as in an extracted grammar, plus random others
+    triples = [Rule(p, l, r) for p in labels for l in labels for r in labels]
+    picked = rng.choice(len(triples), size=int(rng.integers(20, 41)), replace=False)
+    grammar = Grammar([triples[i] for i in picked]
+                      + [Rule(n.label, n.left.label, n.right.label)
+                         for gold in golds for n in gold.nodes() if not n.is_leaf])
+    rules = RuleScoreChart(grammar, _grid(rng, (len(grammar), 2)))
+    augmented = [augmented_chart(chart, gold) for chart, gold in zip(charts, golds)]
+    for forbid in (None, "A"):
+        assert_batched_equals_scalar(augmented, grammar, rules, forbid_root=forbid)
+
+
+def test_batched_decode_keeps_two_cell_by_pair_tables():
+    # the fill keeps two float tables of cells x distinct child pairs; the
+    # traced peak must stay below them plus the chart-sized arrays, the
+    # concatenated charts and one width's working set, so that a third table
+    # of cells x pairs does not fit
+    rng = np.random.default_rng(0)
+    labels = tuple("ABCDEFGHIJ")
+    # every child pair, each under two parents: 100 pairs, 200 rules
+    grammar = Grammar([Rule(labels[p], l, r) for l in labels for r in labels
+                       for p in rng.choice(len(labels), size=2, replace=False)])
+    compiled = CompiledRules(labels, grammar, zero_rules(grammar))
+    lengths = range(20, 35, 2)
+    charts = [random_chart(rng, n, labels) for n in lengths]
+    cells = sum(n * (n + 1) // 2 for n in lengths)
+    widest = sum(n - 1 for n in lengths)  # width 2 has the most cells
+    pairs, f8 = len(compiled.pair_left), np.dtype(float).itemsize
+    assert pairs >= 40
+    tables = 2 * cells * pairs * f8                   # left_pairs, right_pairs
+    chart_sized = 2 * cells * len(labels) * 2 * f8    # the span scores s and the values t
+    concatenated = sum(chart.scores.nbytes for chart in charts)
+    # a split block and its gathered right rows; the pair maxima and one
+    # block's; the per-rule values before and after adding the rule scores
+    working = (2 * decoder._SPLIT_BLOCK + widest * 2 * (pairs + len(grammar))) * f8
+    tracemalloc.start()
+    try:
+        results = decode_charts_batched(charts, compiled)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not any(isinstance(res, NoDerivation) for res in results)
+    assert peak < tables + chart_sized + concatenated + working, (peak, cells * pairs * f8)
 
 
 A_TO_AA = Grammar([Rule("A", "A", "A")])
