@@ -43,13 +43,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import add
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .grammar import LEFT, RIGHT, Grammar, RuleScoreChart, Rule
+from .grammar import Grammar, RuleScoreChart, Rule
 from .scorer import SpanScoreChart
-from .trees import BinaryTree, decoded_spans
+from .trees import DUMMY, LEFT, RIGHT, BinaryTree
 
 NEG_INF = -np.inf
 
@@ -308,10 +308,10 @@ def hamming_costs(n: int, labels: tuple[str, ...], gold: BinaryTree) -> np.ndarr
     """cost[i, j, l] = 1 if (i, j, label_l) is not a node of gold, else 0."""
     cost = np.ones((n + 1, n + 1, len(labels)))
     index = {lab: i for i, lab in enumerate(labels)}
-    for span in decoded_spans(gold):
-        lab = index.get(span.label)
+    for node, _ in gold.nodes():
+        lab = index.get(node.label)
         if lab is not None:
-            cost[span.start, span.end, lab] = 0.0
+            cost[node.start, node.end, lab] = 0.0
     return cost
 
 
@@ -323,17 +323,6 @@ def augmented_chart(chart: SpanScoreChart, gold: BinaryTree) -> SpanScoreChart:
     return SpanScoreChart(chart.sentence, chart.labels, chart.scores + costs[:, :, :, None])
 
 
-def nodes_with_orders(btree: BinaryTree) -> Iterator[tuple[BinaryTree, int]]:
-    """Every node in preorder, paired with its order as a child; the root
-    reads as LEFT."""
-    stack = [(btree, LEFT)]
-    while stack:
-        node, order = stack.pop()
-        yield node, order
-        if not node.is_leaf:
-            stack += ((node.right, RIGHT), (node.left, LEFT))
-
-
 def ordered_tree_score(
     btree: BinaryTree,
     chart: SpanScoreChart,
@@ -342,7 +331,7 @@ def ordered_tree_score(
     """Independent bottom-up re-summation of the ordered (or ablation) objective."""
     index = {lab: i for i, lab in enumerate(chart.labels)}
     total = 0.0
-    for node, order in nodes_with_orders(btree):
+    for node, order in btree.nodes():
         total += float(chart.scores[node.start, node.end, index[node.label], order])
         if rules is not None and not node.is_leaf:
             total += rules.score(Rule(node.label, node.left.label, node.right.label), order)
@@ -352,7 +341,7 @@ def ordered_tree_score(
 def baseline_tree_score(btree: BinaryTree, scores: np.ndarray, labels: tuple[str, ...]) -> float:
     index = {lab: i for i, lab in enumerate(labels)}
     return float(
-        sum(scores[n.start, n.end, index[n.label]] for n in btree.nodes())
+        sum(scores[n.start, n.end, index[n.label]] for n, _ in btree.nodes())
     )
 
 
@@ -362,8 +351,6 @@ def fallback_tree(
     """Right-branching tree of dummy nodes under the first non-dummy label,
     for robustness runs where no in-grammar derivation exists; built bottom-up,
     so its depth costs no stack."""
-    from .trees import DUMMY
-
     n = len(sentence)
     node = BinaryTree(DUMMY, n - 1, n, sentence)
     for i in range(n - 2, -1, -1):

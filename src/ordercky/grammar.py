@@ -9,10 +9,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .trees import BinaryTree, Treebank
-
-LEFT = 0
-RIGHT = 1
+from .trees import Treebank
 
 
 class GoldRuleMissing(ValueError):
@@ -40,19 +37,11 @@ class Grammar:
         return rule in self.rule_index
 
 
-def _compositions(btree: BinaryTree) -> Iterable[Rule]:
-    for node in btree.nodes():
-        if not node.is_leaf:
-            yield Rule(node.label, node.left.label, node.right.label)
-
-
 def extract_grammar(treebank: Treebank) -> Grammar:
     """Exactly the set of (parent, left, right) triples observed in the
     binarized trees; duplicates and sentence order are irrelevant."""
-    rules: set[Rule] = set()
-    for sent in treebank.sentences:
-        rules.update(_compositions(sent.btree))
-    return Grammar(rules)
+    return Grammar(Rule(node.label, node.left.label, node.right.label)
+                   for sent in treebank.sentences for node, _ in sent.btree.nodes() if not node.is_leaf)
 
 
 @dataclass(frozen=True)
@@ -75,7 +64,7 @@ def order_statistics(treebank: Treebank) -> OrderStats:
     left: Counter = Counter()
     right: Counter = Counter()
     for sent in treebank.sentences:
-        for node in sent.btree.nodes():
+        for node, _ in sent.btree.nodes():
             if not node.is_leaf:
                 left[node.left.label] += 1
                 right[node.right.label] += 1

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import random
 
-from .decoder import nodes_with_orders
 from .grammar import extract_grammar, order_statistics
 from .trees import DUMMY, Treebank, read_trees
 
@@ -43,7 +42,7 @@ def check_consistency(lines, allow_conflicts=()):
     seen: dict = {}
     conflicts = []
     for sent in tb.sentences:
-        for node, order in nodes_with_orders(sent.btree):
+        for node, order in sent.btree.nodes():
             left_word = sent.words[node.start - 1] if node.start > 0 else "<s>"
             key = (node.start, node.end, left_word, sent.words[node.end - 1])
             prev = seen.setdefault((key, order), node.label)

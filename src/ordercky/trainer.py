@@ -36,13 +36,12 @@ from .decoder import (
     decode_charts_batched,
     decode_each,
     fallback_tree,
-    nodes_with_orders,
     ordered_tree_score,
 )
 from .evaluate import EvalReport, score_trees
-from .grammar import LEFT, RIGHT, GoldRuleMissing, Grammar, Rule, RuleScoreChart, extract_grammar
+from .grammar import GoldRuleMissing, Grammar, Rule, RuleScoreChart, extract_grammar
 from .scorer import BOUNDARY, UNK, ForwardCache, ScorerModel, SpanScoreChart, param_shapes
-from .trees import DUMMY, BinaryTree, Sentence, Treebank, debinarize
+from .trees import DUMMY, LEFT, RIGHT, BinaryTree, Sentence, Treebank, debinarize
 
 logger = logging.getLogger(__name__)
 
@@ -202,7 +201,7 @@ def sentence_gradients(
     out_grad = np.zeros_like(chart.scores)
     rule_grad = np.zeros_like(rules.scores) if spec.rules else None
     for tree, sign in ((augmented.tree, 1.0), (sent.btree, -1.0)):
-        for node, order in nodes_with_orders(tree):
+        for node, order in tree.nodes():
             slot = order if order in spec.heads else LEFT
             out_grad[node.start, node.end, label_index[node.label], slot] += sign
             if spec.rules and not node.is_leaf:

@@ -21,9 +21,13 @@ from typing import Iterator, NamedTuple, Optional, Union
 DUMMY = "∅"
 UNARY_SEP = "|"
 
-# deepest bracket nesting a treebank may use; InternalNode.linearize spends
-# two stack frames per level, so 200 levels stay well inside the default
-# recursion limit of 1000
+# a node's order as a child: every node reads the span and rule scores of its
+# order, and the root reads as LEFT
+LEFT, RIGHT = 0, 1
+
+# deepest bracket nesting a treebank may use; binarize and read_trees recurse
+# over the trees read from a file (read_trees spends two stack frames per
+# level), so 200 levels stay well inside the default recursion limit of 1000
 MAX_DEPTH = 200
 
 _ESCAPES = [("(", "-LRB-"), (")", "-RRB-")]
@@ -80,8 +84,22 @@ class InternalNode:
     children: tuple["Node", ...]
 
     def linearize(self) -> str:
-        body = " ".join(c.linearize() for c in self.children)
-        return f"({self.label} {body})"
+        """Bracketed text, built with an explicit stack, since a decoded tree
+        may be as deep as its sentence is long: every bracket opens after a
+        space, and the root's space is cut."""
+        parts: list[str] = []
+        stack: list[Union[Node, str]] = [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                parts.append(item)
+            elif isinstance(item, LeafNode):
+                parts.append(f" ({item.pos} {escape_token(item.word)})")
+            else:
+                parts.append(f" ({item.label}")
+                stack.append(")")
+                stack.extend(reversed(item.children))
+        return "".join(parts)[1:]
 
 
 Node = Union[InternalNode, LeafNode]
@@ -106,14 +124,15 @@ class BinaryTree:
     def is_leaf(self) -> bool:
         return self.left is None
 
-    def nodes(self) -> Iterator["BinaryTree"]:
-        """Every node in preorder."""
-        stack = [self]
+    def nodes(self) -> Iterator[tuple["BinaryTree", int]]:
+        """Every node in preorder, paired with its order as a child; the root
+        reads as LEFT."""
+        stack = [(self, LEFT)]
         while stack:
-            node = stack.pop()
-            yield node
+            node, order = stack.pop()
+            yield node, order
             if node.left is not None:
-                stack += (node.right, node.left)
+                stack += ((node.right, RIGHT), (node.left, LEFT))
 
 
 def escape_token(word: str) -> str:
@@ -219,11 +238,13 @@ def parse_bracketed(text: str) -> Node:
 
 
 def iter_leaves(node: Node) -> Iterator[LeafNode]:
-    if isinstance(node, LeafNode):
-        yield node
-    else:
-        for child in node.children:
-            yield from iter_leaves(child)
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, LeafNode):
+            yield node
+        else:
+            stack.extend(reversed(node.children))
 
 
 def sentence_of(tree: Node) -> tuple[tuple[str, str], ...]:
@@ -325,29 +346,23 @@ def debinarize(btree: BinaryTree) -> Node:
 def spans_of(tree: Node) -> list[LabeledSpan]:
     """Labeled spans of phrasal nodes (a multiset; unary chains may repeat a span).
 
-    Part-of-speech leaves are never spans.
+    Part-of-speech leaves are never spans.  A preorder stack walk counts
+    leaves; a node's (label, start) on the stack pops once its children are
+    done, when the count is its end.
     """
     out: list[LabeledSpan] = []
-
-    def rec(node: Node, i: int) -> int:
-        if isinstance(node, LeafNode):
-            return i + 1
-        j = i
-        for child in node.children:
-            j = rec(child, j)
-        out.append(LabeledSpan(i, j, node.label))
-        return j
-
-    rec(tree, 0)
+    i = 0
+    stack: list[Union[Node, tuple[str, int]]] = [tree]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, LeafNode):
+            i += 1
+        elif isinstance(item, InternalNode):
+            stack.append((item.label, i))
+            stack.extend(reversed(item.children))
+        else:
+            out.append(LabeledSpan(item[1], i, item[0]))
     return sorted(out)
-
-
-def decoded_spans(btree: BinaryTree) -> set[LabeledSpan]:
-    """Every node of a binary tree as a labeled span, DUMMY included.
-
-    Spans are unique within one binary tree, so a set is exact.
-    """
-    return {LabeledSpan(n.start, n.end, n.label) for n in btree.nodes()}
 
 
 def _unwrap_root(tree: Node) -> Node:
@@ -406,7 +421,7 @@ class Treebank:
         words = set()
         for sent in sentences:
             words.update(sent.words)
-            for node in sent.btree.nodes():
+            for node, _ in sent.btree.nodes():
                 labels.add(node.label)
         self.labels: tuple[str, ...] = tuple(sorted(labels))
         self.words: tuple[str, ...] = tuple(sorted(words))

@@ -22,13 +22,12 @@ from ordercky.decoder import (
     decode_each,
     decode_ordered,
     fallback_tree,
-    nodes_with_orders,
     ordered_tree_score,
 )
-from ordercky.grammar import LEFT, RIGHT, Grammar, Rule, RuleScoreChart
+from ordercky.grammar import Grammar, Rule, RuleScoreChart
 from ordercky.scorer import SpanScoreChart
 from ordercky.selfcheck import oracle_check, random_instance
-from ordercky.trees import DUMMY, BinaryTree, InternalNode, LeafNode, debinarize, decoded_spans
+from ordercky.trees import DUMMY, LEFT, RIGHT, BinaryTree, InternalNode, LabeledSpan, LeafNode, debinarize
 
 
 def make_chart(n, labels, scores):
@@ -48,6 +47,12 @@ def zero_rules(grammar):
     return RuleScoreChart(grammar, np.zeros((len(grammar), 2)))
 
 
+def decoded_spans(btree):
+    """Every node of a binary tree as a labeled span, DUMMY included; spans
+    are unique within one binary tree, so a set is exact."""
+    return {LabeledSpan(n.start, n.end, n.label) for n, _ in btree.nodes()}
+
+
 def hamming(pred, gold):
     """Labeled spans of ``pred`` (dummy nodes included) absent from ``gold``:
     the loss that loss-augmented decoding adds, counted on the trees."""
@@ -57,7 +62,7 @@ def hamming(pred, gold):
 def assert_partition(btree):
     """Leaves have width 1 and every internal node's children split its span
     at some i < k < j."""
-    for node in btree.nodes():
+    for node, _ in btree.nodes():
         if node.is_leaf:
             assert node.end == node.start + 1
         else:
@@ -232,7 +237,7 @@ class TestLossAugmented:
             inst = random_instance(rng, max_n=5, max_labels=3)
             if not all(
                 Rule(n.label, n.left.label, n.right.label) in inst.grammar
-                for n, _ in nodes_with_orders(inst.gold) if not n.is_leaf
+                for n, _ in inst.gold.nodes() if not n.is_leaf
             ):
                 continue
             aug = decode_ordered(augmented_chart(inst.chart, inst.gold), inst.grammar, inst.rules)
@@ -262,7 +267,7 @@ def full_enumeration_best(chart, mode, grammar=None, rules=None, gold=None):
     for tree in all_trees(0, n):
         total = 0.0
         valid = True
-        for node, order in nodes_with_orders(tree):
+        for node, order in tree.nodes():
             if mode == "baseline":
                 total += chart.collapsed()[node.start, node.end, index[node.label]]
             else:
@@ -736,7 +741,7 @@ def _split_ties(tree, chart, compiled):
     t = _inside(chart, compiled)
     index = {lab: x for x, lab in enumerate(chart.labels)}
     count = 0
-    for node, o in nodes_with_orders(tree):
+    for node, o in tree.nodes():
         if not node.is_leaf:
             lab = index[node.label]
             lo, hi = compiled.bounds[lab], compiled.bounds[lab + 1]
@@ -823,7 +828,7 @@ def test_batched_equals_scalar_on_hamming_augmented_charts(seed):
     picked = rng.choice(len(triples), size=int(rng.integers(20, 41)), replace=False)
     grammar = Grammar([triples[i] for i in picked]
                       + [Rule(n.label, n.left.label, n.right.label)
-                         for gold in golds for n in gold.nodes() if not n.is_leaf])
+                         for gold in golds for n, _ in gold.nodes() if not n.is_leaf])
     rules = RuleScoreChart(grammar, _grid(rng, (len(grammar), 2)))
     augmented = [augmented_chart(chart, gold) for chart, gold in zip(charts, golds)]
     for forbid in (None, "A"):
@@ -886,7 +891,7 @@ def test_decoders_build_a_tree_as_deep_as_the_sentence_without_recursion(mode):
     finally:
         sys.setrecursionlimit(limit)
     assert result.score == n
-    internal = [(node.start, node.end) for node in result.tree.nodes() if not node.is_leaf]
+    internal = [(node.start, node.end) for node, _ in result.tree.nodes() if not node.is_leaf]
     assert internal == [(0, j) for j in range(n, 1, -1)]
 
 
@@ -900,7 +905,7 @@ def test_fallback_tree_branches_right_under_the_first_label(n):
         want += [(i, n, DUMMY), (i, i + 1, DUMMY)]
     if n > 1:
         want.append((n - 1, n, DUMMY))
-    assert [(t.start, t.end, t.label) for t in tree.nodes()] == want
-    assert all(t.sentence is sentence for t in tree.nodes())
+    assert [(t.start, t.end, t.label) for t, _ in tree.nodes()] == want
+    assert all(t.sentence is sentence for t, _ in tree.nodes())
     flat = InternalNode("NP", tuple(LeafNode(w, p) for w, p in sentence))
     assert debinarize(tree) == (InternalNode("NP", (LeafNode("w0", "T"),)) if n == 1 else flat)

@@ -80,7 +80,7 @@ def test_order_statistics_counts_balance():
         tb = bank("\n".join(texts))
         stats = order_statistics(tb)
         compositions = sum(
-            1 for s in tb.sentences for n in s.btree.nodes() if not n.is_leaf
+            1 for s in tb.sentences for n, _ in s.btree.nodes() if not n.is_leaf
         )
         assert sum(stats.left.values()) == compositions
         assert sum(stats.right.values()) == compositions

@@ -14,10 +14,9 @@ from ordercky.decoder import (
     decode_charts_batched,
     decode_ordered,
     fallback_tree,
-    nodes_with_orders,
     ordered_tree_score,
 )
-from ordercky.grammar import LEFT, Rule, RuleScoreChart, extract_grammar
+from ordercky.grammar import Rule, RuleScoreChart, extract_grammar
 from ordercky.scorer import ScorerModel, param_shapes
 from ordercky.trainer import (
     MODES,
@@ -34,7 +33,7 @@ from ordercky.trainer import (
     step,
 )
 from ordercky.evaluate import score_trees
-from ordercky.trees import Treebank, debinarize, read_trees
+from ordercky.trees import LEFT, Treebank, debinarize, read_trees
 
 UNIQUE_DERIVATION = "(S (A (X x)) (B (Y y)))"
 
@@ -527,7 +526,7 @@ def oracle_sentence_gradients(sent, model, grammar, rules, mode, compiled):
     its augmented chart alone."""
     spec = MODES[mode]
     if spec.rules:
-        for node in sent.btree.nodes():
+        for node, _ in sent.btree.nodes():
             rule = None if node.is_leaf else Rule(node.label, node.left.label, node.right.label)
             if rule is not None and rule not in grammar:
                 raise GoldRuleMissing(f"gold composition {rule} not in the extracted grammar")
@@ -542,7 +541,7 @@ def oracle_sentence_gradients(sent, model, grammar, rules, mode, compiled):
     out_grad = np.zeros_like(chart.scores)
     rule_grad = np.zeros_like(rules.scores) if spec.rules else None
     for tree, sign in ((augmented.tree, 1.0), (sent.btree, -1.0)):
-        for node, order in nodes_with_orders(tree):
+        for node, order in tree.nodes():
             slot = order if order in spec.heads else LEFT
             out_grad[node.start, node.end, label_index[node.label], slot] += sign
             if spec.rules and not node.is_leaf:
@@ -618,7 +617,7 @@ def doctor_charts(monkeypatch, sentences):
             chart.scores[0, n] = np.inf
         elif first == "surely":
             index = {lab: i for i, lab in enumerate(chart.labels)}
-            for node in golds[tuple(sentence)].nodes():
+            for node, _ in golds[tuple(sentence)].nodes():
                 chart.scores[node.start, node.end, index[node.label]] += 100.0
         return chart, cache
 

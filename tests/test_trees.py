@@ -2,11 +2,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ordercky.decoder import hamming_costs, nodes_with_orders
-from ordercky.grammar import LEFT, RIGHT
+from ordercky.decoder import hamming_costs
+from ordercky.evaluate import score_trees
 from ordercky.trees import (
     DUMMY,
+    LEFT,
     MAX_DEPTH,
+    RIGHT,
     BinaryTree,
     BracketError,
     EmptyConstituent,
@@ -21,7 +23,6 @@ from ordercky.trees import (
     iter_bracketed,
     iter_leaves,
     debinarize,
-    decoded_spans,
     parse_bracketed,
     read_trees,
     spans_of,
@@ -31,11 +32,17 @@ from ordercky.trees import (
 def assert_partition(btree):
     """Leaves have width 1 and every internal node's children split its span
     at some i < k < j."""
-    for node in btree.nodes():
+    for node, _ in btree.nodes():
         if node.is_leaf:
             assert node.end == node.start + 1
         else:
             assert node.start == node.left.start < node.left.end == node.right.start < node.end == node.right.end
+
+
+def decoded_spans(btree):
+    """Every node of a binary tree as a labeled span, DUMMY included; spans
+    are unique within one binary tree, so a set is exact."""
+    return {LabeledSpan(n.start, n.end, n.label) for n, _ in btree.nodes()}
 
 
 def hamming(pred, gold):
@@ -152,13 +159,30 @@ def test_tree_at_the_depth_bound_round_trips():
     assert read_trees(trees[0].linearize()) == trees
 
 
+def test_deep_decoded_tree_linearizes_and_scores():
+    # a decoded tree may be as deep as its sentence: right-branching under
+    # "S|VP" it debinarizes to two levels per token, 2,400 levels at n = 1,200
+    n = 1200
+    sentence = tuple((f"w{i}", "T") for i in range(n))
+    bt = BinaryTree(DUMMY, n - 1, n, sentence)
+    for i in range(n - 2, -1, -1):
+        bt = BinaryTree("S|VP", i, n, sentence, BinaryTree(DUMMY, i, i + 1, sentence), bt)
+    tree = debinarize(bt)
+    expected = "".join(f"(S (VP (T w{i}) " for i in range(n - 1)) + f"(T w{n - 1})" + "))" * (n - 1)
+    assert tree.linearize() == expected
+    assert [leaf.word for leaf in iter_leaves(tree)] == [w for w, _ in sentence]
+    assert spans_of(tree) == sorted(LabeledSpan(i, n, lab) for i in range(n - 1) for lab in ("S", "VP"))
+    report = score_trees([tree], [tree])
+    assert (report.matched, report.predicted, report.f1) == (2 * (n - 1), 2 * (n - 1), 100.0)
+
+
 def test_wide_tree_walks_in_preorder():
     bt = binarize(node("S", *[leaf(str(k)) for k in range(1500)]))
-    nodes = list(bt.nodes())
+    nodes = [n for n, _ in bt.nodes()]
     assert len(nodes) == 2 * 1500 - 1
-    assert [n for n, _ in nodes_with_orders(bt)] == nodes
     # preorder of a left-branching fold: the spine top-down, then each
-    # spine node's right leaf bottom-up
+    # spine node's right leaf bottom-up; the root and the spine read as LEFT
+    assert [o for _, o in bt.nodes()] == [LEFT] * 1500 + [RIGHT] * 1499
     spine = nodes[:1500]
     assert [(n.start, n.end) for n in spine] == [(0, 1500 - k) for k in range(1500)]
     assert [n.start for n in nodes[1500:]] == list(range(1, 1500))
@@ -316,9 +340,7 @@ def test_walks_are_preorder(tree):
             yield from preorder(node.right, RIGHT)
 
     bt = binarize(tree)
-    expected = list(preorder(bt, LEFT))
-    assert list(nodes_with_orders(bt)) == expected
-    assert list(bt.nodes()) == [n for n, _ in expected]
+    assert list(bt.nodes()) == list(preorder(bt, LEFT))
 
 
 @given(random_tree())
