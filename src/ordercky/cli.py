@@ -197,8 +197,7 @@ def _decode_chunk(chunk, model, compiled, mode):
         return decode_charts_batched(charts, compiled, forbid_root=DUMMY)
     if mode == "ablation":
         return decode_each(lambda c: decode_ablation(c, forbid_root=DUMMY), charts)
-    return decode_each(
-        lambda c: decode_baseline(c.collapsed(), c.sentence, c.labels, forbid_root=DUMMY), charts)
+    return decode_each(lambda c: decode_baseline(c.scores, c.sentence, c.labels, forbid_root=DUMMY), charts)
 
 
 def _decode_all(sentences, model, compiled, mode, threads):

@@ -8,9 +8,9 @@ treebank sorts lexicographically).
 * ordered: per-order span scores plus grammar-rule scores; compositions are
   restricted to extracted rules, since a rule outside the grammar has no
   score.
-* baseline: one score per (span, label); the label of each span is chosen
-  independently of the tree structure.
 * ablation: per-order span scores, no grammar term and no rule restriction.
+* baseline: ablation over a tied chart, whose one head fills both order
+  slots: the plain span decoder, which the ordered one generalizes.
 
 Loss-augmented decoding is not a mode but a chart transform:
 ``augmented_chart`` adds 1 to every labeled span absent from the gold tree,
@@ -261,21 +261,6 @@ def _decode_spans(left: np.ndarray, right: np.ndarray, label_at, sentence, label
     return DecodeResult(tree=tree, score=by_start[0][n])
 
 
-def decode_baseline(
-    scores: np.ndarray,
-    sentence: tuple[tuple[str, str], ...],
-    labels: tuple[str, ...],
-    forbid_root: Optional[str] = None,
-) -> DecodeResult:
-    """Order-free decoding: per-span label argmax plus best bracketing; raises
-    like ``_decode_spans``."""
-    n = len(sentence)
-    label_choice = np.argmax(scores, axis=2)
-    label_score = np.max(scores, axis=2)
-    label_choice[0, n], label_score[0, n] = _root_label(scores[0, n], labels, forbid_root)
-    return _decode_spans(label_score, label_score, lambda i, j, o: label_choice.item(i, j), sentence, labels)
-
-
 def decode_ablation(chart: SpanScoreChart, forbid_root: Optional[str] = None) -> DecodeResult:
     """Ordered span scores without the grammar-rule term; raises like
     ``_decode_spans``."""
@@ -289,6 +274,13 @@ def decode_ablation(chart: SpanScoreChart, forbid_root: Optional[str] = None) ->
     label_choice[0, n, LEFT], label_score[0, n, LEFT] = root
     return _decode_spans(label_score[:, :, LEFT], label_score[:, :, RIGHT], label_choice.item,
                          chart.sentence, chart.labels)
+
+
+def decode_baseline(scores: np.ndarray, sentence: tuple[tuple[str, str], ...], labels: tuple[str, ...],
+                    forbid_root: Optional[str] = None) -> DecodeResult:
+    """``decode_ablation`` of the tied chart ``scores``; this name and
+    signature stay only because perfbench imports and patches them."""
+    return decode_ablation(SpanScoreChart(sentence, labels, scores), forbid_root)
 
 
 def decode_each(decode: Callable[[SpanScoreChart], DecodeResult],
@@ -328,7 +320,8 @@ def ordered_tree_score(
     chart: SpanScoreChart,
     rules: Optional[RuleScoreChart] = None,
 ) -> float:
-    """Independent bottom-up re-summation of the ordered (or ablation) objective."""
+    """Independent bottom-up re-summation of the ordered objective, or of
+    the span modes' without ``rules``."""
     index = {lab: i for i, lab in enumerate(chart.labels)}
     total = 0.0
     for node, order in btree.nodes():
@@ -339,10 +332,9 @@ def ordered_tree_score(
 
 
 def baseline_tree_score(btree: BinaryTree, scores: np.ndarray, labels: tuple[str, ...]) -> float:
-    index = {lab: i for i, lab in enumerate(labels)}
-    return float(
-        sum(scores[n.start, n.end, index[n.label]] for n, _ in btree.nodes())
-    )
+    """``ordered_tree_score`` over the tied chart ``scores``; this name and
+    signature stay only because perfbench imports and patches them."""
+    return ordered_tree_score(btree, SpanScoreChart(btree.sentence, labels, scores))
 
 
 def fallback_tree(
@@ -387,7 +379,8 @@ def brute_force_best(
     forbid_root: Optional[str] = None,
 ) -> DecodeResult:
     """Enumerate every bracketing and exhaustively maximize the labeling of
-    each one by direct summation of the mode's objective.
+    each one by direct summation of the mode's objective; the two span modes
+    share one, since a baseline chart is tied.
 
     Within one bracketing the label maximization runs over the fixed tree
     shape, which shares nothing with the width-ordered chart recursion.
@@ -456,9 +449,8 @@ def brute_force_best(
             raise NoDerivation(f"no in-grammar derivation covers the sentence (n={n})")
         return DecodeResult(tree=best_tree, score=best_score)
 
-    # the span modes: a node's order is fixed by its place in the shape, and
-    # baseline reads every node's LEFT scores, which is what chart.collapsed() is
-    s = s[..., [LEFT, LEFT] if mode == "baseline" else [LEFT, RIGHT]]
+    # the span modes: a node's order is fixed by its place in the shape
+    s = s.copy()
     if forbidden is not None:
         s[0, n, forbidden] = NEG_INF
     best_score, best_shape = NEG_INF, None

@@ -41,10 +41,6 @@ class SpanScoreChart:
     def n(self) -> int:
         return len(self.sentence)
 
-    def collapsed(self) -> np.ndarray:
-        """Order-free scores for the plain span decoder: the left-order head."""
-        return self.scores[:, :, :, 0]
-
 
 @lru_cache(maxsize=128)
 def span_index_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -124,9 +120,9 @@ class ScorerModel:
     def forward(
         self, sentence: tuple[tuple[str, str], ...], orders: tuple[int, ...] = (0, 1)
     ) -> tuple[SpanScoreChart, ForwardCache]:
-        """Chart and cache; ``orders=(0,)`` skips the right-order head for
-        pipelines (the plain span decoder) that never read it.  The cache
-        holds the fencepost vectors h_0..h_n as ``fence``.
+        """Chart and cache; ``orders=(0,)`` computes the left head alone and
+        writes it into both order slots (the baseline's tied chart).  The
+        cache holds the fencepost vectors h_0..h_n as ``fence``.
 
         Each head normalizes in place, in two (spans, hidden) buffers, with
         the very float operations of ``z1.mean``, ``z1.var`` and the textbook
@@ -168,6 +164,8 @@ class ScorerModel:
             out += p[f"b2_{name}"]
             scores[i_idx, j_idx, :, order] = out
             head_cache[order] = {"xhat": x, "inv_std": inv_std, "act": act}
+        if len(orders) == 1:  # one head fills both order slots
+            scores[..., 1 - orders[0]] = scores[..., orders[0]]
         chart = SpanScoreChart(sentence=tuple(sentence), labels=self.labels, scores=scores)
         cache = ForwardCache(
             ids=ids, emb=emb, fence=fence,
@@ -176,7 +174,8 @@ class ScorerModel:
         return chart, cache
 
     def backward(self, cache: ForwardCache, out_grad: np.ndarray) -> dict[str, np.ndarray]:
-        """Exact gradients of sum(out_grad * chart) w.r.t. every parameter.
+        """Exact gradients of sum(out_grad * chart) w.r.t. every parameter; a
+        one-head chart holds its head in both order slots, so the head reads both.
 
         Each head works in two (spans, hidden) buffers and keeps the operation
         order of the textbook formulas, so every gradient is the same float."""
@@ -194,6 +193,8 @@ class ScorerModel:
             name = "LR"[order]
             xhat, inv_std, act = (cache.head[order][k] for k in ("xhat", "inv_std", "act"))
             d_out = out_grad[i_idx, j_idx, :, order]
+            if len(cache.head) == 1:  # one head fills both order slots
+                d_out = d_out + out_grad[i_idx, j_idx, :, 1 - order]
             grads[f"w2_{name}"] = d_out.T @ act
             grads[f"b2_{name}"] = d_out.sum(axis=0)
             d = d_out @ p[f"w2_{name}"]

@@ -3,7 +3,8 @@
 Each trial decodes one random instance with every mode of ``trainer.MODES``
 (the decoders that ``parse`` and ``train`` run), plus the loss-augmented
 decode that training runs (the ordered mode over ``augmented_chart``), and
-compares each best score with exhaustive enumeration.  Instances are small
+compares each best score with exhaustive enumeration.  A one-head mode
+decodes a tied chart, as its forward writes.  Instances are small
 enough for that (n <= 8, few labels) and fully determined by one seed, so
 any failure is reproducible from the replay record alone.
 """
@@ -20,7 +21,7 @@ from .decoder import CompiledRules, DecodeResult, NoDerivation, augmented_chart,
 from .grammar import Grammar, Rule, RuleScoreChart
 from .scorer import SpanScoreChart
 from .trainer import MODES
-from .trees import BinaryTree
+from .trees import LEFT, BinaryTree
 
 # brute force sums each tree's terms in another order than the chart recursion
 _TOLERANCE = 1e-9
@@ -107,7 +108,8 @@ def oracle_check(seed: int, trials: int = 200, max_n: int = 6, max_labels: int =
         inst = random_instance(rng, max_n=max_n, max_labels=max_labels)
         compiled = CompiledRules(inst.chart.labels, inst.grammar, inst.rules)
         # (name, mode, chart): every mode, then the loss-augmented decode of training
-        cases = [(mode, mode, inst.chart) for mode in MODES]
+        tied = SpanScoreChart(inst.chart.sentence, inst.chart.labels, inst.chart.scores[..., [LEFT, LEFT]])
+        cases = [(mode, mode, inst.chart if len(spec.heads) > 1 else tied) for mode, spec in MODES.items()]
         cases.append(("loss-augmented", "ordered", augmented_chart(inst.chart, inst.gold)))
         for name, mode, chart in cases:
             got = _best(lambda: MODES[mode].decode([chart], compiled)[0])

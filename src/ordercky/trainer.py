@@ -2,14 +2,13 @@
 subgradient updates through the span scorer and the rule-score chart, and a
 patience-based learning-rate decay schedule.
 
-The three decoding modes are one family of span CKY decoders, and ``MODES``
-is the one table that says how they differ: which span heads a mode's
-forward pass computes ("baseline" reads one order-free head, the left one;
-"ablation" and "ordered" read the left and right order heads), whether the
-grammar-rule term applies (only in "ordered": rule-restricted decoding, the
-gold-rule check and rule gradients), how a batch of charts is decoded, and
-how the gold tree is scored.  Training, dev evaluation, checkpoint loading
-and the command line all read it.
+The three decoding modes are one span CKY objective, and ``MODES`` is the
+one table that says how they differ: which span heads a mode's forward pass
+computes ("baseline" computes the left head alone, which fills both order
+slots of its chart; "ablation" and "ordered" compute both order heads) and
+whether the grammar-rule term applies (only in "ordered": rule-restricted
+decoding, the gold-rule check and rule gradients).  Training, dev
+evaluation, checkpoint loading and the command line all read it.
 """
 
 from __future__ import annotations
@@ -30,9 +29,7 @@ from .decoder import (
     NoDerivation,
     NonFiniteChart,
     augmented_chart,
-    baseline_tree_score,
     decode_ablation,
-    decode_baseline,
     decode_charts_batched,
     decode_each,
     fallback_tree,
@@ -41,55 +38,33 @@ from .decoder import (
 from .evaluate import EvalReport, score_trees
 from .grammar import GoldRuleMissing, Grammar, Rule, RuleScoreChart, extract_grammar
 from .scorer import BOUNDARY, UNK, ForwardCache, ScorerModel, SpanScoreChart, param_shapes
-from .trees import DUMMY, LEFT, RIGHT, BinaryTree, Sentence, Treebank, debinarize
+from .trees import DUMMY, LEFT, RIGHT, Sentence, Treebank, debinarize
 
 logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
 class Mode:
-    """One decoding mode: the span heads its forward computes, whether the
-    rule term applies, ``decode(charts, compiled, forbid_root)`` over a batch
-    of charts, and ``gold_score(gold, chart, rules)``."""
+    """One decoding mode: the span heads its forward computes and whether
+    the rule term applies."""
 
     heads: tuple[int, ...]
     rules: bool
-    decode: Callable[..., list[Union[DecodeResult, NoDerivation]]]
-    gold_score: Callable[[BinaryTree, SpanScoreChart, RuleScoreChart], float]
 
-
-# The adapters look the decoders up by module-global name at call time, so a
-# patched module attribute (the benchmark's tracer patches them) sees every call.
-def _decode_baseline(charts, compiled, forbid_root=None):
-    return decode_each(
-        lambda c: decode_baseline(c.collapsed(), c.sentence, c.labels, forbid_root=forbid_root),
-        charts)
-
-
-def _decode_ablation(charts, compiled, forbid_root=None):
-    return decode_each(lambda c: decode_ablation(c, forbid_root=forbid_root), charts)
-
-
-def _decode_ordered(charts, compiled, forbid_root=None):
-    return decode_charts_batched(charts, compiled, forbid_root=forbid_root)
-
-
-def _gold_baseline(gold, chart, rules):
-    return baseline_tree_score(gold, chart.collapsed(), chart.labels)
-
-
-def _gold_ablation(gold, chart, rules):
-    return ordered_tree_score(gold, chart)
-
-
-def _gold_ordered(gold, chart, rules):
-    return ordered_tree_score(gold, chart, rules)
+    def decode(self, charts: list[SpanScoreChart], compiled: CompiledRules,
+               forbid_root: Optional[str] = None) -> list[Union[DecodeResult, NoDerivation]]:
+        """Each chart's best tree, or the NoDerivation in its place.  The
+        decoders are module globals looked up at call time, so a patched
+        attribute (the benchmark's tracer patches them) sees every call."""
+        if self.rules:
+            return decode_charts_batched(charts, compiled, forbid_root=forbid_root)
+        return decode_each(lambda c: decode_ablation(c, forbid_root=forbid_root), charts)
 
 
 MODES: dict[str, Mode] = {
-    "baseline": Mode((LEFT,), False, _decode_baseline, _gold_baseline),
-    "ablation": Mode((LEFT, RIGHT), False, _decode_ablation, _gold_ablation),
-    "ordered": Mode((LEFT, RIGHT), True, _decode_ordered, _gold_ordered),
+    "baseline": Mode((LEFT,), False),
+    "ablation": Mode((LEFT, RIGHT), False),
+    "ordered": Mode((LEFT, RIGHT), True),
 }
 
 
@@ -128,6 +103,8 @@ class TrainConfig:
         for name in ("batch_size", "learning_rate", "max_decay", "decay_patience", "dim", "hidden"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if not math.isfinite(self.learning_rate):  # NaN passes the test above
+            raise ValueError("learning_rate must be finite")
         for name in ("epochs", "seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
@@ -186,11 +163,12 @@ def sentence_gradients(
 
     The augmented tree's chart entries (and rule scores, where the mode has
     the rule term) get +1, the gold tree's get -1; ties inherit the decoder's
-    deterministic pick.  A mode that reads one head scores every node with it.
-    A mode without the rule term returns None for the rule gradient.
+    deterministic pick.  Each entry is written at its node's order, which a
+    one-head mode's backward folds into its head.  A mode without the rule
+    term returns None for the rule gradient.
     """
     spec = MODES[mode]
-    gold_score = spec.gold_score(sent.btree, chart, rules)
+    gold_score = ordered_tree_score(sent.btree, chart, rules if spec.rules else None)
     if isinstance(augmented, NoDerivation):
         raise augmented
     loss = max(augmented.score - gold_score, 0.0)
@@ -202,8 +180,7 @@ def sentence_gradients(
     rule_grad = np.zeros_like(rules.scores) if spec.rules else None
     for tree, sign in ((augmented.tree, 1.0), (sent.btree, -1.0)):
         for node, order in tree.nodes():
-            slot = order if order in spec.heads else LEFT
-            out_grad[node.start, node.end, label_index[node.label], slot] += sign
+            out_grad[node.start, node.end, label_index[node.label], order] += sign
             if spec.rules and not node.is_leaf:
                 rule = Rule(node.label, node.left.label, node.right.label)
                 rule_grad[grammar.rule_index[rule], order] += sign

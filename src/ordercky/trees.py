@@ -25,11 +25,6 @@ UNARY_SEP = "|"
 # order, and the root reads as LEFT
 LEFT, RIGHT = 0, 1
 
-# deepest bracket nesting a treebank may use; binarize and read_trees recurse
-# over the trees read from a file (read_trees spends two stack frames per
-# level), so 200 levels stay well inside the default recursion limit of 1000
-MAX_DEPTH = 200
-
 _ESCAPES = [("(", "-LRB-"), (")", "-RRB-")]
 
 
@@ -73,9 +68,6 @@ class LeafNode:
 
     word: str
     pos: str
-
-    def linearize(self) -> str:
-        return f"({self.pos} {escape_token(self.word)})"
 
 
 @dataclass(frozen=True)
@@ -161,8 +153,8 @@ def _read_tree(text: str, i: int) -> tuple[Optional[Node], int]:
     ``text[i]``; return it and the index of the first non-space character
     after it, or (None, len(text)) when only whitespace is left.
 
-    Open constituents wait on a stack as (label, label index, children); a
-    '(' that would open more than MAX_DEPTH of them is an error.
+    Open constituents wait on a stack as (label, label index, children), so
+    a tree of any depth costs no recursion.
     """
     n = len(text)
     i = _SPACE(text, i).end()
@@ -173,8 +165,6 @@ def _read_tree(text: str, i: int) -> tuple[Optional[Node], int]:
     stack: list[tuple[str, int, list[Node]]] = []
     while True:
         # text[i] is the '(' of a new constituent
-        if len(stack) == MAX_DEPTH:
-            raise BracketError(f"tree nested deeper than {MAX_DEPTH} levels", _byte_offset(text, i))
         m = _ATOM(text, i + 1)
         label, start, i = m[1], m.start(1), m.end()
         if i == n:
@@ -272,12 +262,28 @@ def binarize(tree: Node) -> BinaryTree:
     original label on top.  Unary chains of phrasal labels join into one
     "A|B" label.  Part-of-speech leaves become width-1 spans: DUMMY when bare,
     or the collapsed phrasal label when a unary chain sits above them.
+
+    A preorder stack walk numbers the leaves; a node's (label, child count)
+    on the stack pops once its children are done, so a tree of any depth
+    costs no recursion.
     """
     if isinstance(tree, LeafNode):
         raise ValueError("cannot binarize a bare part-of-speech leaf")
     sentence = sentence_of(tree)
-
-    def rec(node: Node, i: int) -> tuple[BinaryTree, int]:
+    i = 0
+    done: list[BinaryTree] = []
+    stack: list[Union[Node, tuple[str, int]]] = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, tuple):
+            top, count = node
+            parts = _pop(done, count)
+            acc = parts[0]
+            for idx, nxt in enumerate(parts[1:], start=2):
+                lab = top if idx == len(parts) else DUMMY
+                acc = BinaryTree(lab, acc.start, nxt.end, sentence, acc, nxt)
+            done.append(acc)
+            continue
         labels: list[str] = []
         while (
             isinstance(node, InternalNode)
@@ -287,25 +293,26 @@ def binarize(tree: Node) -> BinaryTree:
             labels.append(node.label)
             node = node.children[0]
         if isinstance(node, LeafNode):
-            return BinaryTree(DUMMY, i, i + 1, sentence), i + 1
-        if len(node.children) == 1:
+            done.append(BinaryTree(DUMMY, i, i + 1, sentence))
+            i += 1
+        elif len(node.children) == 1:
             # unary chain ending at a part-of-speech leaf
             labels.append(node.label)
-            return BinaryTree(UNARY_SEP.join(labels), i, i + 1, sentence), i + 1
-        labels.append(node.label)
-        top = UNARY_SEP.join(labels)
-        parts: list[BinaryTree] = []
-        for child in node.children:
-            bt, i = rec(child, i)
-            parts.append(bt)
-        acc = parts[0]
-        for idx, nxt in enumerate(parts[1:], start=2):
-            lab = top if idx == len(parts) else DUMMY
-            acc = BinaryTree(lab, acc.start, nxt.end, sentence, acc, nxt)
-        return acc, i
+            done.append(BinaryTree(UNARY_SEP.join(labels), i, i + 1, sentence))
+            i += 1
+        else:
+            labels.append(node.label)
+            stack.append((UNARY_SEP.join(labels), len(node.children)))
+            stack.extend(reversed(node.children))
+    return done[0]
 
-    root, _ = rec(tree, 0)
-    return root
+
+def _pop(done: list, count: int) -> list:
+    """The last ``count`` entries of ``done``, removed from it."""
+    cut = len(done) - count
+    out = done[cut:]
+    del done[cut:]
+    return out
 
 
 def _labeled(label: str, children: tuple[Node, ...]) -> Node:
@@ -379,16 +386,28 @@ def _unwrap_root(tree: Node) -> Node:
 def read_trees(text: str) -> list[Node]:
     """All trees in a treebank string, with root wrappers unwrapped and function
     tags stripped.  A stripped label that holds DUMMY or UNARY_SEP, or a bare
-    part-of-speech leaf for a tree, is a BracketError at the tree's first '('."""
+    part-of-speech leaf for a tree, is a BracketError at the tree's first '('.
+    The first such label in preorder is the one named."""
 
-    def strip(node: Node, idx: int, start: int) -> Node:
-        if isinstance(node, LeafNode):
-            return node
-        label = strip_label_decorations(node.label)
-        if DUMMY in label or UNARY_SEP in label:
-            raise BracketError(f"tree {idx}: label {label!r} uses a reserved symbol "
-                               f"({DUMMY!r} or {UNARY_SEP!r})", _byte_offset(text, start))
-        return InternalNode(label, tuple(strip(c, idx, start) for c in node.children))
+    def strip(tree: Node, idx: int, start: int) -> Node:
+        """``tree`` with its labels stripped, rebuilt on an explicit stack: a
+        node's (label, child count) pops once its children are done."""
+        done: list[Node] = []
+        stack: list[Union[Node, tuple[str, int]]] = [tree]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, LeafNode):
+                done.append(node)
+            elif isinstance(node, InternalNode):
+                label = strip_label_decorations(node.label)
+                if DUMMY in label or UNARY_SEP in label:
+                    raise BracketError(f"tree {idx}: label {label!r} uses a reserved symbol "
+                                       f"({DUMMY!r} or {UNARY_SEP!r})", _byte_offset(text, start))
+                stack.append((label, len(node.children)))
+                stack.extend(reversed(node.children))
+            else:
+                done.append(InternalNode(node[0], tuple(_pop(done, node[1]))))
+        return done[0]
 
     out = []
     for idx, (start, tree) in enumerate(iter_bracketed(text)):

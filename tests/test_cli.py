@@ -12,7 +12,7 @@ import pytest
 
 from ordercky import cli
 from ordercky.trainer import MODES, TrainConfig, load_tensors, save_tensors
-from ordercky.trees import MAX_DEPTH, load_trees, read_trees, sentence_of
+from ordercky.trees import DUMMY, BinaryTree, debinarize, load_trees, read_trees, sentence_of
 
 DATA = Path(cli.__file__).parent / "data"
 
@@ -100,20 +100,35 @@ class TestStats:
 
 
 @pytest.mark.parametrize("command", ["stats", "eval", "train"])
-def test_tree_nested_past_the_bound_names_path_and_line(tmp_path, toy_treebank, command, capsys):
+def test_tree_nested_past_the_old_bound_reads(tmp_path, command, capsys):
+    # 201 levels; the reader used to stop at 200
     deep = tmp_path / "deep.txt"
     first = TOY.splitlines()[0]
-    deep.write_text(f"{first}\n{'(A ' * MAX_DEPTH}(P w){')' * MAX_DEPTH}\n", encoding="utf-8")
+    deep.write_text(f"{first}\n{'(A ' * 200}(P w){')' * 200}\n", encoding="utf-8")
     argv = {
         "stats": ["stats", str(deep)],
-        "eval": ["eval", "--pred", str(deep), "--gold", toy_treebank],
-        "train": ["train", "--train", str(deep), "--out", str(tmp_path / "m.npz")],
+        "eval": ["eval", "--pred", str(deep), "--gold", str(deep)],
+        "train": ["train", "--train", str(deep), "--out", str(tmp_path / "m.npz"), "--epochs", "1",
+                  "--dim", "8", "--hidden", "8", "--quiet"],
     }[command]
-    assert cli.main(argv) == 1
-    # the '(' that opens level MAX_DEPTH + 1, on line 2
-    offset = len(first) + 1 + 3 * MAX_DEPTH
+    assert cli.main(argv) == 0
+    assert "error" not in capsys.readouterr().err
+
+
+def test_eval_reads_a_right_branching_parse_as_deep_as_its_sentence(tmp_path, capsys):
+    # the tree parse prints for a right-branching best tree under "S|VP": two
+    # levels per token, 240 at 120 tokens
+    n = 120
+    sentence = tuple((f"w{i}", "T") for i in range(n))
+    bt = BinaryTree(DUMMY, n - 1, n, sentence)
+    for i in range(n - 2, -1, -1):
+        bt = BinaryTree("S|VP", i, n, sentence, BinaryTree(DUMMY, i, i + 1, sentence), bt)
+    pred = tmp_path / "pred.txt"
+    pred.write_text(debinarize(bt).linearize() + "\n", encoding="utf-8")
+    assert cli.main(["eval", "--pred", str(pred), "--gold", str(pred)]) == 0
+    brackets = 2 * (n - 1)
     assert capsys.readouterr() == (
-        "", f"error: {deep}:2: tree nested deeper than {MAX_DEPTH} levels (byte offset {offset})\n")
+        f"P=100.00 R=100.00 F1=100.00 matched={brackets} pred={brackets} gold={brackets}\n", "")
 
 
 @pytest.mark.parametrize("command", ["stats", "extract-grammar", "eval", "train"])
@@ -695,6 +710,24 @@ def test_train_setting_errors_name_the_setting(tmp_path, toy_treebank, fit_confi
     assert cli.main(argv) == 1
     assert capsys.readouterr().err == f"error: {message.format(config=path)}\n"
     assert not fit_configs
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("source", ["flags", "config"])
+def test_train_rejects_a_learning_rate_that_is_not_finite(tmp_path, toy_treebank, source, value, capsys):
+    # such a rate used to train a whole epoch and write a checkpoint first
+    out = tmp_path / "m.npz"
+    argv = ["train", "--train", toy_treebank, "--out", str(out), "--epochs", "1", "--dim", "8",
+            "--hidden", "8", "--quiet"]
+    if source == "flags":
+        argv += ["--learning-rate", value]
+    else:
+        config = tmp_path / "train.cfg"
+        config.write_text(f"learning-rate = {value}\n", encoding="utf-8")
+        argv += ["--config", str(config)]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr() == ("", "error: learning_rate must be finite\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key", sorted(TRAIN_OWN_OPTIONS - {"help"}))

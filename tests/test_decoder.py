@@ -39,6 +39,11 @@ def random_chart(rng, n, labels):
     return make_chart(n, labels, rng.normal(size=(n + 1, n + 1, len(labels), 2)))
 
 
+def tie(chart):
+    """The chart a one-head forward writes: the LEFT slot in both orders."""
+    return make_chart(chart.n, chart.labels, chart.scores[..., [LEFT, LEFT]])
+
+
 def full_grammar(labels):
     return Grammar([Rule(p, l, r) for p in labels for l in labels for r in labels])
 
@@ -110,33 +115,36 @@ class TestOrderedHandExamples:
 
 
 class TestBaseline:
+    """The baseline decodes a tied chart: one score per (span, label) in both
+    order slots."""
+
     def test_single_token_argmax(self):
-        scores = np.zeros((2, 2, 3))
-        scores[0, 1] = [0.5, 2.0, 1.0]
+        scores = np.zeros((2, 2, 3, 2))
+        scores[0, 1] = np.array([0.5, 2.0, 1.0])[:, None]
         result = decode_baseline(scores, (("w0", "X"),), ("A", "B", "C"))
         assert result.tree.label == "B"
         assert result.score == 2.0
 
     def test_two_tokens_sum_of_maxima(self):
         rng = np.random.default_rng(1)
-        scores = rng.normal(size=(3, 3, 2))
+        sym = rng.normal(size=(3, 3, 2))
         sentence = (("a", "X"), ("b", "X"))
-        result = decode_baseline(scores, sentence, ("A", "B"))
-        expected = scores[0, 2].max() + scores[0, 1].max() + scores[1, 2].max()
+        result = decode_baseline(np.stack([sym, sym], axis=3), sentence, ("A", "B"))
+        expected = sym[0, 2].max() + sym[0, 1].max() + sym[1, 2].max()
         assert result.score == pytest.approx(expected, abs=1e-12)
 
     def test_matches_brute_force_seed_7(self):
         rng = np.random.default_rng(7)
-        chart = random_chart(rng, 5, ("A", "B", "C"))
-        got = decode_baseline(chart.collapsed(), chart.sentence, chart.labels)
+        chart = tie(random_chart(rng, 5, ("A", "B", "C")))
+        got = decode_baseline(chart.scores, chart.sentence, chart.labels)
         want = brute_force_best(chart, "baseline")
         assert got.score == pytest.approx(want.score, abs=1e-9)
 
     def test_uniform_shift_leaves_tree_unchanged(self):
         rng = np.random.default_rng(5)
-        chart = random_chart(rng, 5, ("A", "B", "C"))
-        base = decode_baseline(chart.collapsed(), chart.sentence, chart.labels)
-        shifted = decode_baseline(chart.collapsed() + 3.7, chart.sentence, chart.labels)
+        chart = tie(random_chart(rng, 5, ("A", "B", "C")))
+        base = decode_baseline(chart.scores, chart.sentence, chart.labels)
+        shifted = decode_baseline(chart.scores + 3.7, chart.sentence, chart.labels)
         assert shifted.tree == base.tree
 
 
@@ -150,9 +158,9 @@ class TestAblation:
         scores[:, :, :, 1] = sym
         chart = make_chart(n, labels, scores)
         abl = decode_ablation(chart)
-        base = decode_baseline(sym, chart.sentence, labels)
-        assert abl.score == pytest.approx(base.score, abs=1e-12)
-        assert abl.tree == base.tree
+        # the order-free objective: every node's one score
+        assert abl.score == pytest.approx(full_enumeration_best(chart, "baseline"), abs=1e-12)
+        assert abl.score == pytest.approx(ordered_tree_score(abl.tree, chart), abs=1e-12)
 
     def test_two_tokens_decomposition(self):
         rng = np.random.default_rng(3)
@@ -173,9 +181,9 @@ class TestAblation:
 @pytest.mark.parametrize("on_grid", [False, True])
 @pytest.mark.parametrize("n", [3, 10, 11, 17, 26])
 def test_span_decoders_match_ordered_under_free_grammar(n, on_grid):
-    """Ablation is the ordered objective under every rule at score 0, and
-    baseline is ablation on a chart whose two orders agree; the lengths span
-    both fills of the span-only core, and the grid makes splits tie."""
+    """Ablation is the ordered objective under every rule at score 0, also
+    on a chart whose two orders agree, which baseline decodes; the lengths
+    span both fills of the span-only core, and the grid makes splits tie."""
     rng = np.random.default_rng(n)
     labels = ("A", "B", "C")
     grammar = full_grammar(labels)
@@ -187,11 +195,10 @@ def test_span_decoders_match_ordered_under_free_grammar(n, on_grid):
     want = decode_charts_batched([chart], compiled, forbid_root="A")[0]
     got = decode_ablation(chart, forbid_root="A")
     assert got.score == want.score and got.tree == want.tree
-    sym = chart.scores[:, :, :, LEFT]
-    degenerate = make_chart(n, labels, np.stack([sym, sym], axis=3))
-    base = decode_baseline(sym, chart.sentence, labels, forbid_root="A")
-    abl = decode_ablation(degenerate, forbid_root="A")
-    assert base.score == abl.score and base.tree == abl.tree
+    degenerate = tie(chart)
+    want = decode_charts_batched([degenerate], compiled, forbid_root="A")[0]
+    base = decode_baseline(degenerate.scores, chart.sentence, labels, forbid_root="A")
+    assert base.score == want.score and base.tree == want.tree
 
 
 class TestLossAugmented:
@@ -268,8 +275,8 @@ def full_enumeration_best(chart, mode, grammar=None, rules=None, gold=None):
         total = 0.0
         valid = True
         for node, order in tree.nodes():
-            if mode == "baseline":
-                total += chart.collapsed()[node.start, node.end, index[node.label]]
+            if mode == "baseline":  # order-free: every node reads the LEFT slot
+                total += chart.scores[node.start, node.end, index[node.label], LEFT]
             else:
                 total += chart.scores[node.start, node.end, index[node.label], order]
             if mode in ("ordered", "loss-augmented") and not node.is_leaf:
@@ -295,10 +302,13 @@ def test_oracle_agrees_with_full_enumeration(mode, seed):
     want = full_enumeration_best(
         inst.chart, mode, grammar=inst.grammar, rules=inst.rules, gold=inst.gold
     )
-    # loss-augmented decoding is the ordered objective over the augmented chart
+    # loss-augmented decoding is the ordered objective over the augmented
+    # chart, and baseline the span objective over the tied chart
     chart, oracle_mode = inst.chart, mode
     if mode == "loss-augmented":
         chart, oracle_mode = augmented_chart(inst.chart, inst.gold), "ordered"
+    elif mode == "baseline":
+        chart = tie(inst.chart)
     try:
         got = brute_force_best(chart, oracle_mode, grammar=inst.grammar, rules=inst.rules).score
     except NoDerivation:
@@ -332,9 +342,10 @@ def test_score_recomputation_all_modes():
         assert abl.score == pytest.approx(
             ordered_tree_score(abl.tree, inst.chart, rules=None), abs=1e-9
         )
-        base = decode_baseline(inst.chart.collapsed(), inst.chart.sentence, inst.chart.labels)
+        tied = tie(inst.chart)
+        base = decode_baseline(tied.scores, tied.sentence, tied.labels)
         assert base.score == pytest.approx(
-            baseline_tree_score(base.tree, inst.chart.collapsed(), inst.chart.labels), abs=1e-9
+            baseline_tree_score(base.tree, tied.scores, tied.labels), abs=1e-9
         )
         try:
             aug = decode_ordered(augmented_chart(inst.chart, inst.gold), inst.grammar, inst.rules)
@@ -554,7 +565,7 @@ def test_compiled_rules_keep_the_grammar_order_and_the_rule_chart_scores():
 def test_brute_force_span_modes_raise_no_derivation_on_an_all_minus_inf_chart(mode):
     chart = make_chart(3, ("A", "B"), np.full((4, 4, 2, 2), -np.inf))
     with pytest.raises(NoDerivation, match=r"^no in-grammar derivation covers the sentence \(n=3\)$"):
-        decode_baseline(chart.collapsed(), chart.sentence, chart.labels)
+        decode_baseline(chart.scores, chart.sentence, chart.labels)
     with pytest.raises(NoDerivation, match=r"^no in-grammar derivation covers the sentence \(n=3\)$"):
         brute_force_best(chart, mode)
 
@@ -585,7 +596,7 @@ def test_batched_names_a_root_that_is_not_finite(value, cells, message):
 
 
 SPAN_ONLY = {
-    "baseline": lambda c: decode_baseline(c.collapsed(), c.sentence, c.labels),
+    "baseline": lambda c: decode_baseline(tie(c).scores, c.sentence, c.labels),
     "ablation": decode_ablation,
 }
 
@@ -870,7 +881,7 @@ def test_batched_decode_keeps_two_cell_by_pair_tables():
 
 A_TO_AA = Grammar([Rule("A", "A", "A")])
 DEEP_DECODERS = {
-    "baseline": lambda c: decode_baseline(c.collapsed(), c.sentence, c.labels),
+    "baseline": lambda c: decode_baseline(c.scores, c.sentence, c.labels),
     "ablation": decode_ablation,
     "ordered": lambda c: decode_charts_batched([c], CompiledRules(c.labels, A_TO_AA, zero_rules(A_TO_AA)))[0],
 }

@@ -1,11 +1,10 @@
 """The decoders build trees, and the tree walks read them, without recursion.
 
-A best tree can be as deep as its sentence, so no function in
-``decoder.py`` or ``trees.py``, nested closures included, may call itself,
-by its bare name or as a method of its own name.  The exceptions are
-bounded: the brute-force oracle's enumerators only run for n <= 8, and
-``binarize``/``read_trees`` run on trees read from a file, which
-``trees.MAX_DEPTH`` bounds.
+A best tree can be as deep as its sentence, and a treebank's trees can
+nest to any depth, so no function in ``decoder.py`` or ``trees.py``, nested
+closures included, may call itself, by its bare name or as a method of its
+own name.  The one exception is bounded: the brute-force oracle's
+enumerators only run for n <= 8.
 """
 
 import ast
@@ -18,8 +17,6 @@ FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
 BOUNDED = {
     # bounded by brute_force_best's n <= 8
     "decoder.py": {"_shapes", "brute_force_best.fill", "brute_force_best.build", "brute_force_best.build_a"},
-    # they run on trees read from a file, which MAX_DEPTH bounds
-    "trees.py": {"binarize.rec", "read_trees.strip"},
 }
 
 
@@ -56,7 +53,7 @@ def calls_itself(func):
 def recursive_functions(module):
     path = PACKAGE / module
     tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-    return {name for name, func in functions(tree) if calls_itself(func)} - BOUNDED[module]
+    return {name for name, func in functions(tree) if calls_itself(func)} - BOUNDED.get(module, set())
 
 
 def test_no_decoder_function_calls_itself():

@@ -112,10 +112,12 @@ class TestScoreSpans:
         b = tiny_model(seed=5).forward(sent("alpha", "beta", "gamma"))[0]
         assert np.array_equal(a.scores, b.scores)
 
-    def test_collapsed_is_left_head(self):
+    def test_one_head_fills_both_order_slots_with_the_left_head(self):
         model = tiny_model()
-        chart = model.forward(sent("alpha", "beta"))[0]
-        assert np.array_equal(chart.collapsed(), chart.scores[:, :, :, 0])
+        both = model.forward(sent("alpha", "beta"))[0]
+        tied = model.forward(sent("alpha", "beta"), orders=(0,))[0]
+        for o in (0, 1):
+            assert np.array_equal(tied.scores[:, :, :, o], both.scores[:, :, :, 0])
 
 
 def test_layer_norm_statistics():
@@ -131,12 +133,12 @@ def test_layer_norm_statistics():
         assert np.max(np.abs(xhat.var(axis=1) - 1.0)) < 1e-9
 
 
-def scalar_objective(model, sentence, out_grad):
-    chart, _ = model.forward(sentence)
+def scalar_objective(model, sentence, out_grad, orders=(0, 1)):
+    chart, _ = model.forward(sentence, orders=orders)
     return float(np.sum(out_grad * chart.scores))
 
 
-def finite_difference(model, sentence, out_grad, name, step=1e-4):
+def finite_difference(model, sentence, out_grad, name, step=1e-4, orders=(0, 1)):
     param = model.params[name]
     fd = np.zeros_like(param)
     flat = param.reshape(-1)
@@ -144,9 +146,9 @@ def finite_difference(model, sentence, out_grad, name, step=1e-4):
     for k in range(flat.size):
         orig = flat[k]
         flat[k] = orig + step
-        up = scalar_objective(model, sentence, out_grad)
+        up = scalar_objective(model, sentence, out_grad, orders)
         flat[k] = orig - step
-        down = scalar_objective(model, sentence, out_grad)
+        down = scalar_objective(model, sentence, out_grad, orders)
         flat[k] = orig
         fd_flat[k] = (up - down) / (2 * step)
     return fd
@@ -181,6 +183,21 @@ class TestBackward:
             fd = finite_difference(model, sentence, out_grad, name)
             assert max_rel_error(grads[name], fd) <= 1e-4, name
 
+    def test_one_head_gradients_are_those_of_its_tied_chart(self):
+        # the left head fills both order slots, so both slots of out_grad reach it
+        model = tiny_model(seed=11)
+        sentence = sent("alpha", "beta", "gamma")
+        chart, cache = model.forward(sentence, orders=(0,))
+        rng = np.random.default_rng(98)
+        out_grad = np.zeros_like(chart.scores)
+        i_idx, j_idx = span_index_arrays(3)
+        out_grad[i_idx, j_idx] = rng.normal(size=(len(i_idx), 4, 2))
+        grads = model.backward(cache, out_grad)
+        for name in ("w2_L", "b1_L", "mix_w", "tok_emb"):
+            fd = finite_difference(model, sentence, out_grad, name, orders=(0,))
+            assert max_rel_error(grads[name], fd) <= 1e-4, name
+        assert not any(grads[f"{kind}_R"].any() for kind in ("w1", "b1", "ln_g", "ln_b", "w2", "b2"))
+
     def test_single_entry_out_grad(self):
         model = tiny_model(seed=2)
         sentence = sent("beta", "delta")
@@ -213,7 +230,8 @@ class TestBackward:
 
 def reference_forward(model, sentence, orders):
     """The forward pass written out with one new array per operation, as the
-    scorer first computed it; returns the chart and what the backward needs."""
+    scorer first computed it; returns the chart and what the backward needs.
+    One head fills both order slots."""
     p, n = model.params, len(sentence)
     ids = model.word_ids(tuple(w for w, _ in sentence))
     emb = np.concatenate([p["tok_emb"][ids], p["pos_emb"][: n + 1]], axis=1)
@@ -236,6 +254,8 @@ def reference_forward(model, sentence, orders):
         act = np.maximum(ln_out, 0.0)
         scores[i_idx, j_idx, :, order] = act @ p[f"w2_{name}"].T + p[f"b2_{name}"]
         heads[order] = (xhat, inv_std, ln_out, act)
+    if len(orders) == 1:
+        scores[..., 1 - orders[0]] = scores[..., orders[0]]
     return scores, (ids, emb, pre, fence, span_vecs, heads)
 
 
@@ -248,6 +268,8 @@ def reference_backward(model, saved, out_grad):
     for order, (xhat, inv_std, ln_out, act) in sorted(heads.items()):
         name = "LR"[order]
         d_out = out_grad[i_idx, j_idx, :, order]
+        if len(heads) == 1:  # the one head's gradient reads both order slots
+            d_out = out_grad[i_idx, j_idx, :, 0] + out_grad[i_idx, j_idx, :, 1]
         grads[f"w2_{name}"] = d_out.T @ act
         grads[f"b2_{name}"] = d_out.sum(axis=0)
         d_ln_out = (d_out @ p[f"w2_{name}"]) * (ln_out > 0)

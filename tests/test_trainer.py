@@ -81,7 +81,7 @@ def augmented_and_gold(state, sent):
     chart, _ = state.model.forward(tuple(zip(sent.words, sent.pos)), orders=spec.heads)
     compiled = CompiledRules(state.model.labels, state.grammar, state.rules)
     augmented = spec.decode([augmented_chart(chart, sent.btree)], compiled)[0]
-    return augmented, spec.gold_score(sent.btree, chart, state.rules)
+    return augmented, ordered_tree_score(sent.btree, chart, state.rules if spec.rules else None)
 
 
 class TestHingeLoss:
@@ -444,7 +444,8 @@ def test_unknown_mode_same_message_from_config_and_checkpoint(tmp_path):
 
 @pytest.mark.parametrize("mode", list(MODES))
 def test_training_computes_only_the_modes_heads(tmp_path, monkeypatch, mode):
-    # a run forced to compute both heads writes the same checkpoint bytes
+    # in a two-head mode, a run forced to compute both heads writes the same
+    # checkpoint bytes; a one-head mode's chart ties its one head instead
     tb = bank(MINI_CORPUS)
     config = TrainConfig(mode=mode, epochs=3, seed=4, dim=8, hidden=8, maxlen=16)
     real = ScorerModel.forward
@@ -458,6 +459,8 @@ def test_training_computes_only_the_modes_heads(tmp_path, monkeypatch, mode):
     fit(tb, tb, config, checkpoint_path=str(tmp_path / "heads.npz"))
     assert seen == {MODES[mode].heads}
     assert MODES["baseline"].heads == (0,)
+    if len(MODES[mode].heads) == 1:
+        return
 
     monkeypatch.setattr(ScorerModel, "forward", lambda self, sentence, orders=(0, 1): real(self, sentence))
     fit(tb, tb, config, checkpoint_path=str(tmp_path / "both.npz"))
@@ -534,7 +537,13 @@ def oracle_sentence_gradients(sent, model, grammar, rules, mode, compiled):
     augmented = spec.decode([augmented_chart(chart, sent.btree)], compiled)[0]
     if isinstance(augmented, NoDerivation):
         raise augmented
-    loss = max(augmented.score - spec.gold_score(sent.btree, chart, rules), 0.0)
+    if len(spec.heads) > 1:
+        gold_score = ordered_tree_score(sent.btree, chart, rules if spec.rules else None)
+    else:  # the order-free sum: every node's LEFT slot
+        index = {lab: i for i, lab in enumerate(chart.labels)}
+        gold_score = float(sum(chart.scores[n.start, n.end, index[n.label], LEFT]
+                               for n, _ in sent.btree.nodes()))
+    loss = max(augmented.score - gold_score, 0.0)
     if loss <= 0.0:
         return loss, None, None
     label_index = {lab: i for i, lab in enumerate(chart.labels)}
@@ -627,13 +636,13 @@ def doctor_charts(monkeypatch, sentences):
 def decode_sizes(monkeypatch, mode):
     """The number of charts in each call of the mode's decoder."""
     sizes = []
-    spec = MODES[mode]
 
-    def decode(charts, compiled, forbid_root=None):
-        sizes.append(len(charts))
-        return spec.decode(charts, compiled, forbid_root=forbid_root)
+    class Counted(trainer.Mode):
+        def decode(self, charts, compiled, forbid_root=None):
+            sizes.append(len(charts))
+            return super().decode(charts, compiled, forbid_root=forbid_root)
 
-    monkeypatch.setitem(MODES, mode, dataclasses.replace(spec, decode=decode))
+    monkeypatch.setitem(MODES, mode, Counted(**dataclasses.asdict(MODES[mode])))
     return sizes
 
 

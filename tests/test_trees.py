@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,7 +9,6 @@ from ordercky.evaluate import score_trees
 from ordercky.trees import (
     DUMMY,
     LEFT,
-    MAX_DEPTH,
     RIGHT,
     BinaryTree,
     BracketError,
@@ -131,8 +132,6 @@ MALFORMED = [
     ("iter", "(S (A 北 x))", UnbalancedBrackets, "expected ')' after token", 10),
     ("iter", "(S (A 北) ())", EmptyConstituent, "constituent without children", 12),
     ("iter", "(X 北)\n( (A a) (B b))", EmptyConstituent, "constituent without a label", 10),
-    ("iter", f"(北 {nested(MAX_DEPTH)})", BracketError,
-     f"tree nested deeper than {MAX_DEPTH} levels", 3 * MAX_DEPTH + 2),
     ("parse", "\u00a0\n", UnbalancedBrackets, "no tree in input", 3),
     ("parse", "(A 北) (B b)", TrailingInput, "trailing input after tree", 8),
     # the trailing text is itself malformed: the offset is still where it starts
@@ -150,13 +149,20 @@ def test_malformed_input(how, text, cls, message, offset):
     assert exc.value.offset == offset
 
 
-def test_tree_at_the_depth_bound_round_trips():
-    trees = read_trees(nested(MAX_DEPTH))
+def test_a_deep_unary_nest_reads_binarizes_and_round_trips_as_text():
+    # 5,000 levels, far past the default recursion limit; compared as text,
+    # since the dataclass == of two such trees recurses
+    levels = 5000
+    assert sys.getrecursionlimit() < levels
+    text = nested(levels)
+    trees = read_trees(text)
     depth, tree = 1, trees[0]
     while isinstance(tree, InternalNode):
         depth, tree = depth + 1, tree.children[0]
-    assert depth == MAX_DEPTH
-    assert read_trees(trees[0].linearize()) == trees
+    assert depth == levels and len(trees) == 1
+    bt = binarize(trees[0])
+    assert (bt.start, bt.end, bt.is_leaf, bt.label) == (0, 1, True, "|".join(["A"] * (levels - 1)))
+    assert debinarize(bt).linearize() == trees[0].linearize() == text
 
 
 def test_deep_decoded_tree_linearizes_and_scores():
