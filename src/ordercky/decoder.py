@@ -103,10 +103,6 @@ class CompiledRules:
         return len(self.parent)
 
 
-def _leaf(labels, sentence, i, lab):
-    return BinaryTree(labels[lab], i, i + 1, sentence)
-
-
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite root is reported instead
 def decode_ordered(
     chart: SpanScoreChart,
@@ -176,22 +172,17 @@ def _root_label(root_scores: np.ndarray, labels: Sequence[str],
 
 def _tree(labels, sentence, n, root_lab, split) -> BinaryTree:
     """The best tree under ``root_lab``, where split(i, j, lab, order) gives a
-    node's split point and its children's labels.  An explicit stack builds it
-    (a node comes back off the stack, with its split, once both children are
-    built), so a tree as deep as its sentence costs no recursion."""
-    done: list[BinaryTree] = []
-    stack = [(0, n, root_lab, LEFT, None)]
+    node's split point and its children's label ids.  An explicit stack walks
+    it in preorder, so a tree as deep as its sentence costs no recursion."""
+    spans = []
+    stack = [(0, n, root_lab, LEFT)]
     while stack:
-        i, j, lab, o, k = stack.pop()
-        if j - i == 1:
-            done.append(_leaf(labels, sentence, i, lab))
-        elif k is not None:
-            right = done.pop()
-            done[-1] = BinaryTree(labels[lab], i, j, sentence, done[-1], right)
-        else:
+        i, j, lab, o = stack.pop()
+        spans.append((i, j, labels[lab]))
+        if j - i > 1:
             k, l1, l2 = split(i, j, lab, o)
-            stack += ((i, j, lab, o, k), (k, j, l2, RIGHT, None), (i, k, l1, LEFT, None))
-    return done[0]
+            stack += ((k, j, l2, RIGHT), (i, k, l1, LEFT))
+    return BinaryTree.from_spans(sentence, spans)
 
 
 def _extract(chart, t, back, n, forbid_root=None) -> DecodeResult:
@@ -242,28 +233,11 @@ def _span_cky(left: np.ndarray, right: np.ndarray) -> tuple[list, list]:
     return by_start, by_end
 
 
-def _decode_spans(left: np.ndarray, right: np.ndarray, label_at, sentence, labels) -> DecodeResult:
-    """The best bracketing of ``_span_cky(left, right)``, split at each node's
-    smallest best split point and labeled by label_at(i, j, order).  Raises
-    NoDerivation for a -inf root and NonFiniteChart for a NaN or +inf one."""
-    n = len(sentence)
-    by_start, by_end = _span_cky(left, right)
-    error = _root_error(by_start[0][n], n)
-    if error:
-        raise error
-
-    def split(i, j, lab, o):
-        cand = list(map(add, by_start[i][1 : j - i], by_end[j][j - i - 1 : 0 : -1]))
-        k = i + 1 + cand.index(max(cand))
-        return k, label_at(i, k, LEFT), label_at(k, j, RIGHT)
-
-    tree = _tree(labels, sentence, n, label_at(0, n, LEFT), split)
-    return DecodeResult(tree=tree, score=by_start[0][n])
-
-
 def decode_ablation(chart: SpanScoreChart, forbid_root: Optional[str] = None) -> DecodeResult:
-    """Ordered span scores without the grammar-rule term; raises like
-    ``_decode_spans``."""
+    """Ordered span scores without the grammar-rule term: each span's best
+    label in each order, then the best bracketing of ``_span_cky`` over
+    those, split at each node's smallest best split point.  Raises
+    NoDerivation for a -inf root and NonFiniteChart for a NaN or +inf one."""
     n = chart.n
     s = chart.scores
     label_choice = s.argmax(axis=2)          # (n+1, n+1, 2)
@@ -272,8 +246,18 @@ def decode_ablation(chart: SpanScoreChart, forbid_root: Optional[str] = None) ->
     label_score = s[span[:, None, None], span[:, None], label_choice, np.arange(2)]
     root = _root_label(s[0, n, :, LEFT], chart.labels, forbid_root)
     label_choice[0, n, LEFT], label_score[0, n, LEFT] = root
-    return _decode_spans(label_score[:, :, LEFT], label_score[:, :, RIGHT], label_choice.item,
-                         chart.sentence, chart.labels)
+    by_start, by_end = _span_cky(label_score[:, :, LEFT], label_score[:, :, RIGHT])
+    error = _root_error(by_start[0][n], n)
+    if error:
+        raise error
+
+    def split(i, j, lab, o):
+        cand = list(map(add, by_start[i][1 : j - i], by_end[j][j - i - 1 : 0 : -1]))
+        k = i + 1 + cand.index(max(cand))
+        return k, label_choice.item(i, k, LEFT), label_choice.item(k, j, RIGHT)
+
+    tree = _tree(chart.labels, chart.sentence, n, label_choice.item(0, n, LEFT), split)
+    return DecodeResult(tree=tree, score=by_start[0][n])
 
 
 def decode_baseline(scores: np.ndarray, sentence: tuple[tuple[str, str], ...], labels: tuple[str, ...],
@@ -300,10 +284,9 @@ def hamming_costs(n: int, labels: tuple[str, ...], gold: BinaryTree) -> np.ndarr
     """cost[i, j, l] = 1 if (i, j, label_l) is not a node of gold, else 0."""
     cost = np.ones((n + 1, n + 1, len(labels)))
     index = {lab: i for i, lab in enumerate(labels)}
-    for node, _ in gold.nodes():
-        lab = index.get(node.label)
-        if lab is not None:
-            cost[node.start, node.end, lab] = 0.0
+    for lab, i, j, _ in gold.nodes():
+        if lab in index:
+            cost[i, j, index[lab]] = 0.0
     return cost
 
 
@@ -320,14 +303,17 @@ def ordered_tree_score(
     chart: SpanScoreChart,
     rules: Optional[RuleScoreChart] = None,
 ) -> float:
-    """Independent bottom-up re-summation of the ordered objective, or of
-    the span modes' without ``rules``."""
+    """Independent re-summation of the ordered objective, or of the span
+    modes' without ``rules``: for each node in preorder, its span term, then
+    its rule term."""
     index = {lab: i for i, lab in enumerate(chart.labels)}
+    compositions = btree.compositions()
     total = 0.0
-    for node, order in btree.nodes():
-        total += float(chart.scores[node.start, node.end, index[node.label], order])
-        if rules is not None and not node.is_leaf:
-            total += rules.score(Rule(node.label, node.left.label, node.right.label), order)
+    for lab, i, j, order in btree.nodes():
+        total += float(chart.scores[i, j, index[lab], order])
+        if rules is not None and j - i > 1:
+            parent, left, right, _ = next(compositions)
+            total += rules.score(Rule(parent, left, right), order)
     return total
 
 
@@ -341,14 +327,11 @@ def fallback_tree(
     sentence: tuple[tuple[str, str], ...], labels: Sequence[str]
 ) -> BinaryTree:
     """Right-branching tree of dummy nodes under the first non-dummy label,
-    for robustness runs where no in-grammar derivation exists; built bottom-up,
-    so its depth costs no stack."""
+    for robustness runs where no in-grammar derivation exists."""
     n = len(sentence)
-    node = BinaryTree(DUMMY, n - 1, n, sentence)
-    for i in range(n - 2, -1, -1):
-        node = BinaryTree(DUMMY, i, n, sentence, BinaryTree(DUMMY, i, i + 1, sentence), node)
-    root_label = next((lab for lab in labels if lab != DUMMY), DUMMY)
-    return BinaryTree(root_label, 0, n, sentence, node.left, node.right)
+    spans = dict.fromkeys([(i, n) for i in range(n)] + [(i, i + 1) for i in range(n)], DUMMY)
+    spans[0, n] = next((lab for lab in labels if lab != DUMMY), DUMMY)
+    return BinaryTree.from_spans(sentence, [(i, j, lab) for (i, j), lab in spans.items()])
 
 
 # ---------------------------------------------------------------------------
@@ -433,18 +416,16 @@ def brute_force_best(
             if val > best_score:
 
                 def build(node, lab, o):
+                    """The spans of ``node``'s subtree under ``lab`` in order ``o``."""
                     i, j, lt, rt = node
                     if lt is None:
-                        return _leaf(labels, sentence, i, lab)
+                        return [(i, j, labels[lab])]
                     r = choice[node][(lab, o)]
-                    return BinaryTree(
-                        labels[lab], i, j, sentence,
-                        build(lt, int(comp.left[r]), LEFT),
-                        build(rt, int(comp.right[r]), RIGHT),
-                    )
+                    return [(i, j, labels[lab]), *build(lt, int(comp.left[r]), LEFT),
+                            *build(rt, int(comp.right[r]), RIGHT)]
 
                 best_score = val
-                best_tree = build(shape, lab, LEFT)
+                best_tree = BinaryTree.from_spans(sentence, build(shape, lab, LEFT))
         if best_tree is None:
             raise NoDerivation(f"no in-grammar derivation covers the sentence (n={n})")
         return DecodeResult(tree=best_tree, score=best_score)
@@ -463,16 +444,9 @@ def brute_force_best(
     if best_shape is None:
         raise NoDerivation(f"no in-grammar derivation covers the sentence (n={n})")
 
-    def build_a(node, o):
-        i, j, lt, rt = node
-        lab = int(np.argmax(s[i, j, :, o]))
-        if lt is None:
-            return _leaf(labels, sentence, i, lab)
-        return BinaryTree(
-            labels[lab], i, j, sentence, build_a(lt, LEFT), build_a(rt, RIGHT)
-        )
-
-    return DecodeResult(tree=build_a(best_shape, LEFT), score=best_score)
+    spans = [(i, j, labels[int(np.argmax(s[i, j, :, o]))])
+             for (i, j, _, _), o in _iter_shape_orders(best_shape)]
+    return DecodeResult(tree=BinaryTree.from_spans(sentence, spans), score=best_score)
 
 
 def _iter_shape_orders(shape):

@@ -40,8 +40,8 @@ class Grammar:
 def extract_grammar(treebank: Treebank) -> Grammar:
     """Exactly the set of (parent, left, right) triples observed in the
     binarized trees; duplicates and sentence order are irrelevant."""
-    return Grammar(Rule(node.label, node.left.label, node.right.label)
-                   for sent in treebank.sentences for node, _ in sent.btree.nodes() if not node.is_leaf)
+    return Grammar(Rule(parent, left, right)
+                   for sent in treebank.sentences for parent, left, right, _ in sent.btree.compositions())
 
 
 @dataclass(frozen=True)
@@ -64,10 +64,9 @@ def order_statistics(treebank: Treebank) -> OrderStats:
     left: Counter = Counter()
     right: Counter = Counter()
     for sent in treebank.sentences:
-        for node, _ in sent.btree.nodes():
-            if not node.is_leaf:
-                left[node.left.label] += 1
-                right[node.right.label] += 1
+        for _, left_label, right_label, _ in sent.btree.compositions():
+            left[left_label] += 1
+            right[right_label] += 1
     return OrderStats(left=left, right=right)
 
 

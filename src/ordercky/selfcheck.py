@@ -41,16 +41,9 @@ class Instance:
             "scores": self.chart.scores.tolist(),
             "rules": [list(r) for r in self.grammar.rules],
             "rule_scores": self.rules.scores.tolist(),
-            "gold": _tree_to_json(self.gold),
+            "gold": {"label": list(self.gold.label), "start": list(self.gold.start),
+                     "end": list(self.gold.end)},
         }
-
-
-def _tree_to_json(node: BinaryTree) -> dict:
-    out = {"label": node.label, "span": [node.start, node.end]}
-    if not node.is_leaf:
-        out["left"] = _tree_to_json(node.left)
-        out["right"] = _tree_to_json(node.right)
-    return out
 
 
 def random_instance(rng: np.random.Generator, max_n: int = 6, max_labels: int = 4) -> Instance:
@@ -70,14 +63,17 @@ def random_instance(rng: np.random.Generator, max_n: int = 6, max_labels: int = 
     grammar = Grammar(picked)
     rules = RuleScoreChart(grammar, rng.uniform(-1.0, 1.0, size=(len(grammar), 2)))
 
-    def random_tree(i: int, j: int) -> BinaryTree:
-        lab = labels[int(rng.integers(0, n_labels))]
-        if j - i == 1:
-            return BinaryTree(lab, i, j, sentence)
-        k = int(rng.integers(i + 1, j))
-        return BinaryTree(lab, i, j, sentence, random_tree(i, k), random_tree(k, j))
-
-    return Instance(chart=chart, grammar=grammar, rules=rules, gold=random_tree(0, n))
+    # the gold tree, drawn in preorder: each node's label, then its split
+    spans = []
+    stack = [(0, n)]
+    while stack:
+        i, j = stack.pop()
+        spans.append((i, j, labels[int(rng.integers(0, n_labels))]))
+        if j - i > 1:
+            k = int(rng.integers(i + 1, j))
+            stack += ((k, j), (i, k))
+    gold = BinaryTree.from_spans(sentence, spans)
+    return Instance(chart=chart, grammar=grammar, rules=rules, gold=gold)
 
 
 def _best(decode) -> Optional[DecodeResult]:

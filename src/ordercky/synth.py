@@ -42,12 +42,11 @@ def check_consistency(lines, allow_conflicts=()):
     seen: dict = {}
     conflicts = []
     for sent in tb.sentences:
-        for node, order in sent.btree.nodes():
-            left_word = sent.words[node.start - 1] if node.start > 0 else "<s>"
-            key = (node.start, node.end, left_word, sent.words[node.end - 1])
-            prev = seen.setdefault((key, order), node.label)
-            if prev != node.label and tuple(sorted((prev, node.label))) not in allow_conflicts:
-                conflicts.append((key, order, prev, node.label))
+        for label, i, j, order in sent.btree.nodes():
+            key = (i, j, sent.words[i - 1] if i > 0 else "<s>", sent.words[j - 1])
+            prev = seen.setdefault((key, order), label)
+            if prev != label and tuple(sorted((prev, label))) not in allow_conflicts:
+                conflicts.append((key, order, prev, label))
     return conflicts
 
 

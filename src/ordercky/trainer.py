@@ -179,11 +179,10 @@ def sentence_gradients(
     out_grad = np.zeros_like(chart.scores)
     rule_grad = np.zeros_like(rules.scores) if spec.rules else None
     for tree, sign in ((augmented.tree, 1.0), (sent.btree, -1.0)):
-        for node, order in tree.nodes():
-            out_grad[node.start, node.end, label_index[node.label], order] += sign
-            if spec.rules and not node.is_leaf:
-                rule = Rule(node.label, node.left.label, node.right.label)
-                rule_grad[grammar.rule_index[rule], order] += sign
+        for lab, i, j, order in tree.nodes():
+            out_grad[i, j, label_index[lab], order] += sign
+        for parent, left, right, order in tree.compositions() if spec.rules else ():
+            rule_grad[grammar.rule_index[Rule(parent, left, right)], order] += sign
     return loss, model.backward(cache, out_grad), rule_grad
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 DUMMY = "∅"
 UNARY_SEP = "|"
@@ -99,32 +99,43 @@ Node = Union[InternalNode, LeafNode]
 
 @dataclass(frozen=True)
 class BinaryTree:
-    """Strictly binary tree over fencepost spans.
+    """Strictly binary tree over fencepost spans, as flat tuples of its nodes
+    in preorder: node p covers ``start[p]:end[p]`` under ``label[p]``.
 
     ``sentence`` is the shared (word, pos) sequence; leaves are width-1 spans
-    and internal nodes have exactly two children partitioning the span.
+    and internal nodes have exactly two children partitioning the span.  A
+    node is a left child iff it is the root or starts where the node before
+    it starts; an internal node's left child is the next node, and its right
+    child follows the left child's 2w - 1 nodes for a left child of width w.
     """
 
-    label: str
-    start: int
-    end: int
     sentence: tuple[tuple[str, str], ...]
-    left: Optional["BinaryTree"] = None
-    right: Optional["BinaryTree"] = None
+    label: tuple[str, ...]
+    start: tuple[int, ...]
+    end: tuple[int, ...]
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
+    @classmethod
+    def from_spans(cls, sentence: tuple[tuple[str, str], ...],
+                   spans: Iterable[tuple[int, int, str]]) -> "BinaryTree":
+        """The tree of (start, end, label) spans given in any order: a binary
+        tree's spans are distinct, and by start, then widest first, they are
+        in preorder."""
+        start, end, label = zip(*sorted(spans, key=lambda span: (span[0], -span[1])))
+        return cls(sentence, label, start, end)
 
-    def nodes(self) -> Iterator[tuple["BinaryTree", int]]:
-        """Every node in preorder, paired with its order as a child; the root
-        reads as LEFT."""
-        stack = [(self, LEFT)]
-        while stack:
-            node, order = stack.pop()
-            yield node, order
-            if node.left is not None:
-                stack += ((node.right, RIGHT), (node.left, LEFT))
+    def nodes(self) -> Iterator[tuple[str, int, int, int]]:
+        """(label, start, end, order as a child) of every node in preorder;
+        the root, compared with itself, reads as LEFT."""
+        for lab, i, j, before in zip(self.label, self.start, self.end, self.start[:1] + self.start):
+            yield lab, i, j, LEFT if i == before else RIGHT
+
+    def compositions(self) -> Iterator[tuple[str, str, str, int]]:
+        """(parent, left, right, parent's order) of every internal node in
+        preorder."""
+        label, start, end = self.label, self.start, self.end
+        for p, (lab, i, j, order) in enumerate(self.nodes()):
+            if j - i > 1:
+                yield lab, label[p + 1], label[p + 2 * (end[p + 1] - start[p + 1])], order
 
 
 def escape_token(word: str) -> str:
@@ -263,26 +274,19 @@ def binarize(tree: Node) -> BinaryTree:
     "A|B" label.  Part-of-speech leaves become width-1 spans: DUMMY when bare,
     or the collapsed phrasal label when a unary chain sits above them.
 
-    A preorder stack walk numbers the leaves; a node's (label, child count)
-    on the stack pops once its children are done, so a tree of any depth
-    costs no recursion.
+    A preorder stack walk numbers the leaves; each fold's (label, start)
+    waits on the stack behind the child it ends with, and pops when that
+    child's leaves are counted, so a tree of any depth costs no recursion.
     """
     if isinstance(tree, LeafNode):
         raise ValueError("cannot binarize a bare part-of-speech leaf")
-    sentence = sentence_of(tree)
     i = 0
-    done: list[BinaryTree] = []
+    spans: list[tuple[int, int, str]] = []
     stack: list[Union[Node, tuple[str, int]]] = [tree]
     while stack:
         node = stack.pop()
         if isinstance(node, tuple):
-            top, count = node
-            parts = _pop(done, count)
-            acc = parts[0]
-            for idx, nxt in enumerate(parts[1:], start=2):
-                lab = top if idx == len(parts) else DUMMY
-                acc = BinaryTree(lab, acc.start, nxt.end, sentence, acc, nxt)
-            done.append(acc)
+            spans.append((node[1], i, node[0]))
             continue
         labels: list[str] = []
         while (
@@ -293,18 +297,20 @@ def binarize(tree: Node) -> BinaryTree:
             labels.append(node.label)
             node = node.children[0]
         if isinstance(node, LeafNode):
-            done.append(BinaryTree(DUMMY, i, i + 1, sentence))
+            spans.append((i, i + 1, DUMMY))
             i += 1
         elif len(node.children) == 1:
             # unary chain ending at a part-of-speech leaf
             labels.append(node.label)
-            done.append(BinaryTree(UNARY_SEP.join(labels), i, i + 1, sentence))
+            spans.append((i, i + 1, UNARY_SEP.join(labels)))
             i += 1
         else:
             labels.append(node.label)
-            stack.append((UNARY_SEP.join(labels), len(node.children)))
-            stack.extend(reversed(node.children))
-    return done[0]
+            last = len(node.children) - 1
+            for k in range(last, 0, -1):
+                stack += ((UNARY_SEP.join(labels) if k == last else DUMMY, i), node.children[k])
+            stack.append(node.children[0])
+    return BinaryTree.from_spans(sentence_of(tree), spans)
 
 
 def _pop(done: list, count: int) -> list:
@@ -327,26 +333,20 @@ def _labeled(label: str, children: tuple[Node, ...]) -> Node:
 def debinarize(btree: BinaryTree) -> Node:
     """Inverse of :func:`binarize`: splice DUMMY nodes, re-expand "A|B" chains.
 
-    A postorder stack walk: a node's label on the stack marks where both its
-    children are done, and ``done`` holds, per finished subtree, the nodes it
-    expands to (several for a DUMMY node), so a left-branching tree as deep as
-    its sentence costs no recursion."""
-    if btree.label == DUMMY:
+    One loop over the nodes in reversed preorder, where a node's right and
+    then its left subtree come before it: ``done`` holds, per finished
+    subtree, the nodes it expands to (several for a DUMMY node), so a
+    left-branching tree as deep as its sentence costs no recursion."""
+    if btree.label[0] == DUMMY:
         raise UnknownDummyPlacement("dummy symbol at the root of a binary tree")
     done: list[list[Node]] = []
-    stack: list[Union[BinaryTree, str]] = [btree]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            right = done.pop()
-            done[-1] += right
-            if item != DUMMY:
-                done[-1] = [_labeled(item, tuple(done[-1]))]
-        elif item.left is None:
-            out: Node = LeafNode(*item.sentence[item.start])
-            done.append([out if item.label == DUMMY else _labeled(item.label, (out,))])
+    for label, i, j in zip(reversed(btree.label), reversed(btree.start), reversed(btree.end)):
+        if j - i == 1:
+            children: list[Node] = [LeafNode(*btree.sentence[i])]
         else:
-            stack += (item.label, item.right, item.left)
+            children = done.pop()
+            children += done.pop()
+        done.append(children if label == DUMMY else [_labeled(label, tuple(children))])
     return done[0][0]
 
 
@@ -440,8 +440,7 @@ class Treebank:
         words = set()
         for sent in sentences:
             words.update(sent.words)
-            for node, _ in sent.btree.nodes():
-                labels.add(node.label)
+            labels.update(sent.btree.label)
         self.labels: tuple[str, ...] = tuple(sorted(labels))
         self.words: tuple[str, ...] = tuple(sorted(words))
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from ordercky import cli
+from ordercky.selfcheck import random_instance
 from ordercky.trainer import MODES, TrainConfig, load_tensors, save_tensors
 from ordercky.trees import DUMMY, BinaryTree, debinarize, load_trees, read_trees, sentence_of
 
@@ -120,9 +121,8 @@ def test_eval_reads_a_right_branching_parse_as_deep_as_its_sentence(tmp_path, ca
     # levels per token, 240 at 120 tokens
     n = 120
     sentence = tuple((f"w{i}", "T") for i in range(n))
-    bt = BinaryTree(DUMMY, n - 1, n, sentence)
-    for i in range(n - 2, -1, -1):
-        bt = BinaryTree("S|VP", i, n, sentence, BinaryTree(DUMMY, i, i + 1, sentence), bt)
+    spans = [(i, n, "S|VP") for i in range(n - 1)] + [(i, i + 1, DUMMY) for i in range(n - 1)]
+    bt = BinaryTree.from_spans(sentence, spans + [(n - 1, n, DUMMY)])
     pred = tmp_path / "pred.txt"
     pred.write_text(debinarize(bt).linearize() + "\n", encoding="utf-8")
     assert cli.main(["eval", "--pred", str(pred), "--gold", str(pred)]) == 0
@@ -321,7 +321,17 @@ class TestOracleCheckCommand:
         record = json.loads(replay.read_text())
         assert record["mode"] == "ordered"
         assert record["gap"] == pytest.approx(1.0)
-        assert "instance" in record
+        # the record rebuilds the failing instance: its gold tree is flat
+        # label / start / end lists in preorder
+        rng = np.random.default_rng(0)
+        for _ in range(record["trial"] + 1):
+            inst = random_instance(rng)
+        saved = record["instance"]
+        assert np.array_equal(np.array(saved["scores"]), inst.chart.scores)
+        assert sorted(saved["gold"]) == ["end", "label", "start"]
+        sentence = tuple((f"w{i}", "X") for i in range(saved["n"]))
+        gold = saved["gold"]
+        assert BinaryTree.from_spans(sentence, zip(gold["start"], gold["end"], gold["label"])) == inst.gold
 
 
 class TestBench:

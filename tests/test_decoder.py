@@ -28,6 +28,7 @@ from ordercky.grammar import Grammar, Rule, RuleScoreChart
 from ordercky.scorer import SpanScoreChart
 from ordercky.selfcheck import oracle_check, random_instance
 from ordercky.trees import DUMMY, LEFT, RIGHT, BinaryTree, InternalNode, LabeledSpan, LeafNode, debinarize
+from tree_oracle import NestedTree, assert_partition
 
 
 def make_chart(n, labels, scores):
@@ -55,23 +56,13 @@ def zero_rules(grammar):
 def decoded_spans(btree):
     """Every node of a binary tree as a labeled span, DUMMY included; spans
     are unique within one binary tree, so a set is exact."""
-    return {LabeledSpan(n.start, n.end, n.label) for n, _ in btree.nodes()}
+    return {LabeledSpan(i, j, label) for label, i, j, _ in btree.nodes()}
 
 
 def hamming(pred, gold):
     """Labeled spans of ``pred`` (dummy nodes included) absent from ``gold``:
     the loss that loss-augmented decoding adds, counted on the trees."""
     return len(decoded_spans(pred) - decoded_spans(gold))
-
-
-def assert_partition(btree):
-    """Leaves have width 1 and every internal node's children split its span
-    at some i < k < j."""
-    for node, _ in btree.nodes():
-        if node.is_leaf:
-            assert node.end == node.start + 1
-        else:
-            assert node.start == node.left.start < node.left.end == node.right.start < node.end == node.right.end
 
 
 class TestOrderedHandExamples:
@@ -81,7 +72,7 @@ class TestOrderedHandExamples:
         chart = make_chart(1, ("A",), scores)
         result = decode_ordered(chart, Grammar([]), zero_rules(Grammar([])))
         assert result.score == 2.0
-        assert result.tree.is_leaf and result.tree.label == "A"
+        assert list(result.tree.nodes()) == [("A", 0, 1, LEFT)]
 
     def test_two_tokens_single_rule(self):
         labels = ("A", "B")
@@ -93,9 +84,7 @@ class TestOrderedHandExamples:
         rules = RuleScoreChart(grammar, np.array([[0.5, 0.5]]))
         result = decode_ordered(make_chart(2, labels, scores), grammar, rules)
         assert result.score == pytest.approx(6.5, abs=1e-12)
-        tree = result.tree
-        assert tree.label == "A"
-        assert tree.left.label == "B" and tree.right.label == "B"
+        assert list(result.tree.compositions()) == [("A", "B", "B", LEFT)]
 
     def test_matches_brute_force_seed_42(self):
         rng = np.random.default_rng(42)
@@ -122,7 +111,7 @@ class TestBaseline:
         scores = np.zeros((2, 2, 3, 2))
         scores[0, 1] = np.array([0.5, 2.0, 1.0])[:, None]
         result = decode_baseline(scores, (("w0", "X"),), ("A", "B", "C"))
-        assert result.tree.label == "B"
+        assert result.tree.label == ("B",)
         assert result.score == 2.0
 
     def test_two_tokens_sum_of_maxima(self):
@@ -205,10 +194,7 @@ class TestLossAugmented:
     def test_gold_dominates_zero_chart(self):
         labels = ("A", "B")
         sentence = (("a", "X"), ("b", "X"))
-        gold = BinaryTree(
-            "A", 0, 2, sentence,
-            BinaryTree("B", 0, 1, sentence), BinaryTree("B", 1, 2, sentence),
-        )
+        gold = BinaryTree.from_spans(sentence, [(0, 2, "A"), (0, 1, "B"), (1, 2, "B")])
         grammar = Grammar([Rule("A", "B", "B"), Rule("B", "B", "B")])
         rules = zero_rules(grammar)
         chart = make_chart(2, labels, np.zeros((3, 3, 2, 2)))
@@ -242,10 +228,7 @@ class TestLossAugmented:
         rng = np.random.default_rng(17)
         for _ in range(20):
             inst = random_instance(rng, max_n=5, max_labels=3)
-            if not all(
-                Rule(n.label, n.left.label, n.right.label) in inst.grammar
-                for n, _ in inst.gold.nodes() if not n.is_leaf
-            ):
+            if not all(Rule(p, l, r) in inst.grammar for p, l, r, _ in inst.gold.compositions()):
                 continue
             aug = decode_ordered(augmented_chart(inst.chart, inst.gold), inst.grammar, inst.rules)
             gold_plain = ordered_tree_score(inst.gold, inst.chart, inst.rules)
@@ -253,20 +236,19 @@ class TestLossAugmented:
 
 
 def full_enumeration_best(chart, mode, grammar=None, rules=None, gold=None):
-    """Product enumeration of every labeled binary tree; no shared code with
-    the chart decoders or the shape-wise oracle."""
-    labels, sentence, n = chart.labels, chart.sentence, chart.n
+    """Product enumeration of every labeled binary tree, as nested objects;
+    no shared code with the chart decoders, the shape-wise oracle or the
+    flat tree's walks."""
+    labels, n = chart.labels, chart.n
 
     def all_trees(i, j):
         if j - i == 1:
-            return [BinaryTree(lab, i, j, sentence) for lab in labels]
+            return [NestedTree(lab, i, j) for lab in labels]
         out = []
         for k in range(i + 1, j):
             for lt in all_trees(i, k):
                 for rt in all_trees(k, j):
-                    out.extend(
-                        BinaryTree(lab, i, j, sentence, lt, rt) for lab in labels
-                    )
+                    out.extend(NestedTree(lab, i, j, lt, rt) for lab in labels)
         return out
 
     index = {lab: i for i, lab in enumerate(labels)}
@@ -288,7 +270,7 @@ def full_enumeration_best(chart, mode, grammar=None, rules=None, gold=None):
         if not valid:
             continue
         if mode == "loss-augmented":
-            total += hamming(tree, gold)
+            total += len({LabeledSpan(*span) for span in tree.spans()} - decoded_spans(gold))
         if best is None or total > best:
             best = total
     return best
@@ -382,9 +364,9 @@ def test_forbid_root_label():
     grammar = full_grammar(labels)
     rules = zero_rules(grammar)
     free = decode_ordered(chart, grammar, rules)
-    assert free.tree.label == "A"
+    assert free.tree.label[0] == "A"
     constrained = decode_ordered(chart, grammar, rules, forbid_root="A")
-    assert constrained.tree.label == "B"
+    assert constrained.tree.label[0] == "B"
     want = brute_force_best(chart, "ordered", grammar=grammar, rules=rules, forbid_root="A")
     assert constrained.score == pytest.approx(want.score, abs=1e-9)
 
@@ -456,7 +438,7 @@ def test_brute_force_single_token_all_modes():
     chart = random_chart(rng, 1, ("A", "B", "C"))
     grammar = full_grammar(("A", "B", "C"))
     rules = zero_rules(grammar)
-    gold = BinaryTree("B", 0, 1, chart.sentence)
+    gold = BinaryTree.from_spans(chart.sentence, [(0, 1, "B")])
     s = chart.scores
     assert brute_force_best(chart, "ordered", grammar=grammar, rules=rules).score == s[0, 1, :, LEFT].max()
     assert brute_force_best(chart, "baseline").score == s[0, 1, :, LEFT].max()
@@ -752,11 +734,11 @@ def _split_ties(tree, chart, compiled):
     t = _inside(chart, compiled)
     index = {lab: x for x, lab in enumerate(chart.labels)}
     count = 0
-    for node, o in tree.nodes():
-        if not node.is_leaf:
-            lab = index[node.label]
+    for label, i, j, o in tree.nodes():
+        if j - i > 1:
+            lab = index[label]
             lo, hi = compiled.bounds[lab], compiled.bounds[lab + 1]
-            cand = _rule_candidates(t, compiled, node.start, node.end, lo, hi)[:, :, o]
+            cand = _rule_candidates(t, compiled, i, j, lo, hi)[:, :, o]
             reach = cand == cand.max()
             count += len({int(np.argmax(reach[:, r])) for r in np.flatnonzero(reach.any(axis=0))}) > 1
     return count
@@ -812,16 +794,16 @@ def test_batched_equals_scalar_with_non_finite_cells(seed, forbid):
 
 def _random_gold(rng, chart):
     """A random binary tree over the chart's sentence, with random labels."""
-    labels, sentence = chart.labels, chart.sentence
+    labels = chart.labels
 
     def build(i, j):
         lab = labels[int(rng.integers(len(labels)))]
         if j - i == 1:
-            return BinaryTree(lab, i, j, sentence)
+            return [(i, j, lab)]
         k = int(rng.integers(i + 1, j))
-        return BinaryTree(lab, i, j, sentence, build(i, k), build(k, j))
+        return [(i, j, lab), *build(i, k), *build(k, j)]
 
-    return build(0, chart.n)
+    return BinaryTree.from_spans(chart.sentence, build(0, chart.n))
 
 
 @given(seed=st.integers(0, 2**32 - 1))
@@ -838,8 +820,7 @@ def test_batched_equals_scalar_on_hamming_augmented_charts(seed):
     triples = [Rule(p, l, r) for p in labels for l in labels for r in labels]
     picked = rng.choice(len(triples), size=int(rng.integers(20, 41)), replace=False)
     grammar = Grammar([triples[i] for i in picked]
-                      + [Rule(n.label, n.left.label, n.right.label)
-                         for gold in golds for n, _ in gold.nodes() if not n.is_leaf])
+                      + [Rule(p, l, r) for gold in golds for p, l, r, _ in gold.compositions()])
     rules = RuleScoreChart(grammar, _grid(rng, (len(grammar), 2)))
     augmented = [augmented_chart(chart, gold) for chart, gold in zip(charts, golds)]
     for forbid in (None, "A"):
@@ -902,8 +883,11 @@ def test_decoders_build_a_tree_as_deep_as_the_sentence_without_recursion(mode):
     finally:
         sys.setrecursionlimit(limit)
     assert result.score == n
-    internal = [(node.start, node.end) for node, _ in result.tree.nodes() if not node.is_leaf]
+    internal = [(i, j) for _, i, j, _ in result.tree.nodes() if j - i > 1]
     assert internal == [(0, j) for j in range(n, 1, -1)]
+    # plain Python values, which compare, hash and print as they read
+    tree = result.tree
+    assert {type(v) for v in tree.start + tree.end} == {int} and {type(v) for v in tree.label} == {str}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 1500])
@@ -916,7 +900,23 @@ def test_fallback_tree_branches_right_under_the_first_label(n):
         want += [(i, n, DUMMY), (i, i + 1, DUMMY)]
     if n > 1:
         want.append((n - 1, n, DUMMY))
-    assert [(t.start, t.end, t.label) for t, _ in tree.nodes()] == want
-    assert all(t.sentence is sentence for t, _ in tree.nodes())
+    assert [(i, j, label) for label, i, j, _ in tree.nodes()] == want
+    assert tree.sentence is sentence
     flat = InternalNode("NP", tuple(LeafNode(w, p) for w, p in sentence))
     assert debinarize(tree) == (InternalNode("NP", (LeafNode("w0", "T"),)) if n == 1 else flat)
+
+
+def test_long_trees_compare_hash_and_print_without_recursion():
+    # at 1,200 tokens a nested tree was 1,199 levels deep, and the dataclass
+    # ==, hash and repr of its nodes recursed past the default limit
+    n = 1200
+    sentence = tuple((f"w{k}", "T") for k in range(n))
+    one, two = fallback_tree(sentence, ("A",)), fallback_tree(sentence, ("A",))
+    scores = np.zeros((n + 1, n + 1, 1, 2))
+    scores[:, n, 0, :] = 1.0  # every span ending at n scores 1: the best tree branches right
+    chart = make_chart(n, ("A",), scores)
+    decoded, again = decode_ablation(chart).tree, decode_ablation(chart).tree
+    assert one == two and decoded == again and one != decoded
+    assert hash(one) == hash(two) and hash(decoded) == hash(again)
+    assert repr(one) == repr(two) != repr(decoded)
+    assert [(i, j) for _, i, j, _ in decoded.nodes() if j - i > 1] == [(i, n) for i in range(n - 1)]

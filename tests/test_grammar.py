@@ -79,9 +79,7 @@ def test_order_statistics_counts_balance():
         rng.shuffle(texts)
         tb = bank("\n".join(texts))
         stats = order_statistics(tb)
-        compositions = sum(
-            1 for s in tb.sentences for n, _ in s.btree.nodes() if not n.is_leaf
-        )
+        compositions = sum(1 for s in tb.sentences for _, i, j, _ in s.btree.nodes() if j - i > 1)
         assert sum(stats.left.values()) == compositions
         assert sum(stats.right.values()) == compositions
 

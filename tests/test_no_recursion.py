@@ -1,7 +1,7 @@
-"""The decoders build trees, and the tree walks read them, without recursion.
+"""No function of the package calls itself.
 
 A best tree can be as deep as its sentence, and a treebank's trees can
-nest to any depth, so no function in ``decoder.py`` or ``trees.py``, nested
+nest to any depth, so no function in any module of the package, nested
 closures included, may call itself, by its bare name or as a method of its
 own name.  The one exception is bounded: the brute-force oracle's
 enumerators only run for n <= 8.
@@ -10,13 +10,15 @@ enumerators only run for n <= 8.
 import ast
 from pathlib import Path
 
+import pytest
+
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ordercky"
 
 FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 BOUNDED = {
     # bounded by brute_force_best's n <= 8
-    "decoder.py": {"_shapes", "brute_force_best.fill", "brute_force_best.build", "brute_force_best.build_a"},
+    "decoder.py": {"_shapes", "brute_force_best.fill", "brute_force_best.build"},
 }
 
 
@@ -56,13 +58,16 @@ def recursive_functions(module):
     return {name for name, func in functions(tree) if calls_itself(func)} - BOUNDED.get(module, set())
 
 
-def test_no_decoder_function_calls_itself():
-    recursive = recursive_functions("decoder.py")
-    assert not recursive, "calls itself: " + ", ".join(sorted(recursive))
+MODULES = sorted(path.name for path in PACKAGE.glob("*.py"))
 
 
-def test_no_tree_function_calls_itself():
-    recursive = recursive_functions("trees.py")
+def test_every_module_is_checked():
+    assert {"decoder.py", "trees.py", "selfcheck.py", "trainer.py"} <= set(MODULES)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_function_calls_itself(module):
+    recursive = recursive_functions(module)
     assert not recursive, "calls itself: " + ", ".join(sorted(recursive))
 
 

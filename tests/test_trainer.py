@@ -529,9 +529,9 @@ def oracle_sentence_gradients(sent, model, grammar, rules, mode, compiled):
     its augmented chart alone."""
     spec = MODES[mode]
     if spec.rules:
-        for node, _ in sent.btree.nodes():
-            rule = None if node.is_leaf else Rule(node.label, node.left.label, node.right.label)
-            if rule is not None and rule not in grammar:
+        for parent, left, right, _ in sent.btree.compositions():
+            rule = Rule(parent, left, right)
+            if rule not in grammar:
                 raise GoldRuleMissing(f"gold composition {rule} not in the extracted grammar")
     chart, cache = model.forward(tuple(zip(sent.words, sent.pos)), orders=spec.heads)
     augmented = spec.decode([augmented_chart(chart, sent.btree)], compiled)[0]
@@ -541,8 +541,8 @@ def oracle_sentence_gradients(sent, model, grammar, rules, mode, compiled):
         gold_score = ordered_tree_score(sent.btree, chart, rules if spec.rules else None)
     else:  # the order-free sum: every node's LEFT slot
         index = {lab: i for i, lab in enumerate(chart.labels)}
-        gold_score = float(sum(chart.scores[n.start, n.end, index[n.label], LEFT]
-                               for n, _ in sent.btree.nodes()))
+        gold_score = float(sum(chart.scores[i, j, index[label], LEFT]
+                               for label, i, j, _ in sent.btree.nodes()))
     loss = max(augmented.score - gold_score, 0.0)
     if loss <= 0.0:
         return loss, None, None
@@ -550,12 +550,11 @@ def oracle_sentence_gradients(sent, model, grammar, rules, mode, compiled):
     out_grad = np.zeros_like(chart.scores)
     rule_grad = np.zeros_like(rules.scores) if spec.rules else None
     for tree, sign in ((augmented.tree, 1.0), (sent.btree, -1.0)):
-        for node, order in tree.nodes():
+        for label, i, j, order in tree.nodes():
             slot = order if order in spec.heads else LEFT
-            out_grad[node.start, node.end, label_index[node.label], slot] += sign
-            if spec.rules and not node.is_leaf:
-                rule = Rule(node.label, node.left.label, node.right.label)
-                rule_grad[grammar.rule_index[rule], order] += sign
+            out_grad[i, j, label_index[label], slot] += sign
+        for parent, left, right, order in tree.compositions() if spec.rules else ():
+            rule_grad[grammar.rule_index[Rule(parent, left, right)], order] += sign
     return loss, model.backward(cache, out_grad), rule_grad
 
 
@@ -626,8 +625,8 @@ def doctor_charts(monkeypatch, sentences):
             chart.scores[0, n] = np.inf
         elif first == "surely":
             index = {lab: i for i, lab in enumerate(chart.labels)}
-            for node, _ in golds[tuple(sentence)].nodes():
-                chart.scores[node.start, node.end, index[node.label]] += 100.0
+            for label, i, j, _ in golds[tuple(sentence)].nodes():
+                chart.scores[i, j, index[label]] += 100.0
         return chart, cache
 
     monkeypatch.setattr(ScorerModel, "forward", forward)

@@ -1,9 +1,11 @@
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ordercky
 from ordercky.decoder import hamming_costs
 from ordercky.evaluate import score_trees
 from ordercky.trees import (
@@ -28,29 +30,20 @@ from ordercky.trees import (
     read_trees,
     spans_of,
 )
-
-
-def assert_partition(btree):
-    """Leaves have width 1 and every internal node's children split its span
-    at some i < k < j."""
-    for node, _ in btree.nodes():
-        if node.is_leaf:
-            assert node.end == node.start + 1
-        else:
-            assert node.start == node.left.start < node.left.end == node.right.start < node.end == node.right.end
+from tree_oracle import NestedTree, assert_partition, nested_binarize
 
 
 def decoded_spans(btree):
     """Every node of a binary tree as a labeled span, DUMMY included; spans
     are unique within one binary tree, so a set is exact."""
-    return {LabeledSpan(n.start, n.end, n.label) for n, _ in btree.nodes()}
+    return {LabeledSpan(i, j, label) for label, i, j, _ in btree.nodes()}
 
 
 def hamming(pred, gold):
     """What loss-augmented decoding adds for ``pred``: ``hamming_costs``
     summed over its decoded spans."""
     labels = tuple(sorted({s.label for s in decoded_spans(pred) | decoded_spans(gold)}))
-    costs = hamming_costs(gold.end, labels, gold)
+    costs = hamming_costs(gold.end[0], labels, gold)
     return sum(costs[s.start, s.end, labels.index(s.label)] for s in decoded_spans(pred))
 
 
@@ -161,7 +154,7 @@ def test_a_deep_unary_nest_reads_binarizes_and_round_trips_as_text():
         depth, tree = depth + 1, tree.children[0]
     assert depth == levels and len(trees) == 1
     bt = binarize(trees[0])
-    assert (bt.start, bt.end, bt.is_leaf, bt.label) == (0, 1, True, "|".join(["A"] * (levels - 1)))
+    assert list(bt.nodes()) == [("|".join(["A"] * (levels - 1)), 0, 1, LEFT)]
     assert debinarize(bt).linearize() == trees[0].linearize() == text
 
 
@@ -170,10 +163,8 @@ def test_deep_decoded_tree_linearizes_and_scores():
     # "S|VP" it debinarizes to two levels per token, 2,400 levels at n = 1,200
     n = 1200
     sentence = tuple((f"w{i}", "T") for i in range(n))
-    bt = BinaryTree(DUMMY, n - 1, n, sentence)
-    for i in range(n - 2, -1, -1):
-        bt = BinaryTree("S|VP", i, n, sentence, BinaryTree(DUMMY, i, i + 1, sentence), bt)
-    tree = debinarize(bt)
+    spans = [(i, n, "S|VP") for i in range(n - 1)] + [(i, i + 1, DUMMY) for i in range(n - 1)]
+    tree = debinarize(BinaryTree.from_spans(sentence, spans + [(n - 1, n, DUMMY)]))
     expected = "".join(f"(S (VP (T w{i}) " for i in range(n - 1)) + f"(T w{n - 1})" + "))" * (n - 1)
     assert tree.linearize() == expected
     assert [leaf.word for leaf in iter_leaves(tree)] == [w for w, _ in sentence]
@@ -184,44 +175,42 @@ def test_deep_decoded_tree_linearizes_and_scores():
 
 def test_wide_tree_walks_in_preorder():
     bt = binarize(node("S", *[leaf(str(k)) for k in range(1500)]))
-    nodes = [n for n, _ in bt.nodes()]
+    nodes = list(bt.nodes())
     assert len(nodes) == 2 * 1500 - 1
     # preorder of a left-branching fold: the spine top-down, then each
     # spine node's right leaf bottom-up; the root and the spine read as LEFT
-    assert [o for _, o in bt.nodes()] == [LEFT] * 1500 + [RIGHT] * 1499
+    assert [o for *_, o in nodes] == [LEFT] * 1500 + [RIGHT] * 1499
     spine = nodes[:1500]
-    assert [(n.start, n.end) for n in spine] == [(0, 1500 - k) for k in range(1500)]
-    assert [n.start for n in nodes[1500:]] == list(range(1, 1500))
+    assert [(i, j) for _, i, j, _ in spine] == [(0, 1500 - k) for k in range(1500)]
+    assert [i for _, i, _, _ in nodes[1500:]] == list(range(1, 1500))
+    # each spine node composes the spine node below it with its right leaf
+    assert list(bt.compositions()) == [("S", DUMMY, DUMMY, LEFT)] + [(DUMMY, DUMMY, DUMMY, LEFT)] * 1498
 
 
 class TestBinarize:
     def test_ternary_folds_left(self):
         tree = node("S", leaf("a", "A"), leaf("b", "B"), leaf("c", "C"))
         bt = binarize(tree)
-        assert bt.label == "S" and (bt.start, bt.end) == (0, 3)
-        assert bt.left.label == DUMMY and (bt.left.start, bt.left.end) == (0, 2)
-        assert bt.right.label == DUMMY and (bt.right.start, bt.right.end) == (2, 3)
-        assert bt.left.left.label == DUMMY and bt.left.left.is_leaf
+        assert list(bt.nodes()) == [("S", 0, 3, LEFT), (DUMMY, 0, 2, LEFT), (DUMMY, 0, 1, LEFT),
+                                    (DUMMY, 1, 2, RIGHT), (DUMMY, 2, 3, RIGHT)]
+        assert list(bt.compositions()) == [("S", DUMMY, DUMMY, LEFT), (DUMMY, DUMMY, DUMMY, LEFT)]
 
     def test_unary_chain_over_leaf_collapses(self):
         tree = node("S", node("NP", leaf("the", "DT")))
         bt = binarize(tree)
-        assert bt.is_leaf
-        assert bt.label == "S|NP"
-        assert (bt.start, bt.end) == (0, 1)
+        assert list(bt.nodes()) == [("S|NP", 0, 1, LEFT)]
+        assert list(bt.compositions()) == []
 
     def test_already_binary(self):
         tree = node("S", node("NP", leaf("x"), leaf("y")), node("VP", leaf("z")))
         bt = binarize(tree)
-        assert bt.label == "S"
-        assert (bt.left.start, bt.left.end, bt.left.label) == (0, 2, "NP")
-        assert (bt.right.start, bt.right.end, bt.right.label) == (2, 3, "VP")
+        assert list(bt.nodes()) == [("S", 0, 3, LEFT), ("NP", 0, 2, LEFT), (DUMMY, 0, 1, LEFT),
+                                    (DUMMY, 1, 2, RIGHT), ("VP", 2, 3, RIGHT)]
 
     def test_phrasal_unary_chain_collapses(self):
         tree = node("S", node("VP", node("V", leaf("eat")), node("NP", leaf("it"))))
         bt = binarize(tree)
-        assert bt.label == "S|VP"
-        assert bt.left.label == "V" and bt.right.label == "NP"
+        assert list(bt.compositions()) == [("S|VP", "V", "NP", LEFT)]
 
     def test_partition_checked(self):
         tree = node("S", *[leaf(w) for w in "abcdef"])
@@ -244,9 +233,7 @@ class TestDebinarize:
 
     def test_dummy_root_rejected(self):
         sent = (("a", "A"), ("b", "B"))
-        left = BinaryTree(DUMMY, 0, 1, sent)
-        right = BinaryTree(DUMMY, 1, 2, sent)
-        root = BinaryTree(DUMMY, 0, 2, sent, left, right)
+        root = BinaryTree.from_spans(sent, [(0, 1, DUMMY), (1, 2, DUMMY), (0, 2, DUMMY)])
         with pytest.raises(UnknownDummyPlacement):
             debinarize(root)
 
@@ -345,8 +332,47 @@ def test_walks_are_preorder(tree):
             yield from preorder(node.left, LEFT)
             yield from preorder(node.right, RIGHT)
 
+    oracle = nested_binarize(tree)
+    assert list(oracle.nodes()) == list(preorder(oracle, LEFT))
     bt = binarize(tree)
-    assert list(bt.nodes()) == list(preorder(bt, LEFT))
+    assert list(bt.nodes()) == oracle.node_tuples()
+    assert list(bt.compositions()) == oracle.composition_tuples()
+
+
+def test_walks_equal_the_nested_oracle_on_every_bundled_gold_tree():
+    data = Path(ordercky.__file__).parent / "data"
+    trees = [t for path in sorted(data.glob("*.txt")) for t in read_trees(path.read_text(encoding="utf-8"))]
+    assert len(trees) > 200
+    for tree in trees:
+        oracle, bt = nested_binarize(tree), binarize(tree)
+        assert list(bt.nodes()) == oracle.node_tuples()
+        assert list(bt.compositions()) == oracle.composition_tuples()
+
+
+@st.composite
+def random_bracketing(draw, max_n=12):
+    """A random labeled binary bracketing of 1..max_n tokens, as a NestedTree."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+
+    def build(i, j):
+        label = draw(st.sampled_from(["A", "B", DUMMY]))
+        if j - i == 1:
+            return NestedTree(label, i, j)
+        k = draw(st.integers(min_value=i + 1, max_value=j - 1))
+        return NestedTree(label, i, j, build(i, k), build(k, j))
+
+    return build(0, n)
+
+
+@given(random_bracketing(), st.randoms(use_true_random=False))
+@settings(max_examples=300, deadline=None)
+def test_spans_in_any_order_walk_as_the_nested_oracle(oracle, rng):
+    spans = oracle.spans()
+    rng.shuffle(spans)
+    bt = BinaryTree.from_spans(tuple((f"w{i}", "X") for i in range(oracle.end)), spans)
+    assert_partition(bt)
+    assert list(bt.nodes()) == oracle.node_tuples()
+    assert list(bt.compositions()) == oracle.composition_tuples()
 
 
 @given(random_tree())
