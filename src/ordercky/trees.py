@@ -10,13 +10,23 @@ Label conventions shared by the whole toolkit:
   Collapsed labels are atomic symbols for scoring and evaluation.
 * Part-of-speech tags are inputs carried on the leaves; they are never
   predicted and never count as brackets.
+
+Both tree types are flat, frozen records of tuples over their nodes in
+preorder, and only this module knows the layouts.  A ``Tree`` (n-ary, as
+read and printed) keeps per node its label (on a leaf, the part-of-speech
+tag), its word (None on a phrase) and the preorder index one past the end
+of its subtree; a ``BinaryTree`` (as decoded) keeps each node's label and
+fencepost span.  Holding plain strings and ints, trees of any depth
+compare, hash and print without recursion.
 """
 
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Optional, Union
+from itertools import accumulate
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 DUMMY = "∅"
 UNARY_SEP = "|"
@@ -63,38 +73,32 @@ class LabeledSpan(NamedTuple):
 
 
 @dataclass(frozen=True)
-class LeafNode:
-    """A word plus its given part-of-speech tag."""
+class Tree:
+    """N-ary tree as flat tuples of its nodes in preorder: node p is a leaf
+    iff ``word[p]`` is not None, when ``label[p]`` is its part-of-speech
+    tag, and its subtree is the nodes ``p:end[p]``.  A phrase's first child
+    is node p + 1, and each child's next sibling starts where the child's
+    subtree ends."""
 
-    word: str
-    pos: str
-
-
-@dataclass(frozen=True)
-class InternalNode:
-    label: str
-    children: tuple["Node", ...]
+    label: tuple[str, ...]
+    word: tuple[Optional[str], ...]
+    end: tuple[int, ...]
 
     def linearize(self) -> str:
-        """Bracketed text, built with an explicit stack, since a decoded tree
-        may be as deep as its sentence is long: every bracket opens after a
-        space, and the root's space is cut."""
-        parts: list[str] = []
-        stack: list[Union[Node, str]] = [self]
-        while stack:
-            item = stack.pop()
-            if isinstance(item, str):
-                parts.append(item)
-            elif isinstance(item, LeafNode):
-                parts.append(f" ({item.pos} {escape_token(item.word)})")
+        """Bracketed text: every bracket opens after a space, and the root's
+        space is cut; a leaf closes itself and every phrase ending with it."""
+        closes = Counter(stop for stop, word in zip(self.end, self.word) if word is None)
+        parts = []
+        for after, (label, word) in enumerate(zip(self.label, self.word), 1):
+            if word is None:
+                parts.append(f" ({label}")
             else:
-                parts.append(f" ({item.label}")
-                stack.append(")")
-                stack.extend(reversed(item.children))
+                parts.append(f" ({label} {escape_token(word)})" + ")" * closes[after])
         return "".join(parts)[1:]
 
 
-Node = Union[InternalNode, LeafNode]
+# perfbench's tracer times ``trees.InternalNode.linearize``
+InternalNode = Tree
 
 
 @dataclass(frozen=True)
@@ -159,13 +163,16 @@ def _end_error(text: str) -> UnbalancedBrackets:
     return UnbalancedBrackets("unexpected end of input", _byte_offset(text, len(text)))
 
 
-def _read_tree(text: str, i: int) -> tuple[Optional[Node], int]:
+def _read_tree(text: str, i: int) -> tuple[Optional[Tree], int]:
     """Read the tree whose '(' is the first non-space character at or after
     ``text[i]``; return it and the index of the first non-space character
     after it, or (None, len(text)) when only whitespace is left.
 
-    Open constituents wait on a stack as (label, label index, children), so
-    a tree of any depth costs no recursion.
+    Nodes are written in preorder as they open; open constituents wait on a
+    stack as (label, label index, preorder index), so a tree of any depth
+    costs no recursion.  An unlabeled "( ... )" shell writes no node and
+    must hold exactly one tree: its first child's subtree ends where it
+    does.
     """
     n = len(text)
     i = _SPACE(text, i).end()
@@ -173,7 +180,10 @@ def _read_tree(text: str, i: int) -> tuple[Optional[Node], int]:
         return None, n
     if text[i] != "(":
         raise UnbalancedBrackets("expected '('", _byte_offset(text, i))
-    stack: list[tuple[str, int, list[Node]]] = []
+    labels: list[str] = []
+    words: list[Optional[str]] = []
+    ends: list[int] = []
+    stack: list[tuple[str, int, int]] = []
     while True:
         # text[i] is the '(' of a new constituent
         m = _ATOM(text, i + 1)
@@ -181,40 +191,43 @@ def _read_tree(text: str, i: int) -> tuple[Optional[Node], int]:
         if i == n:
             raise _end_error(text)
         if text[i] == "(":
-            stack.append((label, start, []))
+            stack.append((label, start, len(labels)))
+            if label:
+                labels.append(label)
+                words.append(None)
+                ends.append(-1)
             continue
         if text[i] == ")":
             raise EmptyConstituent("constituent without children", _byte_offset(text, i))
         # a token; its label is not empty, since an empty label ends at '(' or ')'
         m = _ATOM(text, i)
-        node: Node = LeafNode(word=m[1], pos=label)
+        labels.append(label)
+        words.append(m[1])
+        ends.append(len(labels))
         i = m.end()
         if i == n:
             raise _end_error(text)
         if text[i] != ")":
             raise UnbalancedBrackets("expected ')' after token", _byte_offset(text, i))
-        # text[i] closes ``node``
+        # text[i] closes the last node
         while True:
             i = _SPACE(text, i + 1).end()
             if not stack:
-                return node, i
-            stack[-1][2].append(node)
+                return Tree(tuple(labels), tuple(words), tuple(ends)), i
             if i == n:
                 raise _end_error(text)
             if text[i] == "(":
                 break
             if text[i] != ")":
                 raise UnbalancedBrackets("expected '(' or ')' inside constituent", _byte_offset(text, i))
-            label, start, children = stack.pop()
+            label, start, p = stack.pop()
             if label:
-                node = InternalNode(label, tuple(children))
-            elif len(children) == 1:
-                node = children[0]  # a bare "( ... )" shell around one tree
-            else:
+                ends[p] = len(labels)
+            elif ends[p] != len(labels):
                 raise EmptyConstituent("constituent without a label", _byte_offset(text, start))
 
 
-def iter_bracketed(text: str) -> Iterator[tuple[int, Node]]:
+def iter_bracketed(text: str) -> Iterator[tuple[int, Tree]]:
     """Yield every balanced tree in ``text``, after the index of its first '('.
 
     Handles both one-tree-per-line files and multi-line s-expressions; the
@@ -228,7 +241,7 @@ def iter_bracketed(text: str) -> Iterator[tuple[int, Node]]:
         tree, i = _read_tree(text, start)
 
 
-def parse_bracketed(text: str) -> Node:
+def parse_bracketed(text: str) -> Tree:
     """Parse exactly one bracketed tree; anything after it is an error."""
     tree, i = _read_tree(text, 0)
     if tree is None:
@@ -238,18 +251,14 @@ def parse_bracketed(text: str) -> Node:
     return tree
 
 
-def iter_leaves(node: Node) -> Iterator[LeafNode]:
-    stack = [node]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, LeafNode):
-            yield node
-        else:
-            stack.extend(reversed(node.children))
+def sentence_of(tree: Tree) -> tuple[tuple[str, str], ...]:
+    return tuple((word, pos) for pos, word in zip(tree.label, tree.word) if word is not None)
 
 
-def sentence_of(tree: Node) -> tuple[tuple[str, str], ...]:
-    return tuple((leaf.word, leaf.pos) for leaf in iter_leaves(tree))
+def _leaves_before(tree: Tree) -> list[int]:
+    """The number of leaves before each preorder index, and in all: node p
+    covers the leaves ``before[p]:before[tree.end[p]]``."""
+    return list(accumulate((word is not None for word in tree.word), initial=0))
 
 
 def strip_label_decorations(label: str) -> str:
@@ -266,7 +275,7 @@ def strip_label_decorations(label: str) -> str:
     return label
 
 
-def binarize(tree: Node) -> BinaryTree:
+def binarize(tree: Tree) -> BinaryTree:
     """Left-branching binarization with unary collapse.
 
     Children of an n-ary node fold leftmost-first under DUMMY nodes, with the
@@ -274,151 +283,93 @@ def binarize(tree: Node) -> BinaryTree:
     "A|B" label.  Part-of-speech leaves become width-1 spans: DUMMY when bare,
     or the collapsed phrasal label when a unary chain sits above them.
 
-    A preorder stack walk numbers the leaves; each fold's (label, start)
-    waits on the stack behind the child it ends with, and pops when that
-    child's leaves are counted, so a tree of any depth costs no recursion.
+    One pass in preorder: a phrase with one child adds its label to the
+    chain that the next node ends, and a phrase with more children folds
+    them, each DUMMY fold ending where one of its children ends.
     """
-    if isinstance(tree, LeafNode):
+    label, word, end = tree.label, tree.word, tree.end
+    if word[0] is not None:
         raise ValueError("cannot binarize a bare part-of-speech leaf")
-    i = 0
+    before = _leaves_before(tree)
     spans: list[tuple[int, int, str]] = []
-    stack: list[Union[Node, tuple[str, int]]] = [tree]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, tuple):
-            spans.append((node[1], i, node[0]))
+    chain: list[str] = []
+    for p, (lab, stop) in enumerate(zip(label, end)):
+        i = before[p]
+        if word[p] is not None:
+            spans.append((i, i + 1, UNARY_SEP.join(chain) if chain else DUMMY))
+            chain = []
             continue
-        labels: list[str] = []
-        while (
-            isinstance(node, InternalNode)
-            and len(node.children) == 1
-            and isinstance(node.children[0], InternalNode)
-        ):
-            labels.append(node.label)
-            node = node.children[0]
-        if isinstance(node, LeafNode):
-            spans.append((i, i + 1, DUMMY))
-            i += 1
-        elif len(node.children) == 1:
-            # unary chain ending at a part-of-speech leaf
-            labels.append(node.label)
-            spans.append((i, i + 1, UNARY_SEP.join(labels)))
-            i += 1
-        else:
-            labels.append(node.label)
-            last = len(node.children) - 1
-            for k in range(last, 0, -1):
-                stack += ((UNARY_SEP.join(labels) if k == last else DUMMY, i), node.children[k])
-            stack.append(node.children[0])
+        chain.append(lab)
+        child = end[p + 1]  # the second child, if any
+        if child == stop:
+            continue
+        spans.append((i, before[stop], UNARY_SEP.join(chain)))
+        chain = []
+        while end[child] < stop:
+            child = end[child]
+            spans.append((i, before[child], DUMMY))
     return BinaryTree.from_spans(sentence_of(tree), spans)
 
 
-def _pop(done: list, count: int) -> list:
-    """The last ``count`` entries of ``done``, removed from it."""
-    cut = len(done) - count
-    out = done[cut:]
-    del done[cut:]
-    return out
-
-
-def _labeled(label: str, children: tuple[Node, ...]) -> Node:
-    """``children`` under the collapsed chain ``label`` ("A|B" is A over B)."""
-    labels = label.split(UNARY_SEP)
-    out = InternalNode(labels[-1], children)
-    for lab in reversed(labels[:-1]):
-        out = InternalNode(lab, (out,))
-    return out
-
-
-def debinarize(btree: BinaryTree) -> Node:
+def debinarize(btree: BinaryTree) -> Tree:
     """Inverse of :func:`binarize`: splice DUMMY nodes, re-expand "A|B" chains.
 
-    One loop over the nodes in reversed preorder, where a node's right and
-    then its left subtree come before it: ``done`` holds, per finished
-    subtree, the nodes it expands to (several for a DUMMY node), so a
-    left-branching tree as deep as its sentence costs no recursion."""
+    Both trees are in preorder, so one pass writes each binary node's chain
+    of phrases, then its word if it is a leaf: every node it writes ends
+    where the binary node's 2w - 1 nodes for width w do."""
     if btree.label[0] == DUMMY:
         raise UnknownDummyPlacement("dummy symbol at the root of a binary tree")
-    done: list[list[Node]] = []
-    for label, i, j in zip(reversed(btree.label), reversed(btree.start), reversed(btree.end)):
-        if j - i == 1:
-            children: list[Node] = [LeafNode(*btree.sentence[i])]
-        else:
-            children = done.pop()
-            children += done.pop()
-        done.append(children if label == DUMMY else [_labeled(label, tuple(children))])
-    return done[0][0]
+    chains = [() if lab == DUMMY else lab.split(UNARY_SEP) for lab in btree.label]
+    widths = [j - i for i, j in zip(btree.start, btree.end)]
+    # the number of n-ary nodes written before each binary node
+    at = list(accumulate((len(chain) + (w == 1) for chain, w in zip(chains, widths)), initial=0))
+    labels: list[str] = []
+    words: list[Optional[str]] = []
+    ends: list[int] = []
+    for p, (chain, i, w) in enumerate(zip(chains, btree.start, widths)):
+        labels += chain
+        words += [None] * len(chain)
+        if w == 1:
+            word, pos = btree.sentence[i]
+            labels.append(pos)
+            words.append(word)
+        ends += [at[p + 2 * w - 1]] * (at[p + 1] - at[p])
+    return Tree(tuple(labels), tuple(words), tuple(ends))
 
 
-def spans_of(tree: Node) -> list[LabeledSpan]:
+def spans_of(tree: Tree) -> list[LabeledSpan]:
     """Labeled spans of phrasal nodes (a multiset; unary chains may repeat a span).
 
-    Part-of-speech leaves are never spans.  A preorder stack walk counts
-    leaves; a node's (label, start) on the stack pops once its children are
-    done, when the count is its end.
-    """
-    out: list[LabeledSpan] = []
-    i = 0
-    stack: list[Union[Node, tuple[str, int]]] = [tree]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, LeafNode):
-            i += 1
-        elif isinstance(item, InternalNode):
-            stack.append((item.label, i))
-            stack.extend(reversed(item.children))
-        else:
-            out.append(LabeledSpan(item[1], i, item[0]))
-    return sorted(out)
+    Part-of-speech leaves are never spans."""
+    before = _leaves_before(tree)
+    return sorted(LabeledSpan(before[p], before[stop], label)
+                  for p, (label, word, stop) in enumerate(zip(tree.label, tree.word, tree.end))
+                  if word is None)
 
 
-def _unwrap_root(tree: Node) -> Node:
-    if (
-        isinstance(tree, InternalNode)
-        and len(tree.children) == 1
-        and tree.label in ("TOP", "S1", "ROOT")
-        and isinstance(tree.children[0], InternalNode)
-    ):
-        return tree.children[0]
-    return tree
-
-
-def read_trees(text: str) -> list[Node]:
+def read_trees(text: str) -> list[Tree]:
     """All trees in a treebank string, with root wrappers unwrapped and function
     tags stripped.  A stripped label that holds DUMMY or UNARY_SEP, or a bare
     part-of-speech leaf for a tree, is a BracketError at the tree's first '('.
     The first such label in preorder is the one named."""
-
-    def strip(tree: Node, idx: int, start: int) -> Node:
-        """``tree`` with its labels stripped, rebuilt on an explicit stack: a
-        node's (label, child count) pops once its children are done."""
-        done: list[Node] = []
-        stack: list[Union[Node, tuple[str, int]]] = [tree]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, LeafNode):
-                done.append(node)
-            elif isinstance(node, InternalNode):
-                label = strip_label_decorations(node.label)
-                if DUMMY in label or UNARY_SEP in label:
-                    raise BracketError(f"tree {idx}: label {label!r} uses a reserved symbol "
-                                       f"({DUMMY!r} or {UNARY_SEP!r})", _byte_offset(text, start))
-                stack.append((label, len(node.children)))
-                stack.extend(reversed(node.children))
-            else:
-                done.append(InternalNode(node[0], tuple(_pop(done, node[1]))))
-        return done[0]
-
     out = []
     for idx, (start, tree) in enumerate(iter_bracketed(text)):
-        tree = _unwrap_root(tree)
-        if isinstance(tree, LeafNode):
+        label, word, end = tree.label, tree.word, tree.end
+        if word[0] is not None:
             raise BracketError(f"tree {idx} is a bare part-of-speech leaf", _byte_offset(text, start))
-        out.append(strip(tree, idx, start))
+        if label[0] in ("TOP", "S1", "ROOT") and end[1] == end[0] and word[1] is None:
+            # a wrapper over one phrase: drop the root
+            label, word, end = label[1:], word[1:], tuple(stop - 1 for stop in end[1:])
+        label = tuple(lab if w is not None else strip_label_decorations(lab) for lab, w in zip(label, word))
+        for lab, w in zip(label, word):
+            if w is None and (DUMMY in lab or UNARY_SEP in lab):
+                raise BracketError(f"tree {idx}: label {lab!r} uses a reserved symbol "
+                                   f"({DUMMY!r} or {UNARY_SEP!r})", _byte_offset(text, start))
+        out.append(Tree(label, word, end))
     return out
 
 
-def load_trees(path: str) -> list[Node]:
+def load_trees(path: str) -> list[Tree]:
     with open(path, encoding="utf-8") as fh:
         return read_trees(fh.read())
 
@@ -427,7 +378,7 @@ def load_trees(path: str) -> list[Node]:
 class Sentence:
     words: tuple[str, ...]
     pos: tuple[str, ...]
-    tree: InternalNode
+    tree: Tree
     btree: BinaryTree
 
 
@@ -448,7 +399,7 @@ class Treebank:
         return len(self.sentences)
 
     @classmethod
-    def from_trees(cls, trees: list[Node]) -> "Treebank":
+    def from_trees(cls, trees: list[Tree]) -> "Treebank":
         sentences = []
         for tree in trees:
             pairs = sentence_of(tree)

@@ -238,7 +238,10 @@ class TestTrainParseEval:
         (TOY.splitlines()[:1], "1 predicted trees vs 4 gold trees"),
         (["(S (NP (DT the) (NN cat)) (VP (VB runs)))", *TOY.splitlines()[1:]],
          "sentence 0: predicted and gold lengths differ"),
-    ], ids=["tree-count", "sentence-length"])
+        # same length and tags, other words: this scored F1=100.00 and exited 0
+        ([*TOY.splitlines()[:2], "(S (NP (DT a) (NN dog)) (VP (VB sleeps)))", TOY.splitlines()[3]],
+         "sentence 2: token 0 is 'a' predicted but 'the' in gold"),
+    ], ids=["tree-count", "sentence-length", "sentence-words"])
     def test_eval_mismatch_names_both_files(self, tmp_path, toy_treebank, pred_lines, cause, capsys):
         pred = tmp_path / "pred.txt"
         pred.write_text("\n".join(pred_lines) + "\n", encoding="utf-8")

@@ -27,7 +27,7 @@ from ordercky.decoder import (
 from ordercky.grammar import Grammar, Rule, RuleScoreChart
 from ordercky.scorer import SpanScoreChart
 from ordercky.selfcheck import oracle_check, random_instance
-from ordercky.trees import DUMMY, LEFT, RIGHT, BinaryTree, InternalNode, LabeledSpan, LeafNode, debinarize
+from ordercky.trees import DUMMY, LEFT, RIGHT, BinaryTree, LabeledSpan, debinarize, parse_bracketed
 from tree_oracle import NestedTree, assert_partition
 
 
@@ -902,8 +902,7 @@ def test_fallback_tree_branches_right_under_the_first_label(n):
         want.append((n - 1, n, DUMMY))
     assert [(i, j, label) for label, i, j, _ in tree.nodes()] == want
     assert tree.sentence is sentence
-    flat = InternalNode("NP", tuple(LeafNode(w, p) for w, p in sentence))
-    assert debinarize(tree) == (InternalNode("NP", (LeafNode("w0", "T"),)) if n == 1 else flat)
+    assert debinarize(tree) == parse_bracketed("(NP " + " ".join(f"(T {w})" for w, _ in sentence) + ")")
 
 
 def test_long_trees_compare_hash_and_print_without_recursion():

@@ -3,7 +3,8 @@ from importlib import resources
 import pytest
 
 from ordercky.evaluate import EvalReport, bracket_counts, score_trees
-from ordercky.trees import InternalNode, LeafNode, LengthMismatch, load_trees, read_trees
+from ordercky.trees import LengthMismatch, load_trees, read_trees
+from tree_oracle import LeafNode, nested_read_trees
 
 
 def trees(text):
@@ -64,6 +65,12 @@ class TestScoreTrees:
         with pytest.raises(LengthMismatch):
             score_trees(pred, [])
 
+    def test_words_must_match_but_tags_need_not(self):
+        gold = trees("(S (NP (DT the) (NN cat)) (VP (VB runs)))")
+        assert score_trees(trees("(S (NP (X the) (Y cat)) (VP (Z runs)))"), gold).f1 == 100.0
+        with pytest.raises(LengthMismatch, match="sentence 0: token 1 is 'dog' predicted but 'cat' in gold"):
+            score_trees(trees("(S (NP (DT the) (NN dog)) (VP (VB runs)))"), gold)
+
     def test_zero_predictions_defined_as_zero(self):
         report = EvalReport(matched=0, predicted=0, gold=5)
         assert report.precision == 0.0 and report.f1 == 0.0
@@ -75,8 +82,9 @@ class TestScoreTrees:
 
 
 def independent_bracket_multiset(tree):
-    """Bracket counting written separately from the evaluator: positions via
-    an explicit stack walk, multiset as a sorted list."""
+    """Bracket counting written separately from the evaluator, over the
+    nested oracle trees: positions via an explicit stack walk, multiset as a
+    sorted list."""
     out = []
     stack = [(tree, 0)]
     sizes = {}
@@ -119,8 +127,8 @@ class TestGoldenFixture:
             assert bracket_counts(p, g) == GOLDEN_ROWS[idx], f"sentence {idx}"
 
     def test_golden_counts_against_independent_walk(self):
-        pred = load_trees(fixture_path("golden_pred.txt"))
-        gold = load_trees(fixture_path("golden_gold.txt"))
+        pred, gold = (nested_read_trees(resources.files("ordercky").joinpath("data", name).read_text("utf-8"))
+                      for name in ("golden_pred.txt", "golden_gold.txt"))
         from collections import Counter
 
         for idx, (p, g) in enumerate(zip(pred, gold)):

@@ -5,10 +5,17 @@ nest to any depth, so no function in any module of the package, nested
 closures included, may call itself, by its bare name or as a method of its
 own name.  The one exception is bounded: the brute-force oracle's
 enumerators only run for n <= 8.
+
+Nor may a dataclass of the package hold itself: the ``==``, ``hash`` and
+``repr`` that dataclasses generate recurse once per level of such a nest.
 """
 
 import ast
+import dataclasses
+import importlib
+import typing
 from pathlib import Path
+from typing import Optional, Union
 
 import pytest
 
@@ -76,3 +83,51 @@ def test_a_method_call_of_the_own_name_counts():
                      "    def __init__(self):\n        super().__init__()\n"
                      "    def walk(self):\n        return [c.walk() for c in self.children]\n")
     assert [name for name, func in functions(tree) if calls_itself(func)] == ["N.walk"]
+
+
+def self_nesting_fields(cls):
+    """The fields of dataclass ``cls`` whose resolved type holds ``cls``,
+    looking through the arguments of tuple, Union and other generics."""
+    hints = typing.get_type_hints(cls)
+    out = []
+    for field in dataclasses.fields(cls):
+        pending = [hints[field.name]]
+        while pending:
+            hint = pending.pop()
+            if hint is cls:
+                out.append(field.name)
+                break
+            pending.extend(typing.get_args(hint))
+    return out
+
+
+def package_dataclasses():
+    for module in MODULES:
+        owner = importlib.import_module(f"ordercky.{module[:-3]}")
+        for obj in vars(owner).values():
+            if isinstance(obj, type) and dataclasses.is_dataclass(obj) and obj.__module__ == owner.__name__:
+                yield obj
+
+
+def test_no_dataclass_holds_itself():
+    classes = list(package_dataclasses())
+    assert {"BinaryTree", "Sentence", "EvalReport"} <= {cls.__name__ for cls in classes}
+    nests = [f"{cls.__module__}.{cls.__name__}.{name}" for cls in classes for name in self_nesting_fields(cls)]
+    assert not nests, "a dataclass holds itself: " + ", ".join(nests)
+
+
+@dataclasses.dataclass(frozen=True)
+class _Leaf:
+    word: str
+
+
+@dataclasses.dataclass(frozen=True)
+class _Nest:
+    label: str
+    children: tuple[Union["_Nest", _Leaf], ...]
+    parent: Optional["_Nest"] = None
+
+
+def test_a_nest_through_tuple_union_and_optional_counts():
+    assert self_nesting_fields(_Nest) == ["children", "parent"]
+    assert self_nesting_fields(_Leaf) == []

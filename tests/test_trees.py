@@ -15,22 +15,32 @@ from ordercky.trees import (
     BinaryTree,
     BracketError,
     EmptyConstituent,
-    InternalNode,
     LabeledSpan,
-    LeafNode,
     TrailingInput,
+    Tree,
     Treebank,
     UnbalancedBrackets,
     UnknownDummyPlacement,
     binarize,
-    iter_bracketed,
-    iter_leaves,
     debinarize,
+    iter_bracketed,
     parse_bracketed,
     read_trees,
+    sentence_of,
     spans_of,
 )
-from tree_oracle import NestedTree, assert_partition, nested_binarize
+from tree_oracle import (
+    InternalNode,
+    LeafNode,
+    NestedTree,
+    assert_partition,
+    flatten,
+    nested_binarize,
+    nested_debinarize,
+    nested_read_trees,
+    nested_sentence,
+    nested_spans,
+)
 
 
 def decoded_spans(btree):
@@ -52,26 +62,28 @@ def phrasal_spans(btree):
     return {s for s in decoded_spans(btree) if s.label != DUMMY}
 
 
-def leaf(word, pos="T"):
-    return LeafNode(word, pos)
-
-
-def node(label, *children):
-    return InternalNode(label, tuple(children))
+def flat_tree(*words):
+    """One phrase over a leaf per word, all tagged T."""
+    return parse_bracketed("(S " + " ".join(f"(T {word})" for word in words) + ")")
 
 
 class TestParseBracketed:
     def test_simple_sentence(self):
-        tree = parse_bracketed("(S (NP (DT the) (NN cat)) (VP (VBD sat)))")
-        assert isinstance(tree, InternalNode)
-        assert tree.label == "S"
-        assert len(tree.children) == 2
-        assert [lf.word for lf in iter_leaves(tree)] == ["the", "cat", "sat"]
+        # preorder: each node's label, its word (None on a phrase) and the
+        # index one past its subtree
+        t = parse_bracketed("(S (NP (DT the) (NN cat)) (VP (VBD sat)))")
+        assert t == Tree(("S", "NP", "DT", "NN", "VP", "VBD"), (None, None, "the", "cat", None, "sat"),
+                         (6, 4, 3, 4, 6, 6))
+        assert sentence_of(t) == (("the", "DT"), ("cat", "NN"), ("sat", "VBD"))
 
     def test_single_unary(self):
-        tree = parse_bracketed("(X (A a))")
-        assert tree.label == "X"
-        assert tree.children == (LeafNode("a", "A"),)
+        assert parse_bracketed("(X (A a))") == Tree(("X", "A"), (None, "a"), (2, 2))
+
+    def test_a_bare_leaf_is_one_node(self):
+        assert parse_bracketed("(A a)") == Tree(("A",), ("a",), (1,))
+
+    def test_an_unlabeled_shell_around_one_tree_is_dropped(self):
+        assert parse_bracketed("( (X ( (A a)) (B b)) )") == parse_bracketed("(X (A a) (B b))")
 
     def test_unbalanced(self):
         with pytest.raises(UnbalancedBrackets):
@@ -102,12 +114,12 @@ class TestParseBracketed:
 
     def test_multi_tree_text(self):
         trees = read_trees("(X (A a))\n(Y (B b))\n")
-        assert [t.label for t in trees] == ["X", "Y"]
+        assert [t.label[0] for t in trees] == ["X", "Y"]
 
     def test_multiline_trees(self):
         text = "(X\n (A a)\n (B b))\n\n(Y (C c))\n"
         trees = read_trees(text)
-        assert [t.label for t in trees] == ["X", "Y"]
+        assert [t.label[0] for t in trees] == ["X", "Y"]
 
 
 def nested(levels):
@@ -143,19 +155,16 @@ def test_malformed_input(how, text, cls, message, offset):
 
 
 def test_a_deep_unary_nest_reads_binarizes_and_round_trips_as_text():
-    # 5,000 levels, far past the default recursion limit; compared as text,
-    # since the dataclass == of two such trees recurses
+    # 5,000 levels, far past the default recursion limit
     levels = 5000
     assert sys.getrecursionlimit() < levels
     text = nested(levels)
     trees = read_trees(text)
-    depth, tree = 1, trees[0]
-    while isinstance(tree, InternalNode):
-        depth, tree = depth + 1, tree.children[0]
-    assert depth == levels and len(trees) == 1
+    assert trees == [Tree(("A",) * (levels - 1) + ("P",), (None,) * (levels - 1) + ("w",), (levels,) * levels)]
     bt = binarize(trees[0])
     assert list(bt.nodes()) == [("|".join(["A"] * (levels - 1)), 0, 1, LEFT)]
-    assert debinarize(bt).linearize() == trees[0].linearize() == text
+    assert debinarize(bt) == trees[0]
+    assert trees[0].linearize() == text
 
 
 def test_deep_decoded_tree_linearizes_and_scores():
@@ -167,14 +176,14 @@ def test_deep_decoded_tree_linearizes_and_scores():
     tree = debinarize(BinaryTree.from_spans(sentence, spans + [(n - 1, n, DUMMY)]))
     expected = "".join(f"(S (VP (T w{i}) " for i in range(n - 1)) + f"(T w{n - 1})" + "))" * (n - 1)
     assert tree.linearize() == expected
-    assert [leaf.word for leaf in iter_leaves(tree)] == [w for w, _ in sentence]
+    assert sentence_of(tree) == sentence
     assert spans_of(tree) == sorted(LabeledSpan(i, n, lab) for i in range(n - 1) for lab in ("S", "VP"))
     report = score_trees([tree], [tree])
     assert (report.matched, report.predicted, report.f1) == (2 * (n - 1), 2 * (n - 1), 100.0)
 
 
 def test_wide_tree_walks_in_preorder():
-    bt = binarize(node("S", *[leaf(str(k)) for k in range(1500)]))
+    bt = binarize(flat_tree(*range(1500)))
     nodes = list(bt.nodes())
     assert len(nodes) == 2 * 1500 - 1
     # preorder of a left-branching fold: the spine top-down, then each
@@ -189,46 +198,46 @@ def test_wide_tree_walks_in_preorder():
 
 class TestBinarize:
     def test_ternary_folds_left(self):
-        tree = node("S", leaf("a", "A"), leaf("b", "B"), leaf("c", "C"))
+        tree = parse_bracketed("(S (A a) (B b) (C c))")
         bt = binarize(tree)
         assert list(bt.nodes()) == [("S", 0, 3, LEFT), (DUMMY, 0, 2, LEFT), (DUMMY, 0, 1, LEFT),
                                     (DUMMY, 1, 2, RIGHT), (DUMMY, 2, 3, RIGHT)]
         assert list(bt.compositions()) == [("S", DUMMY, DUMMY, LEFT), (DUMMY, DUMMY, DUMMY, LEFT)]
 
     def test_unary_chain_over_leaf_collapses(self):
-        tree = node("S", node("NP", leaf("the", "DT")))
+        tree = parse_bracketed("(S (NP (DT the)))")
         bt = binarize(tree)
         assert list(bt.nodes()) == [("S|NP", 0, 1, LEFT)]
         assert list(bt.compositions()) == []
 
     def test_already_binary(self):
-        tree = node("S", node("NP", leaf("x"), leaf("y")), node("VP", leaf("z")))
+        tree = parse_bracketed("(S (NP (T x) (T y)) (VP (T z)))")
         bt = binarize(tree)
         assert list(bt.nodes()) == [("S", 0, 3, LEFT), ("NP", 0, 2, LEFT), (DUMMY, 0, 1, LEFT),
                                     (DUMMY, 1, 2, RIGHT), ("VP", 2, 3, RIGHT)]
 
     def test_phrasal_unary_chain_collapses(self):
-        tree = node("S", node("VP", node("V", leaf("eat")), node("NP", leaf("it"))))
+        tree = parse_bracketed("(S (VP (V (T eat)) (NP (T it))))")
         bt = binarize(tree)
         assert list(bt.compositions()) == [("S|VP", "V", "NP", LEFT)]
 
     def test_partition_checked(self):
-        tree = node("S", *[leaf(w) for w in "abcdef"])
+        tree = flat_tree(*"abcdef")
         assert_partition(binarize(tree))
 
 
 class TestDebinarize:
     def test_splices_dummy(self):
-        tree = node("S", leaf("a", "A"), leaf("b", "B"), leaf("c", "C"))
+        tree = parse_bracketed("(S (A a) (B b) (C c))")
         assert debinarize(binarize(tree)) == tree
 
     def test_expands_collapsed_label(self):
-        tree = node("S", node("NP", leaf("the", "DT")))
+        tree = parse_bracketed("(S (NP (DT the)))")
         assert debinarize(binarize(tree)) == tree
 
     def test_flat_tree_of_1500_children_round_trips(self):
         # binarization makes it a left-branching chain 1,499 nodes deep
-        tree = node("S", *[leaf(f"w{k}") for k in range(1500)])
+        tree = flat_tree(*(f"w{k}" for k in range(1500)))
         assert debinarize(binarize(tree)) == tree
 
     def test_dummy_root_rejected(self):
@@ -240,48 +249,44 @@ class TestDebinarize:
 
 class TestSpans:
     def test_nary_spans(self):
-        tree = node("S", node("NP", leaf("x"), leaf("y")), node("VP", leaf("z")))
+        tree = parse_bracketed("(S (NP (T x) (T y)) (VP (T z)))")
         assert set(spans_of(tree)) == {(0, 3, "S"), (0, 2, "NP"), (2, 3, "VP")}
 
     def test_pos_leaves_are_not_spans(self):
-        assert spans_of(node("X", leaf("a"))) == [LabeledSpan(0, 1, "X")]
+        assert spans_of(parse_bracketed("(X (T a))")) == [LabeledSpan(0, 1, "X")]
 
     def test_dummy_excluded_from_binary_spans(self):
-        tree = node("S", leaf("a"), leaf("b"), leaf("c"))
+        tree = flat_tree("a", "b", "c")
         assert phrasal_spans(binarize(tree)) == {LabeledSpan(0, 3, "S")}
 
     def test_unary_chain_duplicates_span(self):
-        tree = node("S", node("NP", leaf("x"), leaf("y")))
+        tree = parse_bracketed("(S (NP (T x) (T y)))")
         spans = spans_of(tree)
         assert sorted(spans) == [(0, 2, "NP"), (0, 2, "S")]
 
 
 class TestHamming:
     def test_identical_is_zero(self):
-        tree = node("S", node("NP", leaf("x"), leaf("y")), node("VP", leaf("z")))
+        tree = parse_bracketed("(S (NP (T x) (T y)) (VP (T z)))")
         bt = binarize(tree)
         assert hamming(bt, bt) == 0
 
     def test_single_relabel_is_one(self):
-        gold = binarize(node("S", node("NP", leaf("x"), leaf("y")), node("VP", leaf("z"))))
-        pred = binarize(node("S", node("QP", leaf("x"), leaf("y")), node("VP", leaf("z"))))
+        gold = binarize(parse_bracketed("(S (NP (T x) (T y)) (VP (T z)))"))
+        pred = binarize(parse_bracketed("(S (QP (T x) (T y)) (VP (T z)))"))
         assert hamming(pred, gold) == 1
 
     def test_hand_enumerated_four_token_example(self):
         # gold spans: (0,4,S) (0,2,X) (2,4,Y) (0,1,∅) (1,2,∅) (2,3,∅) (3,4,∅)
         # pred spans: (0,4,S) (0,2,Z) (2,4,W) (0,1,∅) (1,2,∅) (2,3,∅) (3,4,∅)
         # pred shares 5 of its 7 spans with gold -> distance 2
-        gold = binarize(
-            node("S", node("X", leaf("a"), leaf("b")), node("Y", leaf("c"), leaf("d")))
-        )
-        pred = binarize(
-            node("S", node("Z", leaf("a"), leaf("b")), node("W", leaf("c"), leaf("d")))
-        )
+        gold = binarize(parse_bracketed("(S (X (T a) (T b)) (Y (T c) (T d)))"))
+        pred = binarize(parse_bracketed("(S (Z (T a) (T b)) (W (T c) (T d)))"))
         assert hamming(pred, gold) == 2
 
     def test_bounded_by_node_count(self):
-        gold = binarize(node("S", node("X", leaf("a"), leaf("b")), leaf("c")))
-        pred = binarize(node("Q", node("R", leaf("a"), leaf("c")), leaf("b")))
+        gold = binarize(parse_bracketed("(S (X (T a) (T b)) (T c))"))
+        pred = binarize(parse_bracketed("(Q (R (T a) (T c)) (T b))"))
         assert hamming(pred, gold) <= sum(1 for _ in pred.nodes())
 
 
@@ -304,7 +309,7 @@ def random_tree(draw, max_depth=4):
     return InternalNode(draw(st.sampled_from(labels)), children)
 
 
-@given(random_tree())
+@given(random_tree().map(flatten))
 @settings(max_examples=200, deadline=None)
 def test_binarize_round_trip(tree):
     bt = binarize(tree)
@@ -312,7 +317,7 @@ def test_binarize_round_trip(tree):
     assert debinarize(bt) == tree
 
 
-@given(random_tree())
+@given(random_tree().map(flatten))
 @settings(max_examples=200, deadline=None)
 def test_binarize_preserves_phrasal_spans(tree):
     # expand collapsed labels back into individual span entries
@@ -334,19 +339,59 @@ def test_walks_are_preorder(tree):
 
     oracle = nested_binarize(tree)
     assert list(oracle.nodes()) == list(preorder(oracle, LEFT))
-    bt = binarize(tree)
+    bt = binarize(flatten(tree))
     assert list(bt.nodes()) == oracle.node_tuples()
     assert list(bt.compositions()) == oracle.composition_tuples()
 
 
-def test_walks_equal_the_nested_oracle_on_every_bundled_gold_tree():
-    data = Path(ordercky.__file__).parent / "data"
-    trees = [t for path in sorted(data.glob("*.txt")) for t in read_trees(path.read_text(encoding="utf-8"))]
-    assert len(trees) > 200
-    for tree in trees:
-        oracle, bt = nested_binarize(tree), binarize(tree)
-        assert list(bt.nodes()) == oracle.node_tuples()
-        assert list(bt.compositions()) == oracle.composition_tuples()
+def assert_reads_as_the_nested_oracle(text):
+    """Reading ``text``, printing, the sentences, the spans, binarizing and
+    debinarizing all give what the nested oracle gives."""
+    trees, oracles = read_trees(text), nested_read_trees(text)
+    assert trees == [flatten(oracle) for oracle in oracles]
+    for tree, oracle in zip(trees, oracles):
+        assert tree.linearize() == oracle.linearize()
+        assert read_trees(tree.linearize()) == [tree]
+        assert sentence_of(tree) == nested_sentence(oracle)
+        assert spans_of(tree) == nested_spans(oracle)
+        bt, nested_bt = binarize(tree), nested_binarize(oracle)
+        assert bt == BinaryTree.from_spans(nested_sentence(oracle), nested_bt.spans())
+        assert list(bt.nodes()) == nested_bt.node_tuples()
+        assert list(bt.compositions()) == nested_bt.composition_tuples()
+        assert debinarize(bt) == flatten(nested_debinarize(bt)) == tree
+    return trees
+
+
+DATA_FILES = sorted((Path(ordercky.__file__).parent / "data").glob("*.txt"))
+
+
+def test_every_bundled_gold_file_and_golden_fixture_is_checked():
+    assert {"golden_gold.txt", "golden_pred.txt", "skew_train.txt", "skew_dev.txt",
+            "memorize50.txt"} <= {path.name for path in DATA_FILES}
+
+
+@pytest.mark.parametrize("path", DATA_FILES, ids=[path.name for path in DATA_FILES])
+def test_bundled_trees_read_as_the_nested_oracle(path):
+    assert len(assert_reads_as_the_nested_oracle(path.read_text(encoding="utf-8"))) >= 20
+
+
+@given(st.lists(random_tree(), min_size=1, max_size=3))
+@settings(max_examples=200, deadline=None)
+def test_random_bracketings_read_as_the_nested_oracle(oracles):
+    assert_reads_as_the_nested_oracle("\n".join(oracle.linearize() for oracle in oracles))
+
+
+def test_deep_trees_compare_hash_and_print_without_recursion():
+    # nested, both trees raised RecursionError in the dataclass ==, hash and repr
+    deep = [read_trees(nested(5000))[0] for _ in range(2)]
+    n = 1200
+    sentence = tuple((f"w{i}", "T") for i in range(n))
+    spans = [(i, n, "S|VP") for i in range(n - 1)] + [(i, i + 1, DUMMY) for i in range(n)]
+    decoded = [debinarize(BinaryTree.from_spans(sentence, spans)) for _ in range(2)]
+    for one, two in (deep, decoded):
+        assert one == two and hash(one) == hash(two)
+        assert repr(one) == repr(two) and repr(one).startswith("Tree(label=(")
+    assert deep[0] != decoded[0]
 
 
 @st.composite
@@ -375,13 +420,13 @@ def test_spans_in_any_order_walk_as_the_nested_oracle(oracle, rng):
     assert list(bt.compositions()) == oracle.composition_tuples()
 
 
-@given(random_tree())
+@given(random_tree().map(flatten))
 @settings(max_examples=100, deadline=None)
 def test_linearize_round_trip(tree):
     assert parse_bracketed(tree.linearize()) == tree
 
 
-@given(random_tree())
+@given(random_tree().map(flatten))
 @settings(max_examples=100, deadline=None)
 def test_hamming_self_zero(tree):
     bt = binarize(tree)
@@ -399,13 +444,18 @@ def test_treebank_vocabularies():
 
 
 def test_label_decoration_stripping():
-    trees = read_trees("(S (NP-SBJ (DT the) (NN cat)) (VP=2 (VBD sat)))")
+    trees = read_trees("(S (NP-SBJ (DT the) (NN-X cat)) (VP=2 (VBD sat)))")
     assert {l for _, _, l in spans_of(trees[0])} == {"S", "NP", "VP"}
+    # part-of-speech tags are kept verbatim
+    assert sentence_of(trees[0]) == (("the", "DT"), ("cat", "NN-X"), ("sat", "VBD"))
 
 
 def test_top_root_unwrapped():
     trees = read_trees("(TOP (S (NP (NN cat)) (VP (VBD sat))))")
-    assert trees[0].label == "S"
+    assert trees == read_trees("(S (NP (NN cat)) (VP (VBD sat)))")
+    # only a wrapper over one phrase goes
+    for text in ("(TOP (X (A a)) (Y (B b)))", "(ROOT (A a))"):
+        assert read_trees(text)[0].linearize() == text
 
 
 def test_reserved_labels_rejected():
@@ -414,11 +464,10 @@ def test_reserved_labels_rejected():
 
 
 def test_token_bracket_escaping():
-    tree = node("S", node("NP", LeafNode("(", "-LRB-"), LeafNode("word", "NN")))
+    tree = Tree(("S", "NP", "-LRB-", "NN"), (None, None, "(", "word"), (4, 4, 3, 4))
     text = tree.linearize()
-    assert "-LRB-" in text and "((" not in text.replace("( ", "")
-    reparsed = parse_bracketed(text)
-    assert reparsed.children[0].children[0].word == "-LRB-"
+    assert text == "(S (NP (-LRB- -LRB-) (NN word)))"
+    assert sentence_of(parse_bracketed(text)) == (("-LRB-", "-LRB-"), ("word", "NN"))
 
 
 def test_linearize_read_trees_round_trip():
@@ -439,7 +488,7 @@ def test_trailing_input_offset_points_past_tree():
 def test_utf8_tokens_round_trip():
     text = "(S (NP (NN 北京)) (VP (VV 欢迎) (NP (PN 你))))"
     tree = parse_bracketed(text)
-    assert [lf.word for lf in iter_leaves(tree)] == ["北京", "欢迎", "你"]
+    assert [word for word, _ in sentence_of(tree)] == ["北京", "欢迎", "你"]
     bt = binarize(tree)
     assert debinarize(bt) == tree
     assert parse_bracketed(tree.linearize()) == tree
