@@ -25,11 +25,15 @@ M[c, u] = max_k (T[i, k, l1, L] + T[k, j, l2, R]), then the best M[c, u(r)] +
 g[r, o] over each parent's segment of rules.  Since x -> fl(x + g) is
 monotone, max over (k, r) of fl(fl(tl + tr) + g) equals max over r of
 fl(max_k fl(tl + tr) + g): the very float the scalar recursion keeps.  The
-fill keeps M for one width at a time and stores no backpointers, so the
-cell x pair tables it keeps are the children's values at each pair, as a
-left and as a right child.  One backtrace then walks the best trees of the
-whole batch a level at a time.  At each node it recomputes M from those two
-tables, summing the same floats the fill maximized, so the maximum is exact.
+fill keeps M for one width at a time and stores no backpointers; the tables
+it keeps are the children's values: as a right child at each pair (cells x
+pairs), and as a left child at each label that is a pair's left label (cells
+x left labels).  Pairs are numbered by left label, then right label, so a
+left row repeated once per pair of its label lines up with the pair rows.
+One backtrace then walks the best trees of the whole batch a level at a
+time, keeping each node's cell and label, which become the trees' spans.  At
+each node it recomputes M from those two tables, summing the same floats
+the fill maximized, so the maximum is exact.
 It keeps the rules of the parent's segment whose fl(M[c, u(r)] + g[r, o]) is
 the segment's maximum, since by monotonicity no other rule reaches it at any
 split.  It scans the splits k = 1 .. w - 1 of those rules only, reading the
@@ -96,6 +100,9 @@ class CompiledRules:
         # then reduces each parent's segment of rules
         pairs, self.rule_pair = np.unique(self.left * len(self.labels) + self.right, return_inverse=True)
         self.pair_left, self.pair_right = np.divmod(pairs, len(self.labels))
+        # pairs are sorted by left label, so each left label's pairs are one
+        # run: np.repeat(left_labels, left_count) is pair_left
+        self.left_labels, self.left_count = np.unique(self.pair_left, return_counts=True)
         self.seg_parents = np.flatnonzero(np.diff(bounds))
         self.seg_starts = bounds[self.seg_parents]
 
@@ -170,28 +177,22 @@ def _root_label(root_scores: np.ndarray, labels: Sequence[str],
     return root_scores.argmax(axis=-1), root_scores.max(axis=-1)
 
 
-def _tree(labels, sentence, n, root_lab, split) -> BinaryTree:
-    """The best tree under ``root_lab``, where split(i, j, lab, order) gives a
-    node's split point and its children's label ids.  An explicit stack walks
-    it in preorder, so a tree as deep as its sentence costs no recursion."""
-    spans = []
-    stack = [(0, n, root_lab, LEFT)]
-    while stack:
-        i, j, lab, o = stack.pop()
-        spans.append((i, j, labels[lab]))
-        if j - i > 1:
-            k, l1, l2 = split(i, j, lab, o)
-            stack += ((k, j, l2, RIGHT), (i, k, l1, LEFT))
-    return BinaryTree.from_spans(sentence, spans)
-
-
 def _extract(chart, t, back, n, forbid_root=None) -> DecodeResult:
     root_lab, best = _root_label(t[0, n, :, LEFT], chart.labels, forbid_root)
     error = _root_error(best, n)
     if error:
         raise error
-    tree = _tree(chart.labels, chart.sentence, n, int(root_lab), lambda i, j, lab, o: back[(i, j, lab, o)])
-    return DecodeResult(tree=tree, score=float(best))
+    # the best tree's spans, walked on an explicit stack so that a tree as
+    # deep as its sentence costs no recursion
+    spans = []
+    stack = [(0, n, int(root_lab), LEFT)]
+    while stack:
+        i, j, lab, o = stack.pop()
+        spans.append((i, j, chart.labels[lab]))
+        if j - i > 1:
+            k, l1, l2 = back[(i, j, lab, o)]
+            stack += ((i, k, l1, LEFT), (k, j, l2, RIGHT))
+    return DecodeResult(tree=BinaryTree.from_spans(chart.sentence, spans), score=float(best))
 
 
 # up to this length the span fill runs faster on float lists than on numpy
@@ -250,14 +251,16 @@ def decode_ablation(chart: SpanScoreChart, forbid_root: Optional[str] = None) ->
     error = _root_error(by_start[0][n], n)
     if error:
         raise error
-
-    def split(i, j, lab, o):
-        cand = list(map(add, by_start[i][1 : j - i], by_end[j][j - i - 1 : 0 : -1]))
-        k = i + 1 + cand.index(max(cand))
-        return k, label_choice.item(i, k, LEFT), label_choice.item(k, j, RIGHT)
-
-    tree = _tree(chart.labels, chart.sentence, n, label_choice.item(0, n, LEFT), split)
-    return DecodeResult(tree=tree, score=by_start[0][n])
+    spans = []
+    stack = [(0, n, label_choice.item(0, n, LEFT))]
+    while stack:
+        i, j, lab = stack.pop()
+        spans.append((i, j, chart.labels[lab]))
+        if j - i > 1:
+            cand = list(map(add, by_start[i][1 : j - i], by_end[j][j - i - 1 : 0 : -1]))
+            k = i + 1 + cand.index(max(cand))
+            stack += ((i, k, label_choice.item(i, k, LEFT)), (k, j, label_choice.item(k, j, RIGHT)))
+    return DecodeResult(tree=BinaryTree.from_spans(chart.sentence, spans), score=by_start[0][n])
 
 
 def decode_baseline(scores: np.ndarray, sentence: tuple[tuple[str, str], ...], labels: tuple[str, ...],
@@ -475,10 +478,11 @@ def decode_charts_batched(
 ) -> list[Union[DecodeResult, NoDerivation]]:
     """Width-synchronous decoding of many charts at once, bit-identical to
     ``decode_ordered``: one step fills every cell of one width, across all
-    sentences, keeping every cell's values at the distinct child pairs and
-    that width's pair maxima only; one level-synchronous backtrace, which
-    recomputes its nodes' pair maxima from those values, then finds every
-    node's split."""
+    sentences, keeping every cell's values as a left child at the pairs' left
+    labels and as a right child at the distinct child pairs, and that width's
+    pair maxima only; one level-synchronous backtrace, which recomputes its
+    nodes' pair maxima from those values, then finds every node's split and
+    lists every node's span."""
     if not charts:
         return []
     lens = np.array([c.n for c in charts])
@@ -501,8 +505,10 @@ def decode_charts_batched(
     del flat  # before the fill allocates its arrays
     t = np.full_like(s, NEG_INF)
     t[: bounds[1]] = s[: bounds[1]]
-    # each cell's values at the distinct child-label pairs, as a left / right child
-    left_pairs = np.empty((len(widths), n_pairs))
+    # each cell's values as a left child at the pairs' left labels, and as a
+    # right child at the distinct child pairs; np.repeat(..., left_count)
+    # expands left rows to the pairs
+    left_values = np.empty((len(widths), len(compiled.left_labels)))
     right_pairs = np.empty((len(widths), n_pairs))
     top = big_n if len(compiled) else 1  # no rules: nothing wider than one token
     for w in range(1, top + 1):
@@ -515,41 +521,46 @@ def decode_charts_batched(
             step = max(1, _SPLIT_BLOCK // ((hi - lo) * n_pairs))
             for k0 in range(1, w, step):
                 ks = np.arange(k0, min(w, k0 + step))[:, None]
-                cand = left_pairs[row[ks, b, i]]
+                cand = np.repeat(left_values[row[ks, b, i]], compiled.left_count, axis=-1)
                 cand += right_pairs[row[w - ks, b, i + ks]]
                 np.maximum(m, cand.max(axis=0), out=m)
             per_rule = np.take(m, compiled.rule_pair, axis=1)
             for o in (LEFT, RIGHT):
                 best = np.maximum.reduceat(per_rule + compiled.scores[:, o], compiled.seg_starts, axis=1)
                 t[lo:hi, compiled.seg_parents, o] = s[lo:hi, compiled.seg_parents, o] + best
-        left_pairs[lo:hi] = t[lo:hi, compiled.pair_left, LEFT]
+        left_values[lo:hi] = t[lo:hi, compiled.left_labels, LEFT]
         right_pairs[lo:hi] = t[lo:hi, compiled.pair_right, RIGHT]
 
     root_labs, bests = _root_label(t[row[lens, np.arange(batch), 0], :, LEFT], compiled.labels, forbid_root)
     errors = [_root_error(best, n) for best, n in zip(bests.tolist(), lens.tolist())]
     ok = np.array([error is None for error in errors], dtype=bool)
-    splits = _backtrace(left_pairs, right_pairs, compiled, row, sents, starts, widths,
-                        row[lens[ok], np.flatnonzero(ok), 0], root_labs[ok])
+    cell, lab = _backtrace(left_values, right_pairs, compiled, row, sents, starts, widths,
+                           row[lens[ok], np.flatnonzero(ok), 0], root_labs[ok])
+    # the visited nodes as spans, grouped by sentence
+    by_sent = np.argsort(sents[cell], kind="stable")
+    cell, lab = cell[by_sent], lab[by_sent]
+    first = np.searchsorted(sents[cell], np.arange(batch + 1)).tolist()
+    spans = list(zip(starts[cell].tolist(), (starts[cell] + widths[cell]).tolist(),
+                     [compiled.labels[x] for x in lab.tolist()]))
     results: list[Union[DecodeResult, NoDerivation]] = []
     for b, (chart, error) in enumerate(zip(charts, errors)):
         if error:
             results.append(error)
             continue
-        tree = _tree(compiled.labels, chart.sentence, chart.n, int(root_labs[b]),
-                     lambda i, j, lab, o: splits[b, i, j])
+        tree = BinaryTree.from_spans(chart.sentence, spans[first[b] : first[b + 1]])
         results.append(DecodeResult(tree=tree, score=float(bests[b])))
     return results
 
 
-def _backtrace(left_pairs, right_pairs, compiled, row, sents, starts, widths, roots, root_labs):
-    """(sentence, i, j) -> (split point, left label, right label) of every
-    internal node of the best trees under the cells ``roots``, found one tree
-    level at a time across the batch, in the two stages the module docstring
-    describes."""
+def _backtrace(left_values, right_pairs, compiled, row, sents, starts, widths, roots, root_labs):
+    """The cell and the label id of every node of the best trees under the
+    cells ``roots``, leaves included, found one tree level at a time across
+    the batch, in the two stages the module docstring describes."""
     n_rules = len(compiled)
     cell, lab, order = roots, root_labs, np.full_like(roots, LEFT)
-    found = []
+    visited = []
     while True:
+        visited.append((cell, lab))
         inner = widths[cell] > 1  # leaves need no split
         cell, lab, order = cell[inner], lab[inner], order[inner]
         if not len(cell):
@@ -563,7 +574,7 @@ def _backtrace(left_pairs, right_pairs, compiled, row, sents, starts, widths, ro
         split_node = np.repeat(np.arange(len(cell)), span)
         k = np.arange(len(split_node)) - np.repeat(first - 1, span)
         bk, ik = b[split_node], i[split_node]
-        sums = left_pairs[row[k, bk, ik]]
+        sums = np.repeat(left_values[row[k, bk, ik]], compiled.left_count, axis=-1)
         sums += right_pairs[row[w[split_node] - k, bk, ik + k]]
         pair_max = np.maximum.reduceat(sums, first)
         # stage 1: each node's rule segment, and the rules that reach its maximum
@@ -591,12 +602,9 @@ def _backtrace(left_pairs, right_pairs, compiled, row, sents, starts, widths, ro
         key = np.minimum.reduceat(key, np.searchsorted(p[hit], np.arange(len(cell))))
         k, r = np.divmod(key, n_rules)
         left, right = compiled.left[r], compiled.right[r]
-        found.append((b, i, i + w, i + k, left, right))
         # the children are the next level's nodes
         order = np.repeat(np.array([LEFT, RIGHT]), len(cell))
         cell = np.concatenate([row[k, b, i], row[w - k, b, i + k]])
         lab = np.concatenate([left, right])
-    if not found:
-        return {}
-    b, i, j, k, left, right = (np.concatenate(col).tolist() for col in zip(*found))
-    return dict(zip(zip(b, i, j), zip(k, left, right)))
+    cells, labs = zip(*visited)
+    return np.concatenate(cells), np.concatenate(labs)

@@ -532,15 +532,24 @@ def test_compiled_rules_refuse_a_grammar_label_outside_the_chart():
         CompiledRules(("A", "B"), grammar, zero_rules(grammar))
 
 
-def test_compiled_rules_keep_the_grammar_order_and_the_rule_chart_scores():
-    labels = ("A", "B", "C")
-    grammar = full_grammar(labels)
+@pytest.mark.parametrize("labels, grammar", [
+    (("A", "B", "C"), full_grammar(("A", "B", "C"))),
+    # fewer child pairs than labels, and labels that are never a left child
+    (("A", "B", "C", "D", "E"), Grammar([Rule("A", "B", "C"), Rule("A", "D", "B"),
+                                          Rule("C", "B", "C"), Rule("E", "D", "D")])),
+    (("A", "B"), Grammar([])),
+])
+def test_compiled_rules_keep_the_grammar_order_and_the_rule_chart_scores(labels, grammar):
     rules = RuleScoreChart(grammar, np.random.default_rng(0).normal(size=(len(grammar), 2)))
     compiled = CompiledRules(labels, grammar, rules)
     ids = {lab: i for i, lab in enumerate(labels)}
     assert [tuple(map(int, r)) for r in zip(compiled.parent, compiled.left, compiled.right)] == \
         [tuple(ids[lab] for lab in rule) for rule in grammar.rules]
     assert compiled.scores is rules.scores
+    # the fill expands a row at the left labels to the pairs by np.repeat
+    assert np.repeat(compiled.left_labels, compiled.left_count).tolist() == compiled.pair_left.tolist()
+    assert len(compiled.left_labels) <= len(compiled.pair_left)
+    assert compiled.left_labels.tolist() == sorted({ids[rule.left] for rule in grammar.rules})
 
 
 @pytest.mark.parametrize("mode", ["baseline", "ablation"])
@@ -827,11 +836,11 @@ def test_batched_equals_scalar_on_hamming_augmented_charts(seed):
         assert_batched_equals_scalar(augmented, grammar, rules, forbid_root=forbid)
 
 
-def test_batched_decode_keeps_two_cell_by_pair_tables():
-    # the fill keeps two float tables of cells x distinct child pairs; the
-    # traced peak must stay below them plus the chart-sized arrays, the
-    # concatenated charts and one width's working set, so that a third table
-    # of cells x pairs does not fit
+def test_batched_decode_keeps_one_cell_by_pair_table():
+    # the fill keeps one float table of cells x distinct child pairs (the right
+    # children's) and one of cells x left labels; the traced peak must stay
+    # below them plus the chart-sized arrays, the concatenated charts and one
+    # width's working set, so that a second table of cells x pairs does not fit
     rng = np.random.default_rng(0)
     labels = tuple("ABCDEFGHIJ")
     # every child pair, each under two parents: 100 pairs, 200 rules
@@ -843,8 +852,8 @@ def test_batched_decode_keeps_two_cell_by_pair_tables():
     cells = sum(n * (n + 1) // 2 for n in lengths)
     widest = sum(n - 1 for n in lengths)  # width 2 has the most cells
     pairs, f8 = len(compiled.pair_left), np.dtype(float).itemsize
-    assert pairs >= 40
-    tables = 2 * cells * pairs * f8                   # left_pairs, right_pairs
+    assert pairs >= 40 and len(compiled.left_labels) == len(labels)
+    tables = cells * (pairs + len(compiled.left_labels)) * f8  # right_pairs, left_values
     chart_sized = 2 * cells * len(labels) * 2 * f8    # the span scores s and the values t
     concatenated = sum(chart.scores.nbytes for chart in charts)
     # a split block and its gathered right rows; the pair maxima and one
