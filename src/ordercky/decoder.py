@@ -26,10 +26,13 @@ g[r, o] over each parent's segment of rules.  Since x -> fl(x + g) is
 monotone, max over (k, r) of fl(fl(tl + tr) + g) equals max over r of
 fl(max_k fl(tl + tr) + g): the very float the scalar recursion keeps.  The
 fill keeps M for one width at a time and stores no backpointers; the tables
-it keeps are the children's values: as a right child at each pair (cells x
-pairs), and as a left child at each label that is a pair's left label (cells
-x left labels).  Pairs are numbered by left label, then right label, so a
-left row repeated once per pair of its label lines up with the pair rows.
+it keeps are the children's values at labels, never at pairs: as a left child
+at each label that is some pair's left label (cells x left labels), and as a
+right child at each label that is some pair's right label (cells x right
+labels).  A block of gathered rows indexed along its last axis by each pair's
+place among those labels (``left_inv``, ``right_inv``) lines up with the
+pairs, so only temporaries span the pairs: one width's (M, a split block,
+the per-rule values) and the backtrace's child sums of one tree level.
 One backtrace then walks the best trees of the whole batch a level at a
 time, keeping each node's cell and label, which become the trees' spans.  At
 each node it recomputes M from those two tables, summing the same floats
@@ -100,9 +103,11 @@ class CompiledRules:
         # then reduces each parent's segment of rules
         pairs, self.rule_pair = np.unique(self.left * len(self.labels) + self.right, return_inverse=True)
         self.pair_left, self.pair_right = np.divmod(pairs, len(self.labels))
-        # pairs are sorted by left label, so each left label's pairs are one
-        # run: np.repeat(left_labels, left_count) is pair_left
-        self.left_labels, self.left_count = np.unique(self.pair_left, return_counts=True)
+        # the fill keeps values at the labels that are some pair's left or
+        # right child; left_labels[left_inv] is pair_left and
+        # right_labels[right_inv] is pair_right
+        self.left_labels, self.left_inv = np.unique(self.pair_left, return_inverse=True)
+        self.right_labels, self.right_inv = np.unique(self.pair_right, return_inverse=True)
         self.seg_parents = np.flatnonzero(np.diff(bounds))
         self.seg_starts = bounds[self.seg_parents]
 
@@ -466,7 +471,8 @@ def _iter_shape_orders(shape):
 # width-batched decoding
 
 # elements per block of the split-axis gather; bounds the fill's temporaries,
-# which at this size stay in a 2 MiB L2 cache
+# which at this size stay in a 2 MiB L2 cache, unless one split of a width's
+# cells already holds more
 _SPLIT_BLOCK = 1 << 16
 
 
@@ -479,8 +485,8 @@ def decode_charts_batched(
     """Width-synchronous decoding of many charts at once, bit-identical to
     ``decode_ordered``: one step fills every cell of one width, across all
     sentences, keeping every cell's values as a left child at the pairs' left
-    labels and as a right child at the distinct child pairs, and that width's
-    pair maxima only; one level-synchronous backtrace, which recomputes its
+    labels and as a right child at their right labels, and that width's pair
+    maxima only; one level-synchronous backtrace, which recomputes its
     nodes' pair maxima from those values, then finds every node's split and
     lists every node's span."""
     if not charts:
@@ -506,10 +512,10 @@ def decode_charts_batched(
     t = np.full_like(s, NEG_INF)
     t[: bounds[1]] = s[: bounds[1]]
     # each cell's values as a left child at the pairs' left labels, and as a
-    # right child at the distinct child pairs; np.repeat(..., left_count)
-    # expands left rows to the pairs
+    # right child at their right labels; [..., left_inv] and [..., right_inv]
+    # expand gathered rows to the pairs
     left_values = np.empty((len(widths), len(compiled.left_labels)))
-    right_pairs = np.empty((len(widths), n_pairs))
+    right_values = np.empty((len(widths), len(compiled.right_labels)))
     top = big_n if len(compiled) else 1  # no rules: nothing wider than one token
     for w in range(1, top + 1):
         lo, hi = bounds[w - 1], bounds[w]
@@ -517,24 +523,24 @@ def decode_charts_batched(
             b, i = sents[lo:hi], starts[lo:hi]
             # this width's pair maxima over its splits; the backtrace
             # recomputes them at its nodes
-            m = np.full((hi - lo, n_pairs), NEG_INF)
             step = max(1, _SPLIT_BLOCK // ((hi - lo) * n_pairs))
             for k0 in range(1, w, step):
                 ks = np.arange(k0, min(w, k0 + step))[:, None]
-                cand = np.repeat(left_values[row[ks, b, i]], compiled.left_count, axis=-1)
-                cand += right_pairs[row[w - ks, b, i + ks]]
-                np.maximum(m, cand.max(axis=0), out=m)
+                cand = np.take(left_values, row[ks, b, i], axis=0)[..., compiled.left_inv]
+                cand += np.take(right_values, row[w - ks, b, i + ks], axis=0)[..., compiled.right_inv]
+                block = cand.max(axis=0)
+                m = block if k0 == 1 else np.maximum(m, block, out=m)
             per_rule = np.take(m, compiled.rule_pair, axis=1)
             for o in (LEFT, RIGHT):
                 best = np.maximum.reduceat(per_rule + compiled.scores[:, o], compiled.seg_starts, axis=1)
                 t[lo:hi, compiled.seg_parents, o] = s[lo:hi, compiled.seg_parents, o] + best
         left_values[lo:hi] = t[lo:hi, compiled.left_labels, LEFT]
-        right_pairs[lo:hi] = t[lo:hi, compiled.pair_right, RIGHT]
+        right_values[lo:hi] = t[lo:hi, compiled.right_labels, RIGHT]
 
     root_labs, bests = _root_label(t[row[lens, np.arange(batch), 0], :, LEFT], compiled.labels, forbid_root)
     errors = [_root_error(best, n) for best, n in zip(bests.tolist(), lens.tolist())]
     ok = np.array([error is None for error in errors], dtype=bool)
-    cell, lab = _backtrace(left_values, right_pairs, compiled, row, sents, starts, widths,
+    cell, lab = _backtrace(left_values, right_values, compiled, row, sents, starts, widths,
                            row[lens[ok], np.flatnonzero(ok), 0], root_labs[ok])
     # the visited nodes as spans, grouped by sentence
     by_sent = np.argsort(sents[cell], kind="stable")
@@ -552,7 +558,7 @@ def decode_charts_batched(
     return results
 
 
-def _backtrace(left_values, right_pairs, compiled, row, sents, starts, widths, roots, root_labs):
+def _backtrace(left_values, right_values, compiled, row, sents, starts, widths, roots, root_labs):
     """The cell and the label id of every node of the best trees under the
     cells ``roots``, leaves included, found one tree level at a time across
     the batch, in the two stages the module docstring describes."""
@@ -574,8 +580,8 @@ def _backtrace(left_values, right_pairs, compiled, row, sents, starts, widths, r
         split_node = np.repeat(np.arange(len(cell)), span)
         k = np.arange(len(split_node)) - np.repeat(first - 1, span)
         bk, ik = b[split_node], i[split_node]
-        sums = np.repeat(left_values[row[k, bk, ik]], compiled.left_count, axis=-1)
-        sums += right_pairs[row[w[split_node] - k, bk, ik + k]]
+        sums = np.take(left_values, row[k, bk, ik], axis=0)[:, compiled.left_inv]
+        sums += np.take(right_values, row[w[split_node] - k, bk, ik + k], axis=0)[:, compiled.right_inv]
         pair_max = np.maximum.reduceat(sums, first)
         # stage 1: each node's rule segment, and the rules that reach its maximum
         lo = compiled.bounds[lab]

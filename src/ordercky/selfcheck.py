@@ -4,20 +4,24 @@ Each trial decodes one random instance with every mode of ``trainer.MODES``
 (the decoders that ``parse`` and ``train`` run), plus the loss-augmented
 decode that training runs (the ordered mode over ``augmented_chart``), and
 compares each best score with exhaustive enumeration.  A one-head mode
-decodes a tied chart, as its forward writes.  Instances are small
-enough for that (n <= 8, few labels) and fully determined by one seed, so
-any failure is reproducible from the replay record alone.
+decodes a tied chart, as its forward writes.  The two ordered decodes are
+also compared with the scalar ``decode_ordered``, which they must equal bit
+for bit: the same tree and score, or the same NoDerivation class.
+Instances are small enough for that (n <= 8, few labels) and fully
+determined by one seed, so any failure is reproducible from the replay
+record alone.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
-from .decoder import CompiledRules, DecodeResult, NoDerivation, augmented_chart, brute_force_best
+from .decoder import (CompiledRules, DecodeResult, NoDerivation, augmented_chart, brute_force_best,
+                      decode_ordered)
 from .grammar import Grammar, Rule, RuleScoreChart
 from .scorer import SpanScoreChart
 from .trainer import MODES
@@ -76,13 +80,34 @@ def random_instance(rng: np.random.Generator, max_n: int = 6, max_labels: int = 
     return Instance(chart=chart, grammar=grammar, rules=rules, gold=gold)
 
 
-def _best(decode) -> Optional[DecodeResult]:
-    """``decode()``'s result; None for no derivation, raised or returned."""
+def _outcome(decode) -> Union[DecodeResult, NoDerivation]:
+    """``decode()``'s result, or the NoDerivation it raised."""
     try:
-        result = decode()
-    except NoDerivation:
-        return None
-    return None if isinstance(result, NoDerivation) else result
+        return decode()
+    except NoDerivation as err:
+        return err
+
+
+def _score(outcome: Union[DecodeResult, NoDerivation]) -> Optional[float]:
+    return None if isinstance(outcome, NoDerivation) else outcome.score
+
+
+def _score_gap(got, want) -> float:
+    """How far apart two best scores are; inf when only one decode found a
+    derivation."""
+    a, b = _score(got), _score(want)
+    if (a is None) != (b is None):
+        return float("inf")
+    return 0.0 if a is None else abs(a - b)
+
+
+def _exact_gap(got, want) -> float:
+    """0 when ``got`` is ``want`` bit for bit: the same tree and score, or the
+    same NoDerivation class.  Otherwise the score gap, or inf where the
+    classes or the trees differ."""
+    if type(got) is not type(want) or (isinstance(got, DecodeResult) and got.tree != want.tree):
+        return float("inf")
+    return _score_gap(got, want)
 
 
 @dataclass
@@ -108,26 +133,26 @@ def oracle_check(seed: int, trials: int = 200, max_n: int = 6, max_labels: int =
         cases = [(mode, mode, inst.chart if len(spec.heads) > 1 else tied) for mode, spec in MODES.items()]
         cases.append(("loss-augmented", "ordered", augmented_chart(inst.chart, inst.gold)))
         for name, mode, chart in cases:
-            got = _best(lambda: MODES[mode].decode([chart], compiled)[0])
-            want = _best(lambda: brute_force_best(chart, mode, grammar=inst.grammar, rules=inst.rules))
-            checks += 1
-            if (got is None) != (want is None):
-                gap = float("inf")
-            elif got is None:
-                gap = 0.0
-            else:
-                gap = abs(got.score - want.score)
-            if gap > _TOLERANCE:
-                failures.append(
-                    {
-                        "trial": trial,
-                        "mode": name,
-                        "decoder_score": None if got is None else got.score,
-                        "oracle_score": None if want is None else want.score,
-                        "gap": gap,
-                        "instance": inst.to_json(),
-                    }
-                )
+            got = _outcome(lambda: MODES[mode].decode([chart], compiled)[0])
+            want = _outcome(lambda: brute_force_best(chart, mode, grammar=inst.grammar, rules=inst.rules))
+            # (name, reference, gap, tolerance)
+            comparisons = [(name, want, _score_gap(got, want), _TOLERANCE)]
+            if MODES[mode].rules:
+                scalar = _outcome(lambda: decode_ordered(chart, inst.grammar, inst.rules))
+                comparisons.append((f"{name} (batched vs scalar)", scalar, _exact_gap(got, scalar), 0.0))
+            for label, reference, gap, tolerance in comparisons:
+                checks += 1
+                if gap > tolerance:
+                    failures.append(
+                        {
+                            "trial": trial,
+                            "mode": label,
+                            "decoder_score": _score(got),
+                            "oracle_score": _score(reference),
+                            "gap": gap,
+                            "instance": inst.to_json(),
+                        }
+                    )
     return CheckReport(trials=trials, checks=checks, failures=failures)
 
 

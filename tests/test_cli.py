@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from ordercky import cli
+from ordercky.decoder import DecodeResult, NoDerivation, fallback_tree
 from ordercky.selfcheck import random_instance
 from ordercky.trainer import MODES, TrainConfig, load_tensors, save_tensors
 from ordercky.trees import DUMMY, BinaryTree, debinarize, load_trees, read_trees, sentence_of
@@ -336,6 +337,27 @@ class TestOracleCheckCommand:
         gold = saved["gold"]
         assert BinaryTree.from_spans(sentence, zip(gold["start"], gold["end"], gold["label"])) == inst.gold
 
+    def test_batched_tree_other_than_the_scalar_one_fails_with_replay(self, tmp_path, monkeypatch, capsys):
+        # the same score over another tree passes brute force, which compares
+        # scores, and fails the bit-for-bit check against decode_ordered
+        import ordercky.trainer as trainer
+
+        real = trainer.decode_charts_batched
+
+        def other_tree(charts, compiled, **kwargs):
+            return [result if isinstance(result, NoDerivation)
+                    else DecodeResult(fallback_tree(chart.sentence, chart.labels), result.score)
+                    for chart, result in zip(charts, real(charts, compiled, **kwargs))]
+
+        monkeypatch.setattr(trainer, "decode_charts_batched", other_tree)
+        replay = tmp_path / "replay.json"
+        assert cli.main(["oracle-check", "--trials", "3", "--seed", "0", "--replay", str(replay)]) == 1
+        assert "FAIL in mode ordered (batched vs scalar)" in capsys.readouterr().err
+        record = json.loads(replay.read_text())
+        assert record["mode"] == "ordered (batched vs scalar)"
+        assert record["gap"] == float("inf")
+        assert record["decoder_score"] == record["oracle_score"]
+
 
 class TestBench:
     def test_reports_all_modes(self, tmp_path, toy_treebank, toy_model, capsys):
@@ -517,7 +539,7 @@ def test_out_of_range_count_is_usage_error(argv, message, capsys):
 def test_oracle_check_accepts_its_bounds(capsys):
     argv = ["oracle-check", "--trials", "2", "--max-n", "8", "--max-labels", "6", "--seed", "3"]
     assert cli.main(argv) == 0
-    assert "8 checks over 2 trials, pass" in capsys.readouterr().out
+    assert "12 checks over 2 trials, pass" in capsys.readouterr().out
 
 
 def test_mode_choices_come_from_the_mode_table():

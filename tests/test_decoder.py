@@ -304,7 +304,7 @@ def test_oracle_agrees_with_full_enumeration(mode, seed):
 def test_oracle_equivalence_sweep():
     report = oracle_check(seed=1234, trials=60, max_n=6, max_labels=4)
     assert report.passed, report.failures[:1]
-    assert report.checks == 240
+    assert report.checks == 360
 
 
 def test_score_recomputation_all_modes():
@@ -532,11 +532,15 @@ def test_compiled_rules_refuse_a_grammar_label_outside_the_chart():
         CompiledRules(("A", "B"), grammar, zero_rules(grammar))
 
 
+# fewer child pairs than labels; A, C and E are never a left child, A and E
+# never a right child
+SPARSE_LABELS = ("A", "B", "C", "D", "E")
+SPARSE_GRAMMAR = Grammar([Rule("A", "B", "C"), Rule("A", "D", "B"), Rule("C", "B", "C"), Rule("E", "D", "D")])
+
+
 @pytest.mark.parametrize("labels, grammar", [
     (("A", "B", "C"), full_grammar(("A", "B", "C"))),
-    # fewer child pairs than labels, and labels that are never a left child
-    (("A", "B", "C", "D", "E"), Grammar([Rule("A", "B", "C"), Rule("A", "D", "B"),
-                                          Rule("C", "B", "C"), Rule("E", "D", "D")])),
+    (SPARSE_LABELS, SPARSE_GRAMMAR),
     (("A", "B"), Grammar([])),
 ])
 def test_compiled_rules_keep_the_grammar_order_and_the_rule_chart_scores(labels, grammar):
@@ -546,10 +550,13 @@ def test_compiled_rules_keep_the_grammar_order_and_the_rule_chart_scores(labels,
     assert [tuple(map(int, r)) for r in zip(compiled.parent, compiled.left, compiled.right)] == \
         [tuple(ids[lab] for lab in rule) for rule in grammar.rules]
     assert compiled.scores is rules.scores
-    # the fill expands a row at the left labels to the pairs by np.repeat
-    assert np.repeat(compiled.left_labels, compiled.left_count).tolist() == compiled.pair_left.tolist()
+    # the fill expands rows at the left and the right labels to the pairs
+    assert compiled.left_labels[compiled.left_inv].tolist() == compiled.pair_left.tolist()
+    assert compiled.right_labels[compiled.right_inv].tolist() == compiled.pair_right.tolist()
     assert len(compiled.left_labels) <= len(compiled.pair_left)
+    assert len(compiled.right_labels) <= len(compiled.pair_right)
     assert compiled.left_labels.tolist() == sorted({ids[rule.left] for rule in grammar.rules})
+    assert compiled.right_labels.tolist() == sorted({ids[rule.right] for rule in grammar.rules})
 
 
 @pytest.mark.parametrize("mode", ["baseline", "ablation"])
@@ -786,6 +793,26 @@ def test_batched_equals_scalar_on_empty_grammar():
         assert_batched_equals_scalar(charts, empty, zero_rules(empty), forbid_root=forbid)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_batched_equals_scalar_where_labels_are_never_a_child(seed):
+    # the value tables are narrower than the label set on both sides; on the
+    # quarter grid with 2**52 offsets every candidate rounds to an integer,
+    # so rules and root labels tie exactly
+    rng = np.random.default_rng(seed)
+    rules = RuleScoreChart(SPARSE_GRAMMAR, _grid(rng, (len(SPARSE_GRAMMAR), 2)) + 2.0**52)
+    charts = [make_chart(n, SPARSE_LABELS, _grid(rng, (n + 1, n + 1, len(SPARSE_LABELS), 2)))
+              for n in (1, 9, 2, 14, 3, 2, 6, 2, 2, 2, 2, 2, 2, 2)]
+    for forbid in (None, "A"):
+        assert_batched_equals_scalar(charts, SPARSE_GRAMMAR, rules, forbid_root=forbid)
+    # at n = 2 each rule gives one root value, and several reach the best
+    c = CompiledRules(SPARSE_LABELS, SPARSE_GRAMMAR, rules)
+    ties = 0
+    for s in (chart.scores for chart in charts if chart.n == 2):
+        root = s[0, 2, c.parent, LEFT] + (s[0, 1, c.left, LEFT] + s[1, 2, c.right, RIGHT] + c.scores[:, LEFT])
+        ties += np.count_nonzero(root == root.max()) > 1
+    assert ties > 0
+
+
 @given(seed=st.integers(0, 2**32 - 1), forbid=st.sampled_from([None, "A"]))
 @settings(max_examples=15, deadline=None)
 def test_batched_equals_scalar_with_non_finite_cells(seed, forbid):
@@ -836,11 +863,11 @@ def test_batched_equals_scalar_on_hamming_augmented_charts(seed):
         assert_batched_equals_scalar(augmented, grammar, rules, forbid_root=forbid)
 
 
-def test_batched_decode_keeps_one_cell_by_pair_table():
-    # the fill keeps one float table of cells x distinct child pairs (the right
-    # children's) and one of cells x left labels; the traced peak must stay
-    # below them plus the chart-sized arrays, the concatenated charts and one
-    # width's working set, so that a second table of cells x pairs does not fit
+def test_batched_decode_keeps_no_cell_by_pair_table():
+    # the fill keeps one float table of cells x left labels and one of cells x
+    # right labels; the traced peak must stay below them plus the chart-sized
+    # arrays, the concatenated charts and one width's working set, so that a
+    # table of cells x distinct child pairs does not fit
     rng = np.random.default_rng(0)
     labels = tuple("ABCDEFGHIJ")
     # every child pair, each under two parents: 100 pairs, 200 rules
@@ -852,8 +879,9 @@ def test_batched_decode_keeps_one_cell_by_pair_table():
     cells = sum(n * (n + 1) // 2 for n in lengths)
     widest = sum(n - 1 for n in lengths)  # width 2 has the most cells
     pairs, f8 = len(compiled.pair_left), np.dtype(float).itemsize
-    assert pairs >= 40 and len(compiled.left_labels) == len(labels)
-    tables = cells * (pairs + len(compiled.left_labels)) * f8  # right_pairs, left_values
+    label_columns = len(compiled.left_labels) + len(compiled.right_labels)
+    assert pairs >= 40 and label_columns == 2 * len(labels)
+    tables = cells * label_columns * f8  # left_values, right_values
     chart_sized = 2 * cells * len(labels) * 2 * f8    # the span scores s and the values t
     concatenated = sum(chart.scores.nbytes for chart in charts)
     # a split block and its gathered right rows; the pair maxima and one
