@@ -191,7 +191,7 @@ def run_train(args) -> int:
 
 
 def _decode_chunk(chunk, model, compiled, mode):
-    charts = [model.forward(sentence, orders=MODES[mode].heads)[0] for sentence in chunk]
+    charts = model.charts(chunk, orders=MODES[mode].heads)
     # not MODES[mode].decode: perfbench's captured_decodes patches these names on cli
     if mode == "ordered":
         return decode_charts_batched(charts, compiled, forbid_root=DUMMY)

@@ -117,9 +117,26 @@ class ScorerModel:
         ids.extend(self.word_index.get(w, self._unk) for w in words)
         return np.asarray(ids, dtype=np.intp)
 
+    def charts(
+        self, sentences: list[tuple[tuple[str, str], ...]], orders: tuple[int, ...] = (0, 1)
+    ) -> list[SpanScoreChart]:
+        """``forward``'s chart per sentence, with no cache: every head of every
+        sentence runs in one pair of (spans, hidden) buffers sized for the
+        longest sentence, so their pages are touched once per call, not once
+        per head.  The pair belongs to this call and dies with it, so calls
+        from several threads share nothing."""
+        # a longer sentence raises SentenceTooLong in forward
+        longest = min(max((len(s) for s in sentences), default=0), self.maxlen - 1)
+        shape = (longest * (longest + 1) // 2, self.hidden)
+        pair = (np.empty(shape), np.empty(shape))
+        return [self.forward(sentence, orders=orders, scratch=pair)[0] for sentence in sentences]
+
     def forward(
-        self, sentence: tuple[tuple[str, str], ...], orders: tuple[int, ...] = (0, 1)
-    ) -> tuple[SpanScoreChart, ForwardCache]:
+        self,
+        sentence: tuple[tuple[str, str], ...],
+        orders: tuple[int, ...] = (0, 1),
+        scratch: tuple[np.ndarray, np.ndarray] | None = None,
+    ) -> tuple[SpanScoreChart, ForwardCache | None]:
         """Chart and cache; ``orders=(0,)`` computes the left head alone and
         writes it into both order slots (the baseline's tied chart).  The
         cache holds the fencepost vectors h_0..h_n as ``fence``.
@@ -128,7 +145,10 @@ class ScorerModel:
         the very float operations of ``z1.mean``, ``z1.var`` and the textbook
         LayerNorm: the row mean is summed once, and the variance is the row
         sum of the squared centred values over ``hidden``, as numpy's ``var``
-        computes it."""
+        computes it.  Without ``scratch`` each head allocates its own pair
+        and the cache keeps it.  With ``scratch``, a pair of arrays of at
+        least (spans, hidden), every head writes into views of it and the
+        cache is None."""
         words = tuple(w for w, _ in sentence)
         n = len(words)
         if n >= self.maxlen:
@@ -148,10 +168,14 @@ class ScorerModel:
         scores = np.zeros((n + 1, n + 1, len(self.labels), 2))
         head_cache: dict[int, dict[str, np.ndarray]] = {}
         for order, name in ((o, "LR"[o]) for o in orders):
-            x = span_vecs @ p[f"w1_{name}"].T
+            if scratch is None:
+                x, act = np.empty((len(i_idx), self.hidden)), np.empty((len(i_idx), self.hidden))
+            else:
+                x, act = (buf[: len(i_idx)] for buf in scratch)
+            np.matmul(span_vecs, p[f"w1_{name}"].T, out=x)
             x += p[f"b1_{name}"]
             x -= x.sum(axis=1, keepdims=True) / self.hidden
-            act = np.square(x)  # first the variance's scratch, then the activation
+            np.square(x, out=act)  # first the variance's scratch, then the activation
             inv_std = act.sum(axis=1, keepdims=True) / self.hidden
             inv_std += LN_EPS
             np.sqrt(inv_std, out=inv_std)
@@ -167,6 +191,8 @@ class ScorerModel:
         if len(orders) == 1:  # one head fills both order slots
             scores[..., 1 - orders[0]] = scores[..., orders[0]]
         chart = SpanScoreChart(sentence=tuple(sentence), labels=self.labels, scores=scores)
+        if scratch is not None:
+            return chart, None
         cache = ForwardCache(
             ids=ids, emb=emb, fence=fence,
             i_idx=i_idx, j_idx=j_idx, span_vecs=span_vecs, head=head_cache,

@@ -51,11 +51,16 @@ class Instance:
 
 
 def random_instance(rng: np.random.Generator, max_n: int = 6, max_labels: int = 4) -> Instance:
+    """Half the instances draw span and rule scores on a quarter grid, where
+    sums are exact and candidates tie, so the tie-break rule is checked too."""
     n = int(rng.integers(2, max_n + 1))
     n_labels = int(rng.integers(2, max_labels + 1))
+    on_grid = rng.random() < 0.5
+    grid = lambda shape: rng.integers(-4, 5, size=shape) / 4
     labels = tuple("ABCDEF"[:n_labels])
     sentence = tuple((f"w{i}", "X") for i in range(n))
-    scores = rng.normal(size=(n + 1, n + 1, n_labels, 2))
+    shape = (n + 1, n + 1, n_labels, 2)
+    scores = grid(shape) if on_grid else rng.normal(size=shape)
     chart = SpanScoreChart(sentence=sentence, labels=labels, scores=scores)
 
     all_rules = [Rule(p, l, r) for p in labels for l in labels for r in labels]
@@ -65,7 +70,8 @@ def random_instance(rng: np.random.Generator, max_n: int = 6, max_labels: int = 
         mask = rng.random(len(all_rules)) < 0.5
         picked = [r for r, keep in zip(all_rules, mask) if keep]
     grammar = Grammar(picked)
-    rules = RuleScoreChart(grammar, rng.uniform(-1.0, 1.0, size=(len(grammar), 2)))
+    shape = (len(grammar), 2)
+    rules = RuleScoreChart(grammar, grid(shape) if on_grid else rng.uniform(-1.0, 1.0, size=shape))
 
     # the gold tree, drawn in preorder: each node's label, then its split
     spans = []

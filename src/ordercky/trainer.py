@@ -277,8 +277,7 @@ def evaluate_dev(state: TrainState, dev: Treebank) -> EvalReport:
     for lo in range(0, len(dev.sentences), CHUNK):
         sentences = [tuple(zip(s.words, s.pos)) for s in dev.sentences[lo : lo + CHUNK]]
         # the chunk's charts go once decoded, before the next chunk's forwards
-        decoded = spec.decode([state.model.forward(s, orders=spec.heads)[0] for s in sentences],
-                              comp, forbid_root=DUMMY)
+        decoded = spec.decode(state.model.charts(sentences, orders=spec.heads), comp, forbid_root=DUMMY)
         for sentence, res in zip(sentences, decoded):
             if isinstance(res, NoDerivation):
                 btree = fallback_tree(sentence, state.model.labels)

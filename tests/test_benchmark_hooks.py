@@ -95,3 +95,19 @@ def test_parse_captures_one_decode_per_sentence(perfbench, toy_files, mode, caps
     scorer, _, rules, _ = load_checkpoint(model)
     text = capsys.readouterr().out
     assert not checks.check_results(mode, sentences, text, sink, scorer.labels, rules)
+
+
+@pytest.mark.parametrize("mode", list(MODES))
+def test_tracer_sees_one_forward_per_parsed_sentence(perfbench, toy_files, mode, capsys):
+    # parse computes a chunk's charts through the model's own forward, so the
+    # tracer's forward layer and its span count see every sentence
+    tracing = perfbench("tracing")
+    _, sents, model, sentences = toy_files
+    probe = tracing.Probe(timing=True)
+    with tracing.installed(probe), probe.root(mode):
+        assert cli.main(["parse", "--model", model, "--mode", mode, sents]) == 0
+    capsys.readouterr()
+    assert probe.counts["scorer.forward.calls"] == len(sentences)
+    assert sum(name == "scorer.forward" for name, *_ in probe.spans) == len(sentences)
+    heads = len(MODES[mode].heads)
+    assert probe.counts["scorer.spans"] == sum(len(s) * (len(s) + 1) // 2 for s in sentences) * heads

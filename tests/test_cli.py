@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -17,6 +18,15 @@ from ordercky.trainer import MODES, TrainConfig, load_tensors, save_tensors
 from ordercky.trees import DUMMY, BinaryTree, debinarize, load_trees, read_trees, sentence_of
 
 DATA = Path(cli.__file__).parent / "data"
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_cli(*args, **kwargs):
+    """``python -m ordercky.cli args`` in a child process that imports the
+    package from this checkout's ``src``, whether or not it is installed."""
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-m", "ordercky.cli", *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, **kwargs)
 
 TOY = """\
 (S (NP (DT the) (NN cat)) (VP (VB sees) (NP (DT a) (NN dog))))
@@ -358,6 +368,31 @@ class TestOracleCheckCommand:
         assert record["gap"] == float("inf")
         assert record["decoder_score"] == record["oracle_score"]
 
+    def test_backtrace_taking_the_largest_split_and_rule_fails(self, tmp_path, monkeypatch, capsys):
+        # the batched backtrace keeps, per node, the smallest (split, rule)
+        # key among the tied ones; taking the largest leaves every score as
+        # it was, so only the exact check against decode_ordered can see it,
+        # and only on an instance whose candidates tie
+        from ordercky import decoder
+
+        class LargestKey:
+            def __getattr__(self, name):
+                return np.maximum if name == "minimum" else getattr(np, name)
+
+        monkeypatch.setattr(decoder, "np", LargestKey())
+        replay = tmp_path / "replay.json"
+        assert cli.main(["oracle-check", "--seed", "0", "--replay", str(replay)]) == 1
+        assert "FAIL in mode ordered (batched vs scalar) (trial 0)" in capsys.readouterr().err
+        record = json.loads(replay.read_text())
+        assert record["trial"] == 0 and record["gap"] == float("inf")
+        assert record["decoder_score"] == record["oracle_score"]
+        scores = np.array(record["instance"]["scores"])
+        assert np.array_equal(scores * 4, np.round(scores * 4))  # a quarter-grid instance
+
+    def test_default_run_counts(self, capsys):
+        assert cli.main(["oracle-check", "--seed", "0"]) == 0
+        assert capsys.readouterr().out.strip() == "oracle-check: 1200 checks over 200 trials, pass"
+
 
 class TestBench:
     def test_reports_all_modes(self, tmp_path, toy_treebank, toy_model, capsys):
@@ -402,19 +437,13 @@ class TestBench:
 
 
 def test_console_entry_point(toy_treebank):
-    proc = subprocess.run(
-        [sys.executable, "-m", "ordercky.cli", "stats", toy_treebank],
-        capture_output=True, text=True,
-    )
+    proc = run_cli("stats", toy_treebank)
     assert proc.returncode == 0
     assert proc.stdout.startswith("label\tL\tR")
 
 
 def test_parse_reads_stdin(toy_treebank, toy_model):
-    proc = subprocess.run(
-        [sys.executable, "-m", "ordercky.cli", "parse", "--model", toy_model],
-        input="the_DT cat_NN runs_VB\n", capture_output=True, text=True,
-    )
+    proc = run_cli("parse", "--model", toy_model, input="the_DT cat_NN runs_VB\n")
     assert proc.returncode == 0
     assert proc.stdout.startswith("(S")
 
@@ -778,12 +807,9 @@ def test_config_keys_are_only_train_config_fields(tmp_path, toy_treebank, fit_co
 @pytest.mark.parametrize("mode", list(MODES))
 def test_train_blowup_prints_one_error_line(tmp_path, mode):
     out = tmp_path / "m.npz"
-    proc = subprocess.run(
-        [sys.executable, "-m", "ordercky.cli", "train", "--train", str(DATA / "skew_train.txt"),
-         "--dev", str(DATA / "skew_dev.txt"), "--out", str(out), "--mode", mode,
-         "--learning-rate", "1e300", "--epochs", "5", "--dim", "8", "--hidden", "16"],
-        capture_output=True, text=True,
-    )
+    proc = run_cli("train", "--train", str(DATA / "skew_train.txt"), "--dev", str(DATA / "skew_dev.txt"),
+                   "--out", str(out), "--mode", mode, "--learning-rate", "1e300", "--epochs", "5",
+                   "--dim", "8", "--hidden", "16")
     assert proc.returncode == 1
     assert "RuntimeWarning" not in proc.stderr
     # the line says what the run left at --out: the checkpoint written before epoch 1

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,8 @@ class TestEncode:
         model = tiny_model(maxlen=4)
         with pytest.raises(SentenceTooLong):
             model.forward(sent(*("a",) * 4))
+        with pytest.raises(SentenceTooLong):
+            model.charts([sent("a"), sent(*("a",) * 4)])
 
 
 class TestSpanVector:
@@ -332,3 +336,54 @@ def test_forward_and_backward_are_bit_identical_to_the_formulas(n, orders, flat_
     assert list(grads) == list(model.params)
     for name in model.params:
         assert_same_floats(grads[name], want[name], name)
+
+
+def mixed_sentences(lengths):
+    return [sent(*((WORDS + ("unseen",))[(3 * k + n) % 5] for k in range(n))) for n in lengths]
+
+
+@pytest.mark.parametrize("orders", [(0,), (0, 1)], ids=["L", "LR"])
+def test_charts_are_forward_charts_bit_for_bit(orders):
+    rng = np.random.default_rng(11)
+    labels = tuple(f"X{k}" for k in range(14))
+    model = ScorerModel.build(WORDS, labels, rng, dim=64, hidden=250, maxlen=64)
+    for value in model.params.values():
+        if value.ndim == 1:
+            value += rng.normal(scale=0.5, size=value.shape)
+    # the longest in the middle: the shorter sentences after it run in the
+    # leading rows of buffers that still hold its values
+    sentences = mixed_sentences([3, 20, 1, 48, 7, 30])
+    charts = model.charts(sentences, orders=orders)
+    assert len(charts) == len(sentences)
+    for chart, sentence in zip(charts, sentences):
+        want = model.forward(sentence, orders=orders)[0]
+        assert chart.sentence == want.sentence and chart.labels == want.labels
+        assert_same_floats(chart.scores, want.scores, f"n={len(sentence)}")
+    assert model.charts([], orders=orders) == []
+
+
+def traced_peak(run):
+    tracemalloc.start()
+    try:
+        result = run()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_charts_hold_one_pair_of_head_buffers():
+    # a chunk's forwards share one pair of (longest spans, hidden) buffers;
+    # a forward that keeps its cache holds a pair per head
+    model = ScorerModel.build(WORDS, LABELS, np.random.default_rng(3), dim=8, hidden=256, maxlen=64)
+    lengths = [10, 40, 20, 30]
+    sentences = mixed_sentences(lengths)
+    for n in lengths:
+        span_index_arrays(n)  # cached per length: not the chunk's memory
+    longest = max(lengths)
+    buffer = longest * (longest + 1) // 2 * model.hidden * 8
+    charts, peak = traced_peak(lambda: model.charts(sentences))
+    held = sum(chart.scores.nbytes for chart in charts)
+    bound = held + 2 * buffer + buffer // 4
+    assert peak < bound, (peak, bound)
+    _, forwards_peak = traced_peak(lambda: [model.forward(s)[0] for s in sentences])
+    assert forwards_peak > bound, (forwards_peak, bound)

@@ -451,9 +451,9 @@ def test_training_computes_only_the_modes_heads(tmp_path, monkeypatch, mode):
     real = ScorerModel.forward
     seen = set()
 
-    def recording(self, sentence, orders=(0, 1)):
+    def recording(self, sentence, orders=(0, 1), scratch=None):
         seen.add(tuple(orders))
-        return real(self, sentence, orders)
+        return real(self, sentence, orders, scratch=scratch)
 
     monkeypatch.setattr(ScorerModel, "forward", recording)
     fit(tb, tb, config, checkpoint_path=str(tmp_path / "heads.npz"))
@@ -462,7 +462,8 @@ def test_training_computes_only_the_modes_heads(tmp_path, monkeypatch, mode):
     if len(MODES[mode].heads) == 1:
         return
 
-    monkeypatch.setattr(ScorerModel, "forward", lambda self, sentence, orders=(0, 1): real(self, sentence))
+    monkeypatch.setattr(ScorerModel, "forward",
+                        lambda self, sentence, orders=(0, 1), scratch=None: real(self, sentence, scratch=scratch))
     fit(tb, tb, config, checkpoint_path=str(tmp_path / "both.npz"))
     assert (tmp_path / "heads.npz").read_bytes() == (tmp_path / "both.npz").read_bytes()
 
