@@ -43,10 +43,28 @@ from .trees import DUMMY, BracketError, LengthMismatch, Treebank, debinarize, lo
 EXIT_OK, EXIT_ERROR = 0, 1
 
 
+def _lines(name: str, stream) -> list[str]:
+    """The lines of the binary ``stream``, split as text files split, each
+    decoded as UTF-8; a line that is not UTF-8 raises a ValueError naming
+    ``name:line``."""
+    lines = []
+    for lineno, raw in enumerate(stream.read().splitlines(), 1):
+        try:
+            lines.append(raw.decode("utf-8"))
+        except UnicodeDecodeError as err:
+            raise ValueError(f"{name}:{lineno}: {err}") from None
+    return lines
+
+
 def _load(load, path: str):
-    """``load(path)``, with a bracket error re-raised naming ``path:line``."""
+    """``load(path)``, with a bracket error or a byte that is not UTF-8
+    re-raised naming ``path:line``."""
     try:
         return load(path)
+    except UnicodeDecodeError:
+        with open(path, "rb") as fh:
+            _lines(path, fh)  # raises at the first line that is not UTF-8
+        raise
     except BracketError as err:
         with open(path, "rb") as fh:
             line = fh.read()[: err.offset].count(b"\n") + 1
@@ -63,8 +81,8 @@ def _check_lengths(path: str, sentences, maxlen: int) -> None:
 
 def _read_config(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(_lines(path, fh), 1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -179,7 +197,7 @@ def run_train(args) -> int:
     for path, bank in banks:
         if not bank.sentences:
             raise ValueError(f"{path}: the treebank holds no trees")
-        _check_lengths(path, [sent.words for sent in bank.sentences], config.maxlen)
+        _check_lengths(path, [sent.btree.sentence for sent in bank.sentences], config.maxlen)
     train, dev = banks[0][1], banks[-1][1]
     log_fn = None if args.quiet else lambda line: print(line, flush=True)
     if log_fn:
@@ -221,8 +239,8 @@ def run_parse(args) -> int:
     compiled = CompiledRules(model.labels, grammar, rules)
     name = args.input or "<stdin>"
     sentences = []
-    with open(args.input, encoding="utf-8") if args.input else nullcontext(sys.stdin) as stream:
-        for lineno, raw in enumerate(stream, 1):
+    with open(args.input, "rb") if args.input else nullcontext(sys.stdin.buffer) as stream:
+        for lineno, raw in enumerate(_lines(name, stream), 1):
             pairs = []
             for token in raw.split():
                 word, _, pos = token.rpartition("_")

@@ -58,8 +58,6 @@ class ForwardCache:
     ids: np.ndarray
     emb: np.ndarray        # (n+1, 2d) concatenated token/position embeddings
     fence: np.ndarray      # (n+1, d) fencepost vectors; > 0 where the mixing ReLU passed
-    i_idx: np.ndarray
-    j_idx: np.ndarray
     span_vecs: np.ndarray  # (spans, d)
     head: dict[int, dict[str, np.ndarray]]  # per order: xhat, inv_std, act (> 0 where the ReLU passed)
 
@@ -193,11 +191,7 @@ class ScorerModel:
         chart = SpanScoreChart(sentence=tuple(sentence), labels=self.labels, scores=scores)
         if scratch is not None:
             return chart, None
-        cache = ForwardCache(
-            ids=ids, emb=emb, fence=fence,
-            i_idx=i_idx, j_idx=j_idx, span_vecs=span_vecs, head=head_cache,
-        )
-        return chart, cache
+        return chart, ForwardCache(ids=ids, emb=emb, fence=fence, span_vecs=span_vecs, head=head_cache)
 
     def backward(self, cache: ForwardCache, out_grad: np.ndarray) -> dict[str, np.ndarray]:
         """Exact gradients of sum(out_grad * chart) w.r.t. every parameter; a
@@ -208,7 +202,7 @@ class ScorerModel:
         if cache is None:
             raise ValueError("backward requires the cache from a forward pass")
         p = self.params
-        i_idx, j_idx = cache.i_idx, cache.j_idx
+        i_idx, j_idx = span_index_arrays(len(cache.ids) - 1)
         # zeros only where nothing below assigns the whole gradient
         absent = [f"{kind}_{'LR'[o]}" for o in (0, 1) if o not in cache.head for kind in _HEAD_PARAMS]
         grads = {name: np.zeros_like(p[name]) for name in ("tok_emb", "pos_emb", *absent)}

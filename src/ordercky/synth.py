@@ -42,8 +42,9 @@ def check_consistency(lines, allow_conflicts=()):
     seen: dict = {}
     conflicts = []
     for sent in tb.sentences:
+        words = [word for word, _ in sent.btree.sentence]
         for label, i, j, order in sent.btree.nodes():
-            key = (i, j, sent.words[i - 1] if i > 0 else "<s>", sent.words[j - 1])
+            key = (i, j, words[i - 1] if i > 0 else "<s>", words[j - 1])
             prev = seen.setdefault((key, order), label)
             if prev != label and tuple(sorted((prev, label))) not in allow_conflicts:
                 conflicts.append((key, order, prev, label))

@@ -18,7 +18,7 @@ import logging
 import math
 import operator
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
@@ -114,36 +114,20 @@ class TrainConfig:
 
 @dataclass
 class TrainState:
+    """The model under training: its parameters, rule scores, grammar and
+    mode, the current learning rate, and the grammar compiled once, which
+    reads the rule chart's scores in place, so every update in place shows
+    in the next decode.  ``epoch`` is the last epoch trained and ``best_f1``
+    the best dev F1 so far."""
+
     model: ScorerModel
     rules: RuleScoreChart
     grammar: Grammar
     mode: str
     learning_rate: float
+    compiled: CompiledRules
     epoch: int = 0
     best_f1: float = -1.0
-    best_epoch: int = 0
-    decays_used: int = 0
-    loss_history: list[float] = field(default_factory=list)
-    dev_history: list[EvalReport] = field(default_factory=list)
-    _best_params: Optional[dict] = None
-    _best_rule_scores: Optional[np.ndarray] = None
-    _compiled: Optional[CompiledRules] = None
-
-    def compiled_rules(self) -> CompiledRules:
-        """The grammar compiled once per state; it reads the rule chart's scores in place."""
-        if self._compiled is None:
-            self._compiled = CompiledRules(self.model.labels, self.grammar, self.rules)
-        return self._compiled
-
-    def snapshot_best(self) -> None:
-        self._best_params = {k: v.copy() for k, v in self.model.params.items()}
-        self._best_rule_scores = self.rules.scores.copy()
-
-    def restore_best(self) -> None:
-        if self._best_params is not None:
-            for k in self.model.params:
-                self.model.params[k][...] = self._best_params[k]
-            self.rules.scores[...] = self._best_rule_scores
 
 
 def sentence_gradients(
@@ -151,15 +135,13 @@ def sentence_gradients(
     chart: SpanScoreChart,
     cache: ForwardCache,
     augmented: Union[DecodeResult, NoDerivation],
-    model: ScorerModel,
-    grammar: Grammar,
-    rules: RuleScoreChart,
-    mode: str,
+    state: TrainState,
 ) -> tuple[float, Optional[dict[str, np.ndarray]], Optional[np.ndarray]]:
-    """Subgradient of one sentence's hinge loss, max(best augmented score -
-    gold score, 0), from its forward ``chart`` and ``cache`` and the decode
-    of its Hamming-augmented chart; (loss, None, None) at loss 0.  Raises the
-    gold score's GoldRuleMissing, or else the decode's NoDerivation.
+    """Subgradient of one sentence's hinge loss under ``state``, max(best
+    augmented score - gold score, 0), from its forward ``chart`` and
+    ``cache`` and the decode of its Hamming-augmented chart; (loss, None,
+    None) at loss 0.  Raises the gold score's GoldRuleMissing, or else the
+    decode's NoDerivation.
 
     The augmented tree's chart entries (and rule scores, where the mode has
     the rule term) get +1, the gold tree's get -1; ties inherit the decoder's
@@ -167,7 +149,7 @@ def sentence_gradients(
     one-head mode's backward folds into its head.  A mode without the rule
     term returns None for the rule gradient.
     """
-    spec = MODES[mode]
+    spec, rules = MODES[state.mode], state.rules
     gold_score = ordered_tree_score(sent.btree, chart, rules if spec.rules else None)
     if isinstance(augmented, NoDerivation):
         raise augmented
@@ -182,8 +164,8 @@ def sentence_gradients(
         for lab, i, j, order in tree.nodes():
             out_grad[i, j, label_index[lab], order] += sign
         for parent, left, right, order in tree.compositions() if spec.rules else ():
-            rule_grad[grammar.rule_index[Rule(parent, left, right)], order] += sign
-    return loss, model.backward(cache, out_grad), rule_grad
+            rule_grad[state.grammar.rule_index[Rule(parent, left, right)], order] += sign
+    return loss, state.model.backward(cache, out_grad), rule_grad
 
 
 # floats of forward caches one training sub-batch may hold, counted as
@@ -200,7 +182,7 @@ def _sub_batches(batch: list[Sentence], floats_per_span: int) -> Iterator[list[S
     sub: list[Sentence] = []
     held = 0
     for sent in batch:
-        n = len(sent.words)
+        n = len(sent.btree.sentence)
         need = n * (n + 1) // 2 * floats_per_span
         if sub and held + need > _CACHE_FLOATS:
             yield sub
@@ -226,24 +208,22 @@ def step(batch: list[Sentence], state: TrainState) -> tuple[float, int]:
         raise ValueError("empty batch")
     spec = MODES[state.mode]
     model = state.model
-    comp = state.compiled_rules()
     grad_sum: Optional[dict[str, np.ndarray]] = None
     rule_sum: Optional[np.ndarray] = None
     total_loss = 0.0
     skipped = 0
     for sub in _sub_batches(batch, model.hidden * 2 * len(spec.heads)):
-        forwards = [model.forward(tuple(zip(s.words, s.pos)), orders=spec.heads) for s in sub]
+        forwards = [model.forward(s.btree.sentence, orders=spec.heads) for s in sub]
         decoded = spec.decode([augmented_chart(chart, s.btree) for s, (chart, _) in zip(sub, forwards)],
-                              comp)
+                              state.compiled)
         for sent, (chart, cache), augmented in zip(sub, forwards, decoded):
             try:
-                loss, grads, rule_grad = sentence_gradients(
-                    sent, chart, cache, augmented, model, state.grammar, state.rules, state.mode
-                )
+                loss, grads, rule_grad = sentence_gradients(sent, chart, cache, augmented, state)
             except NonFiniteChart:
                 return math.nan, 0  # the model, not the sentence, is at fault: no update
             except (GoldRuleMissing, NoDerivation) as err:
-                logger.warning("skipping sentence %r: %s", " ".join(sent.words[:8]), err)
+                words = " ".join(w for w, _ in sent.btree.sentence[:8])
+                logger.warning("skipping sentence %r: %s", words, err)
                 skipped += 1
                 continue
             total_loss += loss
@@ -272,12 +252,12 @@ def evaluate_dev(state: TrainState, dev: Treebank) -> EvalReport:
     """Decode the dev set with the state's mode, CHUNK sentences at a time,
     and score phrasal brackets."""
     spec = MODES[state.mode]
-    comp = state.compiled_rules()
     pred_trees = []
     for lo in range(0, len(dev.sentences), CHUNK):
-        sentences = [tuple(zip(s.words, s.pos)) for s in dev.sentences[lo : lo + CHUNK]]
+        sentences = [s.btree.sentence for s in dev.sentences[lo : lo + CHUNK]]
         # the chunk's charts go once decoded, before the next chunk's forwards
-        decoded = spec.decode(state.model.charts(sentences, orders=spec.heads), comp, forbid_root=DUMMY)
+        decoded = spec.decode(state.model.charts(sentences, orders=spec.heads), state.compiled,
+                              forbid_root=DUMMY)
         for sentence, res in zip(sentences, decoded):
             if isinstance(res, NoDerivation):
                 btree = fallback_tree(sentence, state.model.labels)
@@ -296,8 +276,8 @@ def init_state(train: Treebank, config: TrainConfig) -> TrainState:
     )
     rules = RuleScoreChart.init_random(grammar, init_rng)
     return TrainState(
-        model=model, rules=rules, grammar=grammar,
-        mode=config.mode, learning_rate=config.learning_rate,
+        model=model, rules=rules, grammar=grammar, mode=config.mode,
+        learning_rate=config.learning_rate, compiled=CompiledRules(model.labels, grammar, rules),
     )
 
 
@@ -313,11 +293,15 @@ def fit(
     checkpoint_path: Optional[str] = None,
 ) -> TrainState:
     """Train with per-epoch dev evaluation, patience-based decay, and
-    best-checkpoint retention.  A ValueError raised once a checkpoint is
-    written names the epoch whose checkpoint ``checkpoint_path`` holds."""
+    best-checkpoint retention; return the state of the best dev epoch, which
+    ``checkpoint_path`` holds.  Each epoch logs one line through ``log_fn``:
+    epoch, mean loss, dev P, R and F1, and the learning rate.  A ValueError
+    raised once a checkpoint is written names the epoch whose checkpoint
+    ``checkpoint_path`` holds."""
     state = init_state(train, config)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([config.seed, _SHUFFLE_STREAM]))
     sentences = list(train.sentences)
+    trained = dict(state.model.params, rule_scores=state.rules.scores)  # updated in place
 
     def emit(epoch, loss, report):
         if log_fn is not None:
@@ -327,9 +311,9 @@ def fit(
             )
 
     report = evaluate_dev(state, dev)
-    state.dev_history.append(report)
     state.best_f1 = report.f1
-    state.snapshot_best()
+    best = {k: v.copy() for k, v in trained.items()}  # the trained arrays at the best epoch
+    best_epoch = decays = 0
     if checkpoint_path:
         save_checkpoint(checkpoint_path, state)
     emit(0, float("nan"), report)
@@ -346,20 +330,16 @@ def fit(
             if not losses:
                 raise ValueError(f"epoch {epoch}: scored none of the {len(sentences)} training sentences")
             mean_loss = sum(losses) / len(losses)
-            params = [*state.model.params.values(), state.rules.scores]
-            if not (math.isfinite(mean_loss) and all(np.isfinite(p).all() for p in params)):
+            if not (math.isfinite(mean_loss) and all(np.isfinite(p).all() for p in trained.values())):
                 raise ValueError(f"epoch {epoch}: the loss or a parameter is not finite; "
                                  "try a lower learning rate")
             state.epoch = epoch
-            state.loss_history.append(mean_loss)
             report = evaluate_dev(state, dev)
-            state.dev_history.append(report)
             emit(epoch, mean_loss, report)
 
             if report.f1 > state.best_f1:
-                state.best_f1 = report.f1
-                state.best_epoch = epoch
-                state.snapshot_best()
+                state.best_f1, best_epoch = report.f1, epoch
+                best = {k: v.copy() for k, v in trained.items()}
                 if checkpoint_path:
                     save_checkpoint(checkpoint_path, state)
                 stale = 0
@@ -372,18 +352,19 @@ def fit(
                 # every scored margin satisfied: subgradients are zero and nothing can change
                 break
             if stale >= config.decay_patience:
-                if state.decays_used >= config.max_decay:
+                if decays >= config.max_decay:
                     break
                 state.learning_rate *= config.decay_factor
-                state.decays_used += 1
+                decays += 1
                 stale = 0
     except ValueError as err:
         if not checkpoint_path:
             raise
         raise ValueError(f"{err}; {checkpoint_path} holds the checkpoint of epoch "
-                         f"{state.best_epoch}") from None
+                         f"{best_epoch}") from None
 
-    state.restore_best()  # checkpoint_path already holds this state
+    for name, value in trained.items():  # checkpoint_path already holds this state
+        value[...] = best[name]
     return state
 
 

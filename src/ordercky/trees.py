@@ -376,8 +376,9 @@ def load_trees(path: str) -> list[Tree]:
 
 @dataclass(frozen=True)
 class Sentence:
-    words: tuple[str, ...]
-    pos: tuple[str, ...]
+    """A treebank tree as read and as binarized; its (word, tag) pairs are
+    ``btree.sentence``."""
+
     tree: Tree
     btree: BinaryTree
 
@@ -390,7 +391,7 @@ class Treebank:
         labels = {DUMMY}
         words = set()
         for sent in sentences:
-            words.update(sent.words)
+            words.update(word for word, _ in sent.btree.sentence)
             labels.update(sent.btree.label)
         self.labels: tuple[str, ...] = tuple(sorted(labels))
         self.words: tuple[str, ...] = tuple(sorted(words))
@@ -400,18 +401,7 @@ class Treebank:
 
     @classmethod
     def from_trees(cls, trees: list[Tree]) -> "Treebank":
-        sentences = []
-        for tree in trees:
-            pairs = sentence_of(tree)
-            sentences.append(
-                Sentence(
-                    words=tuple(w for w, _ in pairs),
-                    pos=tuple(p for _, p in pairs),
-                    tree=tree,
-                    btree=binarize(tree),
-                )
-            )
-        return cls(sentences)
+        return cls([Sentence(tree, binarize(tree)) for tree in trees])
 
     @classmethod
     def load(cls, path: str) -> "Treebank":

@@ -13,8 +13,8 @@ from ordercky.decoder import CompiledRules, decode_charts_batched, decode_ordere
 from ordercky.evaluate import score_trees
 from ordercky.scorer import ScorerModel, span_index_arrays
 from ordercky.selfcheck import oracle_check
-from ordercky.trainer import TrainConfig, fit, init_state, save_checkpoint
-from ordercky.trees import Treebank, load_trees, sentence_of
+from ordercky.trainer import TrainConfig, fit
+from ordercky.trees import Treebank, load_trees
 
 DATA = resources.files("ordercky").joinpath("data")
 
@@ -78,7 +78,7 @@ def test_oracle_equivalence():
 
 def test_batched_determinism(memorize_model, tmp_path, capsys):
     path, state, _, train = memorize_model
-    sentences = [tuple(zip(s.words, s.pos)) for s in train.sentences[:16]]
+    sentences = [s.btree.sentence for s in train.sentences[:16]]
     lengths = {len(s) for s in sentences}
     compiled = CompiledRules(state.model.labels, state.grammar, state.rules)
     charts = [state.model.forward(s)[0] for s in sentences]
@@ -160,7 +160,7 @@ def test_memorization(memorize_model, tmp_path, capsys):
     sents_file = tmp_path / "all.txt"
     sents_file.write_text(
         "\n".join(
-            " ".join(f"{w}_{p}" for w, p in zip(s.words, s.pos)) for s in train.sentences
+            " ".join(f"{w}_{p}" for w, p in s.btree.sentence) for s in train.sentences
         ) + "\n",
         encoding="utf-8",
     )

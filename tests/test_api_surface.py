@@ -1,4 +1,5 @@
-"""The package keeps no API that only tests use.
+"""The package keeps no API that only tests use, and no module of the
+package or of the tests imports a name it never uses.
 
 Every public top-level function or class, and every public method, defined
 in ``src/ordercky/`` must be referenced from ``src/ordercky/`` or
@@ -76,3 +77,24 @@ def test_every_package_name_the_benchmark_imports_resolves():
     missing = [f"{where}: from {module} import {name}" for where, module, name in imported
                if not resolves(module, name)]
     assert not missing, "perfbench imports names the package lacks: " + "; ".join(missing)
+
+
+def imported_names(tree):
+    """(name, line) of every name an import binds; ``from __future__`` binds none."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = []
+    for path in sorted([*PACKAGE.glob("*.py"), *(ROOT / "tests").glob("*.py")]):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.relative_to(ROOT)}:{line} {name}"
+                   for name, line in imported_names(tree) if name not in used]
+    assert not unused, "imported but never used: " + ", ".join(unused)

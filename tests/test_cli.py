@@ -595,9 +595,52 @@ def test_parse_rejects_empty_word_or_pos(tmp_path, toy_model, line, cause, monke
     for fallback in ([], ["--fallback-right-branching"]):
         assert cli.main(["parse", "--model", toy_model, str(sents), *fallback]) == 1
         assert capsys.readouterr() == ("", f"error: {sents}:2: {cause}\n")
-        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(text.encode())))
         assert cli.main(["parse", "--model", toy_model, *fallback]) == 1
         assert capsys.readouterr() == ("", f"error: <stdin>:2: {cause}\n")
+
+
+# line 2 of each file holds byte 0xff at byte 18 of the line
+NOT_UTF8 = {
+    "treebank": TOY.encode().replace(b"(NN dog)) (VP (VB runs)", b"(NN \xff)) (VP (VB runs)"),
+    "sentences": b"the_DT cat_NN\na_DT dog_NN runs_V\xff\n",
+    "config": b"epochs = 1\nlearning-rate = 0.\xff\n",
+}
+
+
+@pytest.mark.parametrize("command, kind", [
+    ("stats", "treebank"), ("extract-grammar", "treebank"), ("eval", "treebank"), ("train", "treebank"),
+    ("parse", "sentences"), ("bench", "treebank"), ("--config", "config"),
+])
+def test_input_that_is_not_utf8_is_named_by_file_and_line(tmp_path, toy_treebank, request, command, kind,
+                                                          capsys):
+    bad = tmp_path / f"bad.{kind}"
+    bad.write_bytes(NOT_UTF8[kind])
+    out = str(tmp_path / "out.npz")
+    model = request.getfixturevalue("toy_model") if command in ("parse", "bench") else None
+    capsys.readouterr()  # the model's training report
+    argv = {
+        "stats": ["stats", str(bad)],
+        "extract-grammar": ["extract-grammar", str(bad)],
+        "eval": ["eval", "--pred", toy_treebank, "--gold", str(bad)],
+        "train": ["train", "--train", str(bad), "--out", out],
+        "parse": ["parse", "--model", model, str(bad)],
+        "bench": ["bench", "--model", model, str(bad)],
+        "--config": ["train", "--train", toy_treebank, "--out", out, "--config", str(bad)],
+    }[command]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr() == (
+        "", f"error: {bad}:2: 'utf-8' codec can't decode byte 0xff in position 18: invalid start byte\n")
+    assert not os.path.exists(out)
+
+
+def test_parse_names_the_stdin_line_that_is_not_utf8(toy_model):
+    # surrogateescape writes the lone surrogate as the raw byte 0xff
+    proc = run_cli("parse", "--model", toy_model, input="the_DT cat_NN\na_DT dog_NN runs_V\udcff\n",
+                   errors="surrogateescape")
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == ("error: <stdin>:2: 'utf-8' codec can't decode byte 0xff in position 18: "
+                           "invalid start byte\n")
 
 
 def _rewrite_checkpoint(src, dst, edit_tensors=None, edit_meta=None):

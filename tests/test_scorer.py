@@ -57,7 +57,7 @@ class TestEncode:
 
 class TestSpanVector:
     """The span vectors ``forward`` keeps in its cache, one row per span
-    (cache.i_idx[r], cache.j_idx[r])."""
+    (i_idx[r], j_idx[r]) of ``span_index_arrays``."""
 
     def test_minimal_span_shape(self):
         model = tiny_model()
@@ -68,7 +68,7 @@ class TestSpanVector:
         model = tiny_model()
         cache = model.forward(sent("alpha", "beta", "gamma"))[1]
         fence, half = cache.fence, model.dim // 2
-        for v, i, j in zip(cache.span_vecs, cache.i_idx, cache.j_idx):
+        for v, i, j in zip(cache.span_vecs, *span_index_arrays(3)):
             assert np.array_equal(v[:half], fence[j, :half] - fence[i, :half])
             assert np.array_equal(v[half:], fence[i, half:] - fence[j, half:])
 
@@ -81,7 +81,7 @@ class TestSpanVector:
 
     def test_rows_are_exactly_the_spans(self):
         cache = tiny_model().forward(sent("alpha", "beta", "gamma"))[1]
-        spans = list(zip(cache.i_idx.tolist(), cache.j_idx.tolist()))
+        spans = list(zip(*(idx.tolist() for idx in span_index_arrays(3))))
         assert spans == [(i, j) for i in range(3) for j in range(i + 1, 4)]
         assert len(cache.span_vecs) == len(spans)
 

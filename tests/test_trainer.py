@@ -16,7 +16,7 @@ from ordercky.decoder import (
     fallback_tree,
     ordered_tree_score,
 )
-from ordercky.grammar import Rule, RuleScoreChart, extract_grammar
+from ordercky.grammar import Rule, RuleScoreChart
 from ordercky.scorer import ScorerModel, param_shapes
 from ordercky.trainer import (
     MODES,
@@ -64,10 +64,9 @@ def gradients(state, sent):
     """``sentence_gradients`` of one sentence, from its forward and the decode
     of its Hamming-augmented chart alone."""
     spec = MODES[state.mode]
-    chart, cache = state.model.forward(tuple(zip(sent.words, sent.pos)), orders=spec.heads)
-    augmented = spec.decode([augmented_chart(chart, sent.btree)], state.compiled_rules())[0]
-    return sentence_gradients(sent, chart, cache, augmented, state.model, state.grammar, state.rules,
-                              state.mode)
+    chart, cache = state.model.forward(sent.btree.sentence, orders=spec.heads)
+    augmented = spec.decode([augmented_chart(chart, sent.btree)], state.compiled)[0]
+    return sentence_gradients(sent, chart, cache, augmented, state)
 
 
 def hinge_loss(state, sent):
@@ -78,7 +77,7 @@ def hinge_loss(state, sent):
 def augmented_and_gold(state, sent):
     """The Hamming-augmented decode and the gold score, through the mode table."""
     spec = MODES[state.mode]
-    chart, _ = state.model.forward(tuple(zip(sent.words, sent.pos)), orders=spec.heads)
+    chart, _ = state.model.forward(sent.btree.sentence, orders=spec.heads)
     compiled = CompiledRules(state.model.labels, state.grammar, state.rules)
     augmented = spec.decode([augmented_chart(chart, sent.btree)], compiled)[0]
     return augmented, ordered_tree_score(sent.btree, chart, state.rules if spec.rules else None)
@@ -96,7 +95,7 @@ class TestHingeLoss:
     def test_loss_matches_brute_force_decomposition(self):
         tb, _, state = make_state(MINI_CORPUS, seed=5)
         sent = tb.sentences[0]
-        chart, _ = state.model.forward(tuple(zip(sent.words, sent.pos)))
+        chart, _ = state.model.forward(sent.btree.sentence)
         loss = hinge_loss(state, sent)
         from ordercky.decoder import brute_force_best
 
@@ -139,11 +138,10 @@ class TestStep:
     def test_gold_score_rises_after_step(self):
         tb, _, state = make_state(MINI_CORPUS, seed=11)
         sent = tb.sentences[0]
-        pair = tuple(zip(sent.words, sent.pos))
         augmented, gold_before = augmented_and_gold(state, sent)
         assert hinge_loss(state, sent) > 0.0 and augmented.tree != sent.btree
         step([sent], state)
-        chart, _ = state.model.forward(pair)
+        chart, _ = state.model.forward(sent.btree.sentence)
         gold_after = ordered_tree_score(sent.btree, chart, state.rules)
         assert gold_after > gold_before
 
@@ -185,24 +183,33 @@ class TestStep:
             step([], state)
 
 
+def fit_log(train, dev, config, **kwargs):
+    """``fit``'s state and its epoch log, one list of columns per epoch:
+    epoch, loss, P, R, F1 and learning rate."""
+    lines = []
+    state = fit(train, dev, config, log_fn=lines.append, **kwargs)
+    return state, [line.split("\t") for line in lines]
+
+
 class TestFit:
     def test_zero_epochs_returns_initial_state(self):
         tb, _, _ = make_state(MINI_CORPUS)
         config = TrainConfig(mode="ordered", epochs=0, seed=0, dim=8, hidden=8, maxlen=16)
-        state = fit(tb, tb, config)
+        state, log = fit_log(tb, tb, config)
         fresh = init_state(tb, config)
         report = evaluate_dev(fresh, tb)
         assert state.epoch == 0
         assert state.best_f1 == pytest.approx(report.f1)
-        assert state.loss_history == []
+        assert log == [["0", "nan", f"{report.precision:.2f}", f"{report.recall:.2f}", f"{report.f1:.2f}",
+                        f"{config.learning_rate:.6g}"]]
 
     def test_seeded_determinism(self):
         tb, _, _ = make_state(MINI_CORPUS)
         config = TrainConfig(mode="ordered", epochs=4, seed=7, dim=8, hidden=8, maxlen=16)
-        a = fit(tb, tb, config)
-        b = fit(tb, tb, config)
-        assert a.loss_history == b.loss_history
-        assert [r.f1 for r in a.dev_history] == [r.f1 for r in b.dev_history]
+        a, b = [], []
+        fit(tb, tb, config, log_fn=a.append)
+        fit(tb, tb, config, log_fn=b.append)
+        assert len(a) == 5 and a == b
 
     def test_memorizes_small_corpus(self):
         tb, _, _ = make_state(MINI_CORPUS)
@@ -214,12 +221,14 @@ class TestFit:
     def test_best_f1_non_decreasing_and_checkpointed(self, tmp_path):
         tb, _, _ = make_state(MINI_CORPUS)
         path = str(tmp_path / "ck.npz")
-        config = TrainConfig(mode="ordered", epochs=8, seed=1, dim=8, hidden=8, maxlen=16)
-        state = fit(tb, tb, config, checkpoint_path=path)
-        best_so_far = -1.0
-        for report in state.dev_history:
-            best_so_far = max(best_so_far, report.f1)
-        assert state.best_f1 == pytest.approx(best_so_far)
+        config = TrainConfig(mode="ordered", epochs=8, seed=3, dim=8, hidden=8, maxlen=16)
+        state, log = fit_log(tb, tb, config, checkpoint_path=path)
+        f1s = [float(row[4]) for row in log]
+        assert f"{state.best_f1:.2f}" == f"{max(f1s):.2f}"
+        # an epoch after the best scores lower, so the state fit returns is the
+        # checkpoint's only if fit restores the best epoch
+        last_best = max(e for e, f1 in enumerate(f1s) if f1 == max(f1s))
+        assert min(f1s[last_best:]) < max(f1s)
         model, grammar, rules, mode = load_checkpoint(path)
         restored = evaluate_dev(
             init_state(tb, config), tb
@@ -245,16 +254,20 @@ class TestFit:
             mode="baseline", epochs=30, seed=0, dim=8, hidden=8, maxlen=16,
             decay_patience=2, max_decay=2,
         )
-        state = fit(tb, tb, config)
-        assert state.decays_used >= 1
+        state, log = fit_log(tb, tb, config)
         assert state.learning_rate < config.learning_rate
+        rates = [float(row[5]) for row in log]
+        assert rates[0] == config.learning_rate and min(rates) < config.learning_rate
+        assert rates == sorted(rates, reverse=True)
 
     def test_stops_when_loss_reaches_zero(self):
         tb, _, _ = make_state(UNIQUE_DERIVATION)
         config = TrainConfig(mode="ordered", epochs=50, seed=0, dim=8, hidden=8, maxlen=16)
-        state = fit(tb, tb, config)
+        state, log = fit_log(tb, tb, config)
         assert state.epoch == 1  # loss is exactly zero from the first epoch
-        assert state.decays_used == 0
+        assert [row[1] for row in log] == ["nan", "0.000000"]
+        assert state.learning_rate == config.learning_rate
+        assert [row[5] for row in log] == [f"{config.learning_rate:.6g}"] * 2
 
 
 class TestCheckpoint:
@@ -274,7 +287,7 @@ class TestCheckpoint:
         for name, value in state.model.params.items():
             assert np.array_equal(model.params[name], value)
         for sent in tb.sentences:
-            sentence = tuple(zip(sent.words + ("unseen",), sent.pos + ("NN",)))
+            sentence = sent.btree.sentence + (("unseen", "NN"),)
             assert np.array_equal(model.forward(sentence)[0].scores,
                                   state.model.forward(sentence)[0].scores)
 
@@ -304,13 +317,13 @@ class TestCheckpoint:
 
 def test_compiled_rules_read_the_scores_a_step_updates():
     tb, _, state = make_state(MINI_CORPUS, seed=11)
-    compiled = state.compiled_rules()
+    compiled = state.compiled
     before = state.rules.scores.copy()
     step(tb.sentences, state)
     assert not np.array_equal(state.rules.scores, before)
-    assert state.compiled_rules() is compiled and compiled.scores is state.rules.scores
-    charts = [state.model.forward(tuple(zip(s.words, s.pos)))[0] for s in tb.sentences]
-    got = [r.score for r in decode_charts_batched(charts, state.compiled_rules())]
+    assert state.compiled is compiled and compiled.scores is state.rules.scores
+    charts = [state.model.forward(s.btree.sentence)[0] for s in tb.sentences]
+    got = [r.score for r in decode_charts_batched(charts, state.compiled)]
     # decode_ordered compiles the grammar afresh from the rule chart
     assert got == [decode_ordered(c, state.grammar, state.rules).score for c in charts]
     stale = CompiledRules(state.model.labels, state.grammar, RuleScoreChart(state.grammar, before))
@@ -318,8 +331,7 @@ def test_compiled_rules_read_the_scores_a_step_updates():
 
 
 def hinge_objective(state, sent):
-    pair = tuple(zip(sent.words, sent.pos))
-    chart, _ = state.model.forward(pair)
+    chart, _ = state.model.forward(sent.btree.sentence)
     augmented = decode_ordered(augmented_chart(chart, sent.btree), state.grammar, state.rules)
     gold = ordered_tree_score(sent.btree, chart, state.rules)
     return max(augmented.score - gold, 0.0), augmented.tree
@@ -409,7 +421,7 @@ def test_evaluate_dev_falls_back_on_non_finite_charts(mode):
     for name in ("L", "R"):
         state.model.params[f"w2_{name}"][:] = 0.0
         state.model.params[f"b2_{name}"][:] = 1e308
-    fallbacks = [debinarize(fallback_tree(tuple(zip(s.words, s.pos)), state.model.labels))
+    fallbacks = [debinarize(fallback_tree(s.btree.sentence, state.model.labels))
                  for s in tb.sentences]
     report = evaluate_dev(state, tb)
     assert report == score_trees(fallbacks, [s.tree for s in tb.sentences])
@@ -534,7 +546,7 @@ def oracle_sentence_gradients(sent, model, grammar, rules, mode, compiled):
             rule = Rule(parent, left, right)
             if rule not in grammar:
                 raise GoldRuleMissing(f"gold composition {rule} not in the extracted grammar")
-    chart, cache = model.forward(tuple(zip(sent.words, sent.pos)), orders=spec.heads)
+    chart, cache = model.forward(sent.btree.sentence, orders=spec.heads)
     augmented = spec.decode([augmented_chart(chart, sent.btree)], compiled)[0]
     if isinstance(augmented, NoDerivation):
         raise augmented
@@ -615,7 +627,7 @@ def doctor_charts(monkeypatch, sentences):
     100 higher (zero loss in any mode), "broken" has an infinite root (a
     chart that is not finite)."""
     real = ScorerModel.forward
-    golds = {tuple(zip(s.words, s.pos)): s.btree for s in sentences}
+    golds = {s.btree.sentence: s.btree for s in sentences}
 
     def forward(self, sentence, orders=(0, 1)):
         chart, cache = real(self, sentence, orders)
@@ -647,7 +659,7 @@ def decode_sizes(monkeypatch, mode):
 
 
 def cache_floats(state, sent):
-    n = len(sent.words)
+    n = len(sent.btree.sentence)
     return n * (n + 1) // 2 * state.model.hidden * 2 * len(MODES[state.mode].heads)
 
 
