@@ -66,8 +66,10 @@ def _load(load, path: str):
             _lines(path, fh)  # raises at the first line that is not UTF-8
         raise
     except BracketError as err:
-        with open(path, "rb") as fh:
-            line = fh.read()[: err.offset].count(b"\n") + 1
+        # the offset counts bytes of the text as the loader read it, every
+        # line end (\n, \r\n or \r, as _lines splits them) read as \n
+        with open(path, encoding="utf-8") as fh:
+            line = fh.read().encode("utf-8")[: err.offset].count(b"\n") + 1
         raise ValueError(f"{path}:{line}: {err}") from None
 
 

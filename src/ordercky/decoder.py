@@ -25,14 +25,16 @@ M[c, u] = max_k (T[i, k, l1, L] + T[k, j, l2, R]), then the best M[c, u(r)] +
 g[r, o] over each parent's segment of rules.  Since x -> fl(x + g) is
 monotone, max over (k, r) of fl(fl(tl + tr) + g) equals max over r of
 fl(max_k fl(tl + tr) + g): the very float the scalar recursion keeps.  The
-fill keeps M for one width at a time and stores no backpointers; the tables
-it keeps are the children's values at labels, never at pairs: as a left child
-at each label that is some pair's left label (cells x left labels), and as a
-right child at each label that is some pair's right label (cells x right
-labels).  A block of gathered rows indexed along its last axis by each pair's
-place among those labels (``left_inv``, ``right_inv``) lines up with the
-pairs, so only temporaries span the pairs: one width's (M, a split block,
-the per-rule values) and the backtrace's child sums of one tree level.
+fill stores no backpointers, and the only tables it keeps are the children's
+values at labels, never at pairs: as a left child at every label (cells x
+labels), and as a right child at each label that is some pair's right label
+(cells x right labels).  A block of gathered rows indexed along its last axis
+by each pair's left label (``pair_left``) or by its place among the right
+labels (``right_inv``) lines up with the pairs, so only temporaries span the
+pairs: one width's (M, a split block, the per-rule values) and the
+backtrace's child sums of one tree level.  Each width reads its span scores
+off the diagonals of the charts and keeps its values only until the two
+tables hold them, so nothing else the fill keeps grows with all the cells.
 One backtrace then walks the best trees of the whole batch a level at a
 time, keeping each node's cell and label, which become the trees' spans.  At
 each node it recomputes M from those two tables, summing the same floats
@@ -103,10 +105,8 @@ class CompiledRules:
         # then reduces each parent's segment of rules
         pairs, self.rule_pair = np.unique(self.left * len(self.labels) + self.right, return_inverse=True)
         self.pair_left, self.pair_right = np.divmod(pairs, len(self.labels))
-        # the fill keeps values at the labels that are some pair's left or
-        # right child; left_labels[left_inv] is pair_left and
-        # right_labels[right_inv] is pair_right
-        self.left_labels, self.left_inv = np.unique(self.pair_left, return_inverse=True)
+        # the fill keeps right-child values at the labels that are some
+        # pair's right child; right_labels[right_inv] is pair_right
         self.right_labels, self.right_inv = np.unique(self.pair_right, return_inverse=True)
         self.seg_parents = np.flatnonzero(np.diff(bounds))
         self.seg_starts = bounds[self.seg_parents]
@@ -484,61 +484,45 @@ def decode_charts_batched(
 ) -> list[Union[DecodeResult, NoDerivation]]:
     """Width-synchronous decoding of many charts at once, bit-identical to
     ``decode_ordered``: one step fills every cell of one width, across all
-    sentences, keeping every cell's values as a left child at the pairs' left
-    labels and as a right child at their right labels, and that width's pair
-    maxima only; one level-synchronous backtrace, which recomputes its
+    sentences, from that width's span scores read off the charts' diagonals,
+    keeping every cell's values as a left child at every label and as a right
+    child at the pairs' right labels, and that width's scores, values and
+    pair maxima only; one level-synchronous backtrace, which recomputes its
     nodes' pair maxima from those values, then finds every node's split and
     lists every node's span."""
     if not charts:
         return []
     lens = np.array([c.n for c in charts])
-    big_n, batch, n_pairs = int(lens.max()), len(charts), len(compiled.pair_left)
-    # rows of one width are contiguous; within a width, sentence then start
-    cells = [np.nonzero(np.arange(big_n - w + 1) <= (lens - w)[:, None]) for w in range(1, big_n + 1)]
-    sents = np.concatenate([b for b, _ in cells])
-    starts = np.concatenate([i for _, i in cells])
-    widths = np.repeat(np.arange(1, big_n + 1), [len(b) for b, _ in cells])
-    bounds = np.concatenate([[0], np.cumsum([len(b) for b, _ in cells])])
+    big_n, batch = int(lens.max()), len(charts)
+    # the cells (w, b, i) with i + w <= n_b, listed by width, then sentence,
+    # then start: rows of one width are contiguous
+    widths, sents, starts = np.nonzero(np.arange(1, big_n + 1)[:, None, None] + np.arange(big_n) <= lens[:, None])
+    widths += 1
+    bounds = np.searchsorted(widths, np.arange(1, big_n + 2)).tolist()
     row = np.full((big_n + 1, batch, big_n), -1, dtype=np.intp)
     row[widths, sents, starts] = np.arange(len(widths))
 
-    # every cell's scores, gathered at once from the charts laid end to end
-    n_labels = len(compiled.labels)
-    side = lens + 1
-    offset = np.concatenate([[0], np.cumsum(side * side)[:-1]])
-    flat = np.concatenate([c.scores.reshape(-1, n_labels, 2) for c in charts])
-    s = flat[offset[sents] + starts * side[sents] + starts + widths]
-    del flat  # before the fill allocates its arrays
-    t = np.full_like(s, NEG_INF)
-    t[: bounds[1]] = s[: bounds[1]]
-    # each cell's values as a left child at the pairs' left labels, and as a
-    # right child at their right labels; [..., left_inv] and [..., right_inv]
-    # expand gathered rows to the pairs
-    left_values = np.empty((len(widths), len(compiled.left_labels)))
+    # each cell's values as a left child at every label, and as a right child
+    # at the pairs' right labels; [..., pair_left] and [..., right_inv] expand
+    # gathered rows to the pairs.  A width a rule-less grammar never fills
+    # stays at -inf, so its sentences have no derivation
+    left_values = np.empty((len(widths), len(compiled.labels)))
     right_values = np.empty((len(widths), len(compiled.right_labels)))
+    scores, n_list = [c.scores for c in charts], lens.tolist()
     top = big_n if len(compiled) else 1  # no rules: nothing wider than one token
     for w in range(1, top + 1):
         lo, hi = bounds[w - 1], bounds[w]
-        if w > 1:
-            b, i = sents[lo:hi], starts[lo:hi]
-            # this width's pair maxima over its splits; the backtrace
-            # recomputes them at its nodes
-            step = max(1, _SPLIT_BLOCK // ((hi - lo) * n_pairs))
-            for k0 in range(1, w, step):
-                ks = np.arange(k0, min(w, k0 + step))[:, None]
-                cand = np.take(left_values, row[ks, b, i], axis=0)[..., compiled.left_inv]
-                cand += np.take(right_values, row[w - ks, b, i + ks], axis=0)[..., compiled.right_inv]
-                block = cand.max(axis=0)
-                m = block if k0 == 1 else np.maximum(m, block, out=m)
-            per_rule = np.take(m, compiled.rule_pair, axis=1)
-            for o in (LEFT, RIGHT):
-                best = np.maximum.reduceat(per_rule + compiled.scores[:, o], compiled.seg_starts, axis=1)
-                t[lo:hi, compiled.seg_parents, o] = s[lo:hi, compiled.seg_parents, o] + best
-        left_values[lo:hi] = t[lo:hi, compiled.left_labels, LEFT]
-        right_values[lo:hi] = t[lo:hi, compiled.right_labels, RIGHT]
+        # this width's span scores, (cells, orders, labels), read off the
+        # diagonals of the charts it reaches
+        s = np.concatenate([sc.diagonal(w) for sc, n in zip(scores, n_list) if n >= w], axis=-1).T
+        t = s if w == 1 else _width_values(s, left_values, right_values, compiled, row,
+                                           sents[lo:hi], starts[lo:hi], w)
+        left_values[lo:hi] = t[:, LEFT]
+        right_values[lo:hi] = t[:, RIGHT, compiled.right_labels]
+    left_values[bounds[top]:] = NEG_INF
 
-    root_labs, bests = _root_label(t[row[lens, np.arange(batch), 0], :, LEFT], compiled.labels, forbid_root)
-    errors = [_root_error(best, n) for best, n in zip(bests.tolist(), lens.tolist())]
+    root_labs, bests = _root_label(left_values[row[lens, np.arange(batch), 0]], compiled.labels, forbid_root)
+    errors = [_root_error(best, n) for best, n in zip(bests.tolist(), n_list)]
     ok = np.array([error is None for error in errors], dtype=bool)
     cell, lab = _backtrace(left_values, right_values, compiled, row, sents, starts, widths,
                            row[lens[ok], np.flatnonzero(ok), 0], root_labs[ok])
@@ -556,6 +540,36 @@ def decode_charts_batched(
         tree = BinaryTree.from_spans(chart.sentence, spans[first[b] : first[b + 1]])
         results.append(DecodeResult(tree=tree, score=float(bests[b])))
     return results
+
+
+def _width_values(s, left_values, right_values, compiled, row, b, i, w):
+    """The values of width ``w``'s cells (b, i), whose span scores are ``s``,
+    from the narrower cells' values: (cells, orders, labels), -inf at every
+    label that heads no rule.  Its temporaries die with the call, before the
+    next width's."""
+    per_rule = np.take(_pair_maxima(left_values, right_values, compiled, row, b, i, w),
+                       compiled.rule_pair, axis=1)
+    buf = np.empty_like(per_rule)  # the per-rule values in one order
+    t = np.full(s.shape, NEG_INF)
+    for o in (LEFT, RIGHT):
+        np.add(per_rule, compiled.scores[:, o], out=buf)
+        best = np.maximum.reduceat(buf, compiled.seg_starts, axis=1)
+        t[:, o, compiled.seg_parents] = s[:, o, compiled.seg_parents] + best
+    return t
+
+
+def _pair_maxima(left_values, right_values, compiled, row, b, i, w):
+    """Width ``w``'s pair maxima M at its cells (b, i), over its splits a
+    block at a time; the split blocks die with the call, before the per-rule
+    values are made.  The backtrace recomputes M at its nodes."""
+    step = max(1, _SPLIT_BLOCK // (len(b) * len(compiled.pair_left)))
+    for k0 in range(1, w, step):
+        ks = np.arange(k0, min(w, k0 + step))[:, None]
+        cand = np.take(left_values, row[ks, b, i], axis=0)[..., compiled.pair_left]
+        cand += np.take(right_values, row[w - ks, b, i + ks], axis=0)[..., compiled.right_inv]
+        block = cand.max(axis=0)
+        m = block if k0 == 1 else np.maximum(m, block, out=m)
+    return m
 
 
 def _backtrace(left_values, right_values, compiled, row, sents, starts, widths, roots, root_labs):
@@ -580,7 +594,7 @@ def _backtrace(left_values, right_values, compiled, row, sents, starts, widths, 
         split_node = np.repeat(np.arange(len(cell)), span)
         k = np.arange(len(split_node)) - np.repeat(first - 1, span)
         bk, ik = b[split_node], i[split_node]
-        sums = np.take(left_values, row[k, bk, ik], axis=0)[:, compiled.left_inv]
+        sums = np.take(left_values, row[k, bk, ik], axis=0)[:, compiled.pair_left]
         sums += np.take(right_values, row[w[split_node] - k, bk, ik + k], axis=0)[:, compiled.right_inv]
         pair_max = np.maximum.reduceat(sums, first)
         # stage 1: each node's rule segment, and the rules that reach its maximum

@@ -5,6 +5,8 @@ Every public top-level function or class, and every public method, defined
 in ``src/ordercky/`` must be referenced from ``src/ordercky/`` or
 ``perfbench/`` outside its own definition.  A name, an attribute or an
 exact string constant counts as a reference; an import alone does not.
+Every attribute that a package method sets on ``self`` must be read, as an
+attribute load, somewhere in the same program code.
 """
 
 import ast
@@ -98,3 +100,24 @@ def test_no_module_imports_a_name_it_never_uses():
         unused += [f"{path.relative_to(ROOT)}:{line} {name}"
                    for name, line in imported_names(tree) if name not in used]
     assert not unused, "imported but never used: " + ", ".join(unused)
+
+
+def self_attributes_set(tree):
+    """(attr, line) of every ``self.<attr>`` that a method assigns."""
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) and func.args.args \
+                and func.args.args[0].arg == "self":
+            for node in ast.walk(func):
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store) \
+                        and isinstance(node.value, ast.Name) and node.value.id == "self":
+                    yield node.attr, node.lineno
+
+
+def test_every_attribute_a_package_method_sets_is_read():
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"), str(path))
+             for folder in PROGRAM_DIRS for path in sorted(folder.glob("*.py"))}
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = [f"{path.name}:{line} self.{attr}" for path in sorted(PACKAGE.glob("*.py"))
+              for attr, line in self_attributes_set(trees[path]) if attr not in read]
+    assert not unread, "set but never read by program code: " + ", ".join(unread)

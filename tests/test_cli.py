@@ -162,6 +162,17 @@ def test_rejected_tree_names_path_and_line(tmp_path, toy_treebank, command, tree
     assert capsys.readouterr() == ("", f"error: {bad}:2: {message} (byte offset {len(first) + 1})\n")
 
 
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_bracket_error_names_its_line_whatever_the_line_ends(tmp_path, end, capsys):
+    # three trees, the third after a stray token; the offset counts the text
+    # as read, where every line end is one byte
+    bad = tmp_path / "bad.txt"
+    first = TOY.splitlines()[0]
+    bad.write_bytes(end.join([first, first, f"stray {first}", ""]).encode("utf-8"))
+    assert cli.main(["stats", str(bad)]) == 1
+    assert capsys.readouterr() == ("", f"error: {bad}:3: expected '(' (byte offset {2 * len(first) + 2})\n")
+
+
 @pytest.mark.parametrize("command, out", [
     ("stats", "label\tL\tR\n∅\t1499\t1499\n"),
     ("extract-grammar", "parent\tleft\tright\nS\t∅\t∅\n∅\t∅\t∅\n"),

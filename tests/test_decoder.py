@@ -550,12 +550,9 @@ def test_compiled_rules_keep_the_grammar_order_and_the_rule_chart_scores(labels,
     assert [tuple(map(int, r)) for r in zip(compiled.parent, compiled.left, compiled.right)] == \
         [tuple(ids[lab] for lab in rule) for rule in grammar.rules]
     assert compiled.scores is rules.scores
-    # the fill expands rows at the left and the right labels to the pairs
-    assert compiled.left_labels[compiled.left_inv].tolist() == compiled.pair_left.tolist()
+    # the fill expands rows at every label and at the right labels to the pairs
     assert compiled.right_labels[compiled.right_inv].tolist() == compiled.pair_right.tolist()
-    assert len(compiled.left_labels) <= len(compiled.pair_left)
     assert len(compiled.right_labels) <= len(compiled.pair_right)
-    assert compiled.left_labels.tolist() == sorted({ids[rule.left] for rule in grammar.rules})
     assert compiled.right_labels.tolist() == sorted({ids[rule.right] for rule in grammar.rules})
 
 
@@ -864,29 +861,30 @@ def test_batched_equals_scalar_on_hamming_augmented_charts(seed):
 
 
 def test_batched_decode_keeps_no_cell_by_pair_table():
-    # the fill keeps one float table of cells x left labels and one of cells x
-    # right labels; the traced peak must stay below them plus the chart-sized
-    # arrays, the concatenated charts and one width's working set, so that a
-    # table of cells x distinct child pairs does not fit
+    # the fill keeps one float table of cells x labels and one of cells x
+    # right labels, plus one width's span scores and values at a time; the
+    # traced peak must stay below them, the row index and one width's working
+    # set, a bound that a table of cells x distinct child pairs exceeds alone
     rng = np.random.default_rng(0)
-    labels = tuple("ABCDEFGHIJ")
-    # every child pair, each under two parents: 100 pairs, 200 rules
+    labels = tuple("ABCDEFGHIJKL")
+    # every child pair, each under two parents: 144 pairs, 288 rules
     grammar = Grammar([Rule(labels[p], l, r) for l in labels for r in labels
                        for p in rng.choice(len(labels), size=2, replace=False)])
     compiled = CompiledRules(labels, grammar, zero_rules(grammar))
     lengths = range(20, 35, 2)
     charts = [random_chart(rng, n, labels) for n in lengths]
     cells = sum(n * (n + 1) // 2 for n in lengths)
-    widest = sum(n - 1 for n in lengths)  # width 2 has the most cells
+    widest = sum(n - 1 for n in lengths)  # width 2 has the most cells above width 1
     pairs, f8 = len(compiled.pair_left), np.dtype(float).itemsize
-    label_columns = len(compiled.left_labels) + len(compiled.right_labels)
-    assert pairs >= 40 and label_columns == 2 * len(labels)
-    tables = cells * label_columns * f8  # left_values, right_values
-    chart_sized = 2 * cells * len(labels) * 2 * f8    # the span scores s and the values t
-    concatenated = sum(chart.scores.nbytes for chart in charts)
+    assert pairs == len(labels) ** 2 and len(compiled.right_labels) == len(labels)
+    tables = cells * (len(labels) + len(compiled.right_labels)) * f8  # left_values, right_values
+    one_width = 2 * sum(lengths) * len(labels) * 2 * f8  # a width's scores s and values t
+    row = (max(lengths) + 1) * len(charts) * max(lengths) * np.dtype(np.intp).itemsize
     # a split block and its gathered right rows; the pair maxima and one
-    # block's; the per-rule values before and after adding the rule scores
+    # block's; the per-rule values and the buffer of one order's
     working = (2 * decoder._SPLIT_BLOCK + widest * 2 * (pairs + len(grammar))) * f8
+    bound = tables + one_width + row + working
+    assert bound < cells * pairs * f8
     tracemalloc.start()
     try:
         results = decode_charts_batched(charts, compiled)
@@ -894,7 +892,7 @@ def test_batched_decode_keeps_no_cell_by_pair_table():
     finally:
         tracemalloc.stop()
     assert not any(isinstance(res, NoDerivation) for res in results)
-    assert peak < tables + chart_sized + concatenated + working, (peak, cells * pairs * f8)
+    assert peak < bound, (peak, bound)
 
 
 A_TO_AA = Grammar([Rule("A", "A", "A")])
